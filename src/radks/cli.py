@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, default_stepper_config, run
 from .energy import compute_energy, compute_f, compute_g
-from .errors import RadksError
+from .errors import RadksError, SnapshotFormatError
 from .grid import Grid, RadialField, make_grid, integrate
 from .helmholtz import build_solver, solve
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
@@ -192,9 +192,21 @@ def cmd_family(cfg: RunConfig) -> int:
     return 0
 
 
-def _grid_from_snapshot(r: np.ndarray, n: int) -> Grid:
-    h = float(r[1] - r[0])
-    return make_grid(n, float(r[-1] + 0.5 * h), len(r))
+def _check_snapshot_grid(path, snap, grid: Grid) -> None:
+    if not snap.on_grid(grid):
+        raise SnapshotFormatError(
+            f"{path}: mesh mismatch: the r column is not the cell centers of the "
+            f"uniform {grid.N}-cell mesh on (0, {grid.R:g}]; only uniform-mesh "
+            "snapshots can be read back"
+        )
+
+
+def _grid_from_snapshot(path, snap, n: int) -> Grid:
+    """The uniform mesh whose cell centers are the snapshot's r column."""
+    # on a uniform mesh r[0] = h/2 exactly, so R = r[-1] + r[0]
+    grid = make_grid(n, float(snap.r[-1] + snap.r[0]), len(snap.r))
+    _check_snapshot_grid(path, snap, grid)
+    return grid
 
 
 class _RowSample:
@@ -225,9 +237,11 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     for snap_path in snaps:
         snap = read_snapshot(snap_path)
         if grid is None:
-            grid = _grid_from_snapshot(snap.r, cfg.n)
+            grid = _grid_from_snapshot(snap_path, snap, cfg.n)
             solver = build_solver(grid)
             pconf = _probe_config(cfg, grid)
+        else:
+            _check_snapshot_grid(snap_path, snap, grid)
         u = RadialField(snap.u, grid)
         v = RadialField(snap.v, grid)
         w = RadialField(snap.w, grid)
@@ -291,7 +305,7 @@ def cmd_verify(level: str) -> int:
 
 def cmd_energy(cfg: RunConfig, snapshot_path: str) -> int:
     snap = read_snapshot(snapshot_path)
-    grid = _grid_from_snapshot(snap.r, cfg.n)
+    grid = _grid_from_snapshot(snapshot_path, snap, cfg.n)
     solver = build_solver(grid)
     u = RadialField(snap.u, grid)
     v = RadialField(snap.v, grid)

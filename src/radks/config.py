@@ -28,7 +28,7 @@ _DEFAULTS = {
                 "t_end": "1.0", "blowup_factor": "1e6", "output_every": "10",
                 "max_steps": "5000000"},
     "probe": {"kappa": "auto", "beta": "auto", "theta": "auto", "rho": "0.25,0.5,0.75"},
-    "run": {"outdir": "out", "seed": "12345", "snapshot_every": "0", "workers": "1"},
+    "run": {"outdir": "out", "snapshot_every": "0", "workers": "1"},
 }
 
 
@@ -57,7 +57,6 @@ class RunConfig:
     theta: str | float
     rho: tuple
     outdir: str
-    seed: int
     snapshot_every: int
     workers: int
     sweep_axes: dict = dc_field(default_factory=dict)
@@ -188,7 +187,6 @@ def load_config(path, overrides=()) -> RunConfig:
     theta = get_float("probe", "theta", allow_auto=True)
     rho_raw = get("probe", "rho")
     outdir = get("run", "outdir")
-    seed = get_int("run", "seed")
     snapshot_every = get_int("run", "snapshot_every")
     workers = get_int("run", "workers")
 
@@ -278,7 +276,7 @@ def load_config(path, overrides=()) -> RunConfig:
         t_end=t_end, blowup_factor=blowup_factor, output_every=output_every,
         max_steps=max_steps,
         kappa=kappa, beta=beta, theta=theta, rho=rho,
-        outdir=outdir, seed=seed, snapshot_every=snapshot_every, workers=workers,
+        outdir=outdir, snapshot_every=snapshot_every, workers=workers,
         sweep_axes=sweep_axes, warnings=warnings, source_path=str(path),
     )
 

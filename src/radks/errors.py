@@ -27,7 +27,3 @@ class InsufficientDataError(RadksError):
 
 class SnapshotFormatError(RadksError):
     """A snapshot or diagnostics file does not follow the expected format."""
-
-
-class InternalError(RadksError):
-    """A condition that should be unreachable for valid inputs."""

@@ -30,7 +30,6 @@ __all__ = [
     "field_from_function",
     "integrate",
     "sup_norm",
-    "weighted_sup",
     "gradient_faces",
     "laplacian",
     "flux_divergence",
@@ -216,11 +215,6 @@ def field_from_function(grid: Grid, fn) -> RadialField:
     return RadialField(np.asarray([fn(r) for r in grid.centers], dtype=float), grid)
 
 
-def _check_same_grid(a: RadialField, b: RadialField) -> None:
-    if a.grid is not b.grid and not a.grid.same_as(b.grid):
-        raise GridMismatchError("fields live on different grids")
-
-
 def integrate(field: RadialField) -> float:
     """Midpoint-rule integral over the ball, sum f_i V_i.
 
@@ -231,11 +225,6 @@ def integrate(field: RadialField) -> float:
 
 def sup_norm(field: RadialField) -> float:
     return float(np.max(np.abs(field.values)))
-
-
-def weighted_sup(field: RadialField, p: float) -> float:
-    """max_i r_i^p |f_i| over cell centers."""
-    return float(np.max(field.grid.centers**p * np.abs(field.values)))
 
 
 def gradient_faces(field: RadialField) -> np.ndarray:

@@ -1,14 +1,13 @@
-"""Direct tridiagonal solver for the screened Neumann problem (I - L)w = u.
+"""Tridiagonal solves of the screened Neumann problems (alpha I - beta L)x = rhs.
 
-L is the flux-form radial Laplacian from :mod:`radks.grid`.  The system is
-assembled in the volume-weighted symmetric form
-
-    (a V_i + b K) w = V_i rhs_i,      K = stiffness of the zero-flux mesh,
-
-which is symmetric positive definite, so a banded Cholesky factorization
-can be reused across solves.  Summing the rows shows sum w_i V_i equals
-sum rhs_i V_i exactly (the K rows sum to zero), the discrete counterpart
-of the mass identity between u and w.
+L is the flux-form radial Laplacian from :mod:`radks.grid`.  Each system
+is assembled in the volume-weighted form (alpha V_i + beta K) x = V_i rhs_i,
+K the stiffness of the zero-flux mesh: SPD for alpha > 0, beta >= 0, so
+LAPACK factors it as L D L^T (``dpttrf``) and solves with ``dpttrs``.
+(I - L)w = u is alpha = beta = 1, factored once per grid by
+:func:`build_solver`; the stepper's dt-dependent systems take the same
+path through :func:`shifted_solve`.  The K rows sum to zero, so
+alpha sum x_i V_i = sum rhs_i V_i: the discrete mass identity of u and w.
 """
 
 from __future__ import annotations
@@ -17,45 +16,50 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import GridMismatchError
+from .errors import ConfigurationError, GridMismatchError
 from .grid import Grid, RadialField, laplacian
 
 __all__ = [
     "HelmholtzSolver",
     "build_solver",
     "solve",
-    "residual",
     "apply_operator",
     "shifted_solve",
 ]
 
 
-def _stiffness(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and superdiagonal of K (interior faces only; ends carry no flux)."""
-    # areas of interior faces 1..N-1 divided by the center spacing across them
-    coupling = grid.face_areas[1:-1] / grid.spacing[1:-1]
-    diag = np.zeros(grid.N)
+def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of alpha*diag(V) + beta*K (no flux at the ends)."""
+    coupling = beta * (grid.face_areas[1:-1] / grid.spacing[1:-1])
+    diag = alpha * grid.volumes
     diag[:-1] += coupling
     diag[1:] += coupling
     return diag, -coupling
 
 
-def _banded(grid: Grid, alpha: float, beta: float) -> np.ndarray:
-    """Upper banded storage of alpha*diag(V) + beta*K."""
-    kdiag, koff = _stiffness(grid)
-    ab = np.zeros((2, grid.N))
-    ab[1] = alpha * grid.volumes + beta * kdiag
-    ab[0, 1:] = beta * koff
-    return ab
+def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factors of alpha*diag(V) + beta*K."""
+    d, e, info = dpttrf(*_assemble(grid, alpha, beta))
+    if info != 0:
+        raise ConfigurationError(
+            f"alpha I - beta L with alpha={alpha!r}, beta={beta!r} is not positive "
+            f"definite (LAPACK dpttrf info={info}); need alpha > 0 and beta >= 0"
+        )
+    return d, e
 
 
-def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[0, 1:] * x[:-1]
-    return y
+def _solve(grid: Grid, alpha: float, beta: float, factor, rhs: np.ndarray) -> np.ndarray:
+    """x with (alpha I - beta L)x = rhs, from the factors of that operator.
+
+    One refinement pass against the flux-form L (which divides by V_i
+    where the factored system weights by it) solves that L to round-off.
+    """
+    d, e = factor
+    x = dpttrs(d, e, grid.volumes * rhs)[0]
+    defect = rhs - (alpha * x - beta * laplacian(RadialField(x, grid)).values)
+    return x + dpttrs(d, e, grid.volumes * defect)[0]
 
 
 @dataclass(frozen=True)
@@ -63,36 +67,25 @@ class HelmholtzSolver:
     """Reusable factorization of (I - L) on one grid."""
 
     grid: Grid
-    _factor: np.ndarray
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """(I - L)x in the same flux-form arithmetic as the residual op."""
-        return x - laplacian(RadialField(x, self.grid)).values
-
-    def _solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        x = cho_solve_banded((self._factor, False), grid.volumes * rhs)
-        # One refinement pass against the flux-form operator, then an exact
-        # mass projection: telescoping makes sum w V = sum u V an identity
-        # of the scheme, and the constant shift (well below discretization
-        # error) pins it down to round-off in floating point as well.
-        defect = rhs - self._apply(x)
-        x = x + cho_solve_banded((self._factor, False), grid.volumes * defect)
-        gap = math.fsum(grid.volumes * rhs) - math.fsum(grid.volumes * x)
-        return x + gap / grid.ball_volume
+    _factor: tuple[np.ndarray, np.ndarray]
 
 
 def build_solver(grid: Grid) -> HelmholtzSolver:
     """Factorize (I - L); the matrix is an SPD M-matrix, so this cannot fail."""
-    factor = cholesky_banded(_banded(grid, 1.0, 1.0), lower=False)
-    return HelmholtzSolver(grid=grid, _factor=factor)
+    return HelmholtzSolver(grid=grid, _factor=_factor(grid, 1.0, 1.0))
 
 
 def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     """w = (I - L)^{-1} u; preserves the discrete integral of u to round-off."""
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
-    return RadialField(solver._solve_values(u.values), solver.grid)
+    grid = solver.grid
+    x = _solve(grid, 1.0, 1.0, solver._factor, u.values)
+    # Exact mass projection: telescoping makes sum w V = sum u V an identity
+    # of the scheme, and the constant shift (well below discretization
+    # error) pins it down to round-off in floating point as well.
+    gap = math.fsum(grid.volumes * u.values) - math.fsum(grid.volumes * x)
+    return RadialField(x + gap / grid.ball_volume, grid)
 
 
 def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
@@ -102,21 +95,11 @@ def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
     return v.values - laplacian(v).values
 
 
-def residual(solver: HelmholtzSolver, u: RadialField, w: RadialField) -> float:
-    """Max-norm of u - (I - L)w."""
-    if not u.grid.same_as(solver.grid) or not w.grid.same_as(solver.grid):
-        raise GridMismatchError("fields do not live on the solver grid")
-    return float(np.max(np.abs(u.values - apply_operator(solver, w))))
-
-
 def shifted_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (alpha I - beta L) x = rhs for alpha > 0, beta >= 0.
 
-    Used by the time stepper, where alpha and beta depend on dt; a single
-    banded SPD solve plus one refinement pass.
+    Used by the time stepper, where alpha and beta depend on dt, so each
+    call factors its own operator.  Raises ConfigurationError when the
+    operator is not positive definite.
     """
-    ab = _banded(grid, alpha, beta)
-    b = grid.volumes * np.asarray(rhs, dtype=float)
-    x = solveh_banded(ab, b)
-    x += solveh_banded(ab, b - _banded_matvec(ab, x))
-    return x
+    return _solve(grid, alpha, beta, _factor(grid, alpha, beta), rhs)

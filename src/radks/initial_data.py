@@ -317,6 +317,11 @@ def base_data(kind: str, grid: Grid, **params) -> tuple[RadialField, RadialField
             raise ConfigurationError(
                 f"snapshot has {len(snap.u)} rows but the grid has {grid.N} cells"
             )
+        if not snap.on_grid(grid):
+            raise ConfigurationError(
+                f"snapshot {path} was written on another mesh: its r column "
+                "does not match the grid's cell centers"
+            )
         u = RadialField(snap.u, grid)
         v = RadialField(snap.v, grid)
         if float(np.min(u.values)) <= 0.0:

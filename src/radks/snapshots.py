@@ -64,6 +64,13 @@ class Snapshot:
     g: np.ndarray
     t: Optional[float] = None
 
+    def on_grid(self, grid: Grid) -> bool:
+        """True when the r column holds grid's cell centers; the tolerance
+        only absorbs the round-off of a grid rebuilt from the column."""
+        return self.r.shape == grid.centers.shape and bool(
+            np.allclose(self.r, grid.centers, rtol=1e-13, atol=0.0)
+        )
+
 
 def write_snapshot(
     path,

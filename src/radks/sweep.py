@@ -72,7 +72,7 @@ def _run_point(args):
             float(extras["max_C_v"]),
         ]
     except Exception as exc:  # recorded, never fatal to the sweep
-        return point, ["error: " + type(exc).__name__, "", "", "", "", "", "", ""]
+        return point, [f"error: {type(exc).__name__}: {exc}", "", "", "", "", "", "", ""]
 
 
 def run_sweep(config_path, base_overrides, axes: dict, outdir: Path, workers: int):

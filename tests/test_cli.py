@@ -168,7 +168,8 @@ def test_sweep_records_per_run_failures(config_path, tmp_path):
     header, rows = read_table(tmp_path / "out" / "sweep" / "sweep.csv")
     statuses = [row[header.index("status")] for row in rows]
     assert any(s == "completed" for s in statuses)
-    assert any(s.startswith("error") for s in statuses)
+    errors = [s for s in statuses if s.startswith("error")]
+    assert errors == ["error: AdmissibilityError: bump base density is not strictly positive"]
 
 
 def test_energy_verb_prints_report(config_path, tmp_path, capsys):
@@ -193,3 +194,42 @@ def test_low_dimension_warning_printed(tmp_path, capsys):
 def test_missing_config_is_error(capsys):
     assert main(["simulate"]) == 1
     assert "config" in capsys.readouterr().err
+
+
+def write_graded_snapshot(path):
+    from radks.energy import compute_f, compute_g
+    from radks.grid import make_grid
+    from radks.helmholtz import build_solver, solve
+    from radks.initial_data import base_data
+    from radks.snapshots import write_snapshot
+
+    g = make_grid(5, 1.0, 64, h_min=1e-6)
+    s = build_solver(g)
+    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
+    gf = compute_g(u, v)
+    write_snapshot(path, g, u, v, solve(s, u), compute_f(u, v, s), 0.5 * (gf[:-1] + gf[1:]))
+
+
+def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
+    snap = tmp_path / "graded.csv"
+    write_graded_snapshot(snap)
+    assert main(["-c", str(config_path), "energy", str(snap)]) == 1
+    captured = capsys.readouterr()
+    assert "mesh mismatch" in captured.err
+    assert "F=" not in captured.out
+
+
+def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):
+    snap = tmp_path / "one.csv"
+    snap.write_text("# format_version=1\nr,u,v,w,f,g\n0.5,1,1,1,0,0\n")
+    assert main(["-c", str(config_path), "energy", str(snap)]) == 1
+    assert "cell count N must be an integer >= 4" in capsys.readouterr().err
+
+
+def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    out = tmp_path / "out"
+    write_graded_snapshot(out / "snapshot_zz_graded.csv")
+    code = main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)])
+    assert code == 1
+    assert "mesh mismatch" in capsys.readouterr().err

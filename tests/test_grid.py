@@ -15,7 +15,6 @@ from radks.grid import (
     make_grid,
     sup_norm,
     unit_sphere_area,
-    weighted_sup,
 )
 
 BALL_VOLUME_N5_R1 = 8 * math.pi**2 / 15  # omega_5 R^5 / 5
@@ -162,15 +161,6 @@ def test_sup_norm_cases():
     assert sup_norm(RadialField(vals, g)) == 7.0
     r = field_from_function(g, lambda r: r)
     assert sup_norm(r) == pytest.approx(1.0 - g.h / 2)
-
-
-def test_weighted_sup_cancellation():
-    g = make_grid(5, 1.0, 100)
-    inv2 = field_from_function(g, lambda r: r**-2)
-    assert weighted_sup(inv2, 2.0) == pytest.approx(1.0, rel=1e-13)
-    inv1 = field_from_function(g, lambda r: 1.0 / r)
-    assert weighted_sup(inv1, 1.0) == pytest.approx(1.0, rel=1e-13)
-    assert weighted_sup(constant_field(g, 0.0), 3.0) == 0.0
 
 
 def test_gradient_faces_constant_and_quadratic():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radks.errors import GridMismatchError
+from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
-from radks.helmholtz import apply_operator, build_solver, residual, shifted_solve, solve
+from radks.helmholtz import apply_operator, build_solver, shifted_solve, solve
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +81,16 @@ def test_small_system_structure():
 def test_small_system_assembly_from_face_areas():
     # the 4x4 volume-weighted system: diagonal V_i + (A_- + A_+)/h with
     # zero-flux ends, off-diagonal -A/h over the three interior faces
-    from radks.helmholtz import _banded
+    from radks.helmholtz import _assemble
 
     g = make_grid(5, 1.0, 4)
-    ab = _banded(g, 1.0, 1.0)
+    diag, off = _assemble(g, 1.0, 1.0)
     coupling = g.face_areas[1:-1] / g.h
     expected_diag = g.volumes.copy()
     expected_diag[:-1] += coupling
     expected_diag[1:] += coupling
-    assert np.allclose(ab[1], expected_diag, rtol=1e-15)
-    assert np.allclose(ab[0, 1:], -coupling, rtol=1e-15)
+    assert np.allclose(diag, expected_diag, rtol=1e-15)
+    assert np.allclose(off, -coupling, rtol=1e-15)
 
 
 def test_repeat_solves_bitwise_identical(grid, solver):
@@ -107,14 +107,8 @@ def test_defining_residual_small():
     rng = np.random.default_rng(11)
     u = RadialField(rng.random(g.N) + 0.5, g)
     w = solve(s, u)
-    assert residual(s, u, w) <= 1e-12 * float(np.max(np.abs(u.values)))
-
-
-def test_residual_reference_values(grid, solver):
-    one = constant_field(grid, 1.0)
-    zero = constant_field(grid, 0.0)
-    assert residual(solver, one, zero) == pytest.approx(1.0)
-    assert residual(solver, zero, zero) == 0.0
+    defect = u.values - apply_operator(s, w)
+    assert np.max(np.abs(defect)) <= 1e-12 * float(np.max(np.abs(u.values)))
 
 
 def test_grid_mismatch_rejected(grid, solver):
@@ -204,3 +198,36 @@ def test_shifted_solve_constant_mode():
     g = make_grid(5, 1.0, 64)
     x = shifted_solve(g, 2.5, 0.7, np.full(g.N, 5.0))
     assert np.allclose(x, 2.0, rtol=1e-13)
+
+
+def test_graded_shifted_solve_mass_identity(graded):
+    # the K rows sum to zero, so alpha sum V x = sum V rhs
+    rng = np.random.default_rng(13)
+    for alpha, beta in ((1.0, 1e-3), (1.7, 0.4), (1.0 + 1e-6, 1e-6)):
+        rhs = rng.random(graded.N) * 3
+        x = shifted_solve(graded, alpha, beta, rhs)
+        scale = math.fsum(np.abs(rhs) * graded.volumes)
+        gap = alpha * math.fsum(graded.volumes * x) - math.fsum(graded.volumes * rhs)
+        assert abs(gap) <= 1e-12 * scale
+
+
+def test_graded_shifted_solve_constant_mode(graded):
+    for alpha, beta, c in ((2.5, 0.7, 5.0), (1.0 + 1e-3, 1e-3, 1.0), (4.0, 0.0, -3.0)):
+        x = shifted_solve(graded, alpha, beta, np.full(graded.N, c))
+        assert np.max(np.abs(x - c / alpha)) <= 1e-13 * abs(c / alpha)
+
+
+@pytest.mark.parametrize("h_min", [None, GRADED_H_MIN])
+def test_shifted_solve_unit_shift_matches_elliptic_solve(h_min):
+    g = make_grid(5, 1.0, 100, h_min=h_min)
+    u = RadialField(np.random.default_rng(17).random(g.N) + 0.5, g)
+    w = solve(build_solver(g), u).values
+    x = shifted_solve(g, 1.0, 1.0, u.values)
+    assert np.max(np.abs(x - w)) <= 1e-13 * float(np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("alpha, beta", [(-1.0, 1.0), (-1.0, 0.0), (0.5, -1.0)])
+def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
+    g = make_grid(5, 1.0, 64)
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        shifted_solve(g, alpha, beta, np.ones(g.N))

@@ -273,6 +273,25 @@ def test_base_data_custom_roundtrip(tmp_path):
     assert np.array_equal(v1.values, v0.values)
 
 
+def test_base_data_custom_rejects_other_mesh(tmp_path):
+    from radks.energy import compute_f, compute_g
+    from radks.helmholtz import solve
+    from radks.snapshots import write_snapshot
+
+    graded = make_grid(5, 1.0, 64, h_min=1e-6)
+    s = build_solver(graded)
+    u0, v0 = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
+    gf = compute_g(u0, v0)
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, graded, u0, v0, solve(s, u0), compute_f(u0, v0, s),
+                   0.5 * (gf[:-1] + gf[1:]))
+    # same row count, other mesh
+    with pytest.raises(ConfigurationError, match="another mesh"):
+        base_data("custom", make_grid(5, 1.0, 64), path=str(path))
+    u1, _ = base_data("custom", graded, path=str(path))
+    assert np.array_equal(u1.values, u0.values)
+
+
 def test_w22_norm_constant():
     g = make_grid(5, 1.0, 64)
     f = constant_field(g, 2.0)
