@@ -3,8 +3,8 @@
 INI-style sections mirror the module names ([grid], [base], [family],
 [stepper], [probe], [run], [sweep]).  Loading validates every constraint
 and reports all violations at once; sub-blowup-regime dimensions
-(2 <= n < 5) are allowed but recorded as warnings.  Dotted overrides
-(--set section.key=value) are applied before validation.
+(2 <= n < 5), unknown keys and sweep axes naming no known key only warn.
+Dotted overrides (--set section.key=value) are applied before validation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ _DEFAULTS = {
     "probe": {"kappa": "auto", "beta": "auto", "theta": "auto", "rho": "0.25,0.5,0.75"},
     "run": {"outdir": "out", "snapshot_every": "0", "workers": "1"},
 }
+# every key load_config reads: the [grid] keys (no default) and the defaulted ones
+_KNOWN_KEYS = {("grid", "n"), ("grid", "R"), ("grid", "N")}.union(
+    (section, key) for section, keys in _DEFAULTS.items() for key in keys)
 
 
 @dataclass
@@ -121,6 +124,12 @@ def load_config(path, overrides=()) -> RunConfig:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, name, value)
+
+    warnings.extend(
+        f"unknown key {section}.{key} is ignored"
+        for section in parser.sections() if section != "sweep"
+        for key in parser.options(section) if (section, key) not in _KNOWN_KEYS
+    )
 
     def get(section: str, key: str) -> str:
         if parser.has_option(section, key):
@@ -261,6 +270,8 @@ def load_config(path, overrides=()) -> RunConfig:
                 problems.append(f"sweep.{key} has no values")
             if "." not in key:
                 problems.append(f"sweep axis {key!r} must be a dotted section.key name")
+            elif tuple(key.split(".", 1)) not in _KNOWN_KEYS:
+                warnings.append(f"sweep axis {key} names no known key; its values change nothing")
             sweep_axes[key] = values
 
     if problems:

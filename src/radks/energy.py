@@ -10,7 +10,6 @@ and the identity residual measures only the time discretization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,16 +93,16 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
     opv = apply_operator(solver, v)
     f = RadialField(opv - w.values, grid)
 
-    entropy = math.fsum(_entropy_density(u.values) * grid.volumes)
-    mixed = math.fsum(u.values * v.values * grid.volumes)
-    quad = 0.5 * math.fsum(opv * opv * grid.volumes)
+    entropy = float(np.sum(_entropy_density(u.values) * grid.volumes))
+    mixed = float(np.sum(u.values * v.values * grid.volumes))
+    quad = 0.5 * float(np.sum(opv * opv * grid.volumes))
 
     weights = _face_weights(grid)
     fr = gradient_faces(f)
-    grad_f = math.fsum(fr * fr * weights)
-    f_sq = math.fsum(f.values * f.values * grid.volumes)
+    grad_f = float(np.sum(fr * fr * weights))
+    f_sq = float(np.sum(f.values * f.values * grid.volumes))
     g = compute_g(u, v)
-    g_sq = math.fsum(g * g * weights)
+    g_sq = float(np.sum(g * g * weights))
     regularized = int(np.count_nonzero(_face_means(u) <= DENSITY_FLOOR))
 
     return EnergyReport(

@@ -368,7 +368,11 @@ def probe_local_inequalities(
         )
     )
     M = max(integrate(v), w_weighted)
-    B = max(math.fsum(np.abs(f.values) * grid.volumes), v_weighted)
+    B = max(float(np.sum(np.abs(f.values) * grid.volumes)), v_weighted)
+
+    weights = grid.face_areas * grid.spacing
+    fr_all = float(np.sum(fr**2 * weights))
+    g_all = math.sqrt(float(np.sum(g**2 * weights)))
 
     results: list[ProbeResult] = []
     uv = rep.mixed_term
@@ -413,8 +417,6 @@ def probe_local_inequalities(
         )
 
         # energy split over the whole ball with rho-dependent weights
-        fr_all = math.fsum(fr**2 * grid.face_areas * grid.spacing)
-        g_all = math.sqrt(math.fsum(g**2 * grid.face_areas * grid.spacing))
         lhs3 = -rep.F / 24.0
         rhs3_known = 12.0 * rho**2 * fr_all + math.sqrt(m) * rho * g_all
         basis3 = B ** (4.0 / (grid.n + 2.0)) * fr_all ** (

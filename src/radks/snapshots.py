@@ -34,6 +34,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 SNAPSHOT_COLUMNS = ["r", "u", "v", "w", "f", "g"]
+_SNAPSHOT_BLOCK_ROWS = 256
 DIAGNOSTICS_COLUMNS = ["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]
 PROBE_COLUMNS = ["probe", "param", "sample", "lhs", "rhs_free", "implied_C", "hard_pass"]
 
@@ -88,23 +89,18 @@ def write_snapshot(
     of the two adjacent face values so every column shares the r axis.
     """
     path = Path(path)
+    columns = (grid.centers, u.values, v.values, w.values, f.values,
+               RadialField(g_cells, grid).values)
     with path.open("w", newline="") as handle:
         handle.write(_version_line())
         if t is not None:
             handle.write(f"# t={format_float(t)}\n")
-        writer = csv.writer(handle)
-        writer.writerow(SNAPSHOT_COLUMNS)
-        for i in range(grid.N):
-            writer.writerow(
-                [
-                    format_float(grid.centers[i]),
-                    format_float(u.values[i]),
-                    format_float(v.values[i]),
-                    format_float(w.values[i]),
-                    format_float(f.values[i]),
-                    format_float(g_cells[i]),
-                ]
-            )
+        # blocks of repr'd values in csv's default CRLF dialect: memory stays flat in N
+        handle.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
+        for start in range(0, grid.N, _SNAPSHOT_BLOCK_ROWS):
+            block = slice(start, start + _SNAPSHOT_BLOCK_ROWS)
+            cells = (map(repr, c[block].tolist()) for c in columns)
+            handle.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def read_snapshot(path) -> Snapshot:
@@ -122,23 +118,20 @@ def read_snapshot(path) -> Snapshot:
             pos = handle.tell()
             line = handle.readline()
         handle.seek(pos)
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != SNAPSHOT_COLUMNS:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != SNAPSHOT_COLUMNS:
             raise SnapshotFormatError(
-                f"{path}: expected header {SNAPSHOT_COLUMNS}, got {reader.fieldnames}"
+                f"{path}: expected header {SNAPSHOT_COLUMNS}, got {header}"
             )
-        rows = list(reader)
+        rows = [row for row in reader if row]
     if not rows:
         raise SnapshotFormatError(f"{path}: snapshot has no data rows")
-    try:
-        cols = {
-            name: np.array([float(row[name]) for row in rows]) for name in SNAPSHOT_COLUMNS
-        }
+    try:  # a ragged row or a wrong column count fails the conversion or the unpacking
+        r, u, v, w, f, g = np.array(rows, dtype=float).T.copy()
     except (TypeError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed numeric data ({exc})") from exc
-    return Snapshot(
-        r=cols["r"], u=cols["u"], v=cols["v"], w=cols["w"], f=cols["f"], g=cols["g"], t=t
-    )
+    return Snapshot(r=r, u=u, v=v, w=w, f=f, g=g, t=t)
 
 
 class DiagnosticsWriter:
@@ -152,17 +145,7 @@ class DiagnosticsWriter:
         self._handle.flush()
 
     def write(self, sample) -> None:
-        self._writer.writerow(
-            [
-                format_float(sample.t),
-                format_float(sample.dt),
-                format_float(sample.mass),
-                format_float(sample.sup_u),
-                format_float(sample.F),
-                format_float(sample.D),
-                format_float(sample.identity_residual),
-            ]
-        )
+        self._writer.writerow([format_float(getattr(sample, c)) for c in DIAGNOSTICS_COLUMNS])
         self._handle.flush()
 
     def close(self) -> None:

@@ -48,12 +48,20 @@ def test_simulate_completes_with_outputs(config_path, tmp_path):
 
 
 def test_simulate_deterministic_outputs(config_path, tmp_path):
+    out = tmp_path / "out"
+    names = ["diagnostics.csv", "summary.txt"]
+
+    def outputs():
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        return {name: (out / name).read_bytes() for name in names + snapshots}
+
     assert main(["-c", str(config_path), "simulate"]) == 0
-    first = (tmp_path / "out" / "diagnostics.csv").read_bytes()
-    first_sum = (tmp_path / "out" / "summary.txt").read_bytes()
+    first = outputs()
+    assert "snapshot_final.csv" in first and "snapshot_00000015.csv" in first
+    for path in out.iterdir():
+        path.unlink()
     assert main(["-c", str(config_path), "simulate"]) == 0
-    assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == first
-    assert (tmp_path / "out" / "summary.txt").read_bytes() == first_sum
+    assert outputs() == first
 
 
 def test_simulate_blowup_exit_code(tmp_path):

@@ -30,6 +30,30 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.warnings == []
 
 
+def test_unknown_key_is_warning(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL), ["stepper.dt_mx=1e-9"])
+    assert cfg.dt_max == 0.01
+    assert cfg.warnings == ["unknown key stepper.dt_mx is ignored"]
+
+
+def test_sweep_axis_naming_no_key_is_warning(tmp_path):
+    text = MINIMAL + "[sweep]\nbase.amplitud = 1, 2\nbase.amplitude = 1, 2\n"
+    cfg = load_config(write(tmp_path, text))
+    assert len(cfg.warnings) == 1
+    assert "sweep axis base.amplitud names no known key" in cfg.warnings[0]
+
+
+def test_readme_style_config_has_no_warnings(tmp_path):
+    text = MINIMAL.replace("N = 128", "N = 400") + (
+        "[base]\nkind = bump          ; constant | bump | custom\nbaseline = 1.0\n"
+        "amplitude = 2e7\nwidth = 0.06\nv_mode = relaxed\n"
+        "[stepper]\nt_end = 0.5\ndt_max = 1e-2\noutput_every = 20\n"
+        "[run]\noutdir = out\nsnapshot_every = 0\nworkers = 2\n"
+        "[sweep]\nbase.amplitude = 1e7, 2e7\n"
+    )
+    assert load_config(write(tmp_path, text)).warnings == []
+
+
 def test_missing_version_line_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="format_version"):
         load_config(write(tmp_path, "[grid]\nn = 5\nR = 1.0\nN = 128\n"))

@@ -11,8 +11,15 @@ from radks.energy import (
     identity_residual,
 )
 from radks.errors import ConfigurationError
-from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
-from radks.helmholtz import build_solver, solve
+from radks.grid import (
+    RadialField,
+    constant_field,
+    field_from_function,
+    gradient_faces,
+    integrate,
+    make_grid,
+)
+from radks.helmholtz import apply_operator, build_solver, solve
 
 BALL_VOLUME = 8 * math.pi**2 / 15
 
@@ -115,6 +122,33 @@ def test_energy_report_identities(grid, solver):
     rep = compute_energy(u, v, solver)
     assert rep.F == pytest.approx(rep.entropy_term - rep.mixed_term + rep.quad_term, rel=1e-13)
     assert rep.D == pytest.approx(rep.grad_f_term + rep.f_term + rep.g_term, rel=1e-13)
+
+
+@pytest.mark.parametrize("h_min", [None, 1e-12])
+def test_energy_terms_match_exactly_rounded_sums(h_min):
+    # reference: the terms summed with math.fsum; the pairwise sums may
+    # differ by O(log N) ulps of the sum of magnitudes
+    g = make_grid(5, 1.0, 8192, h_min=h_min)
+    s = build_solver(g)
+    rng = np.random.default_rng(9)
+    u = RadialField(rng.random(g.N) * 1e3 + 1e-3, g)
+    v = RadialField(rng.random(g.N) * 10.0, g)
+    rep = compute_energy(u, v, s)
+    opv = apply_operator(s, v)
+    f = opv - solve(s, u).values
+    faces = g.face_areas * g.spacing
+    fr, gf = gradient_faces(RadialField(f, g)), compute_g(u, v)
+    cells = {
+        "entropy_term": u.values * np.log(u.values) * g.volumes,
+        "mixed_term": u.values * v.values * g.volumes,
+        "quad_term": 0.5 * opv * opv * g.volumes,
+        "grad_f_term": fr * fr * faces,
+        "f_term": f * f * g.volumes,
+        "g_term": gf * gf * faces,
+    }
+    for name, terms in cells.items():
+        bound = 1e-14 * math.fsum(np.abs(terms))
+        assert abs(getattr(rep, name) - math.fsum(terms)) <= bound, name
 
 
 def test_entropy_against_refined_quadrature_oracle():

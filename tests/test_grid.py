@@ -218,6 +218,15 @@ def test_graded_laplacian_zero_mean_property(seed):
     assert abs(integrate(laplacian(f))) <= 1e-12 * coupling * np.max(np.abs(f.values))
 
 
+@pytest.mark.parametrize("h_min", [None, 1e-12])
+def test_laplacian_zero_mean_at_large_n(h_min):
+    # the fluxes still telescope under integrate's pairwise sum at N = 8192
+    g = make_grid(5, 1.0, 8192, h_min=h_min)
+    f = RadialField(np.random.default_rng(8192).standard_normal(g.N), g)
+    coupling = float(np.max(g.face_areas[1:-1] / g.spacing[1:-1]))
+    assert abs(integrate(laplacian(f))) <= 1e-12 * coupling * np.max(np.abs(f.values))
+
+
 def test_laplacian_convergence_to_analytic():
     # f = cos(pi r / R): lap f = -k^2 cos(kr) - (n-1)/r k sin(kr), k = pi/R
     errs = []

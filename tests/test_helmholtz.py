@@ -125,6 +125,13 @@ def test_graded_mass_identity_every_solve(graded, graded_solver):
     assert_mass_identity(graded, graded_solver)
 
 
+@pytest.mark.parametrize("h_min", [None, 1e-12])
+def test_mass_identity_at_large_n(h_min):
+    # the projection's pairwise sums keep int w = int u at the blowup size
+    big = make_grid(5, 1.0, 8192, h_min=h_min)
+    assert_mass_identity(big, build_solver(big))
+
+
 def test_graded_constants_are_fixed_points(graded, graded_solver):
     for c in (1.0, 3.5, 0.0):
         w = solve(graded_solver, constant_field(graded, c))

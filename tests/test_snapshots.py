@@ -62,6 +62,23 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(snap.g, g_cells)
 
 
+@pytest.mark.parametrize("N", [4, 255, 256, 257, 700])
+def test_snapshot_bytes_match_per_value_rendering(tmp_path, N):
+    # the block writer renders exactly what format_float gives per value,
+    # across block boundaries and for signed zeros, infinities and tiny values
+    g = make_grid(5, 1.0, N)
+    rng = np.random.default_rng(N)
+    cols = [rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N) for _ in range(5)]
+    cols[0][0], cols[1][-1], cols[2][N // 2], cols[3][1] = 0.0, -0.0, np.inf, 5e-324
+    u, v, w, f = (RadialField(c, g) for c in cols[:4])
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, g, u, v, w, f, cols[4], t=0.1)
+    expected = "# format_version=1\n# t=0.1\nr,u,v,w,f,g\r\n" + "".join(
+        ",".join(format_float(c[i]) for c in [g.centers] + cols) + "\r\n" for i in range(N)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_snapshot_rejects_missing_version(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("r,u,v,w,f,g\n0.1,1,1,1,0,0\n")
@@ -79,6 +96,18 @@ def test_snapshot_rejects_bad_header(tmp_path):
 def test_snapshot_rejects_corrupt_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# format_version=1\nr,u,v,w,f,g\n0.1,one,1,1,0,0\n")
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0.1,1,1,1,0,0\n0.2,1,1,1,0\n", "0.1,1,1,1,0\n0.2,1,1,1,0\n", "0.1,1,1,1,0,0,9\n"],
+    ids=["one-row-short", "every-row-short", "extra-field"],
+)
+def test_snapshot_rejects_wrong_field_count(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("# format_version=1\nr,u,v,w,f,g\n" + rows)
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
 
