@@ -76,9 +76,11 @@ def _probe_config(cfg: RunConfig, grid: Grid) -> ProbeConfig:
     return ProbeConfig(**kw)
 
 
-def _write_snapshot_state(path, grid, solver, u, v, t=None):
-    w = solve(solver, u)
-    f = compute_f(u, v, solver)
+def _write_snapshot_state(path, grid, solver, u, v, t=None, w=None):
+    """Snapshot of (u, v) with w, f and g; pass w = solve(solver, u) if known."""
+    if w is None:
+        w = solve(solver, u)
+    f = compute_f(u, v, solver, w=w)
     g_faces = compute_g(u, v)
     g_cells = 0.5 * (g_faces[:-1] + g_faces[1:])
     write_snapshot(path, grid, u, v, w, f, g_cells, t=t)
@@ -113,19 +115,18 @@ def simulate_run(cfg: RunConfig):
             nonlocal sample_count
             diag.write(sample)
             m = sample.mass
-            wfield = solve(solver, state.u)
             max_c["fd"] = max(
                 max_c["fd"],
                 max(-sample.F, 0.0) / (max(sample.D, 0.0) ** pconf.theta + 1.0),
             )
-            max_c["w"] = max(max_c["w"], probe_pointwise_w(wfield, m).implied_c)
+            max_c["w"] = max(max_c["w"], probe_pointwise_w(state.w, m).implied_c)
             max_c["v"] = max(
                 max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c
             )
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 _write_snapshot_state(
                     outdir / f"snapshot_{state.step:08d}.csv",
-                    grid, solver, state.u, state.v, t=state.t,
+                    grid, solver, state.u, state.v, t=state.t, w=state.w,
                 )
             sample_count += 1
 
@@ -134,7 +135,9 @@ def simulate_run(cfg: RunConfig):
             u0, v0, stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
 
-    _write_snapshot_state(outdir / "snapshot_final.csv", grid, solver, state.u, state.v, t=state.t)
+    _write_snapshot_state(
+        outdir / "snapshot_final.csv", grid, solver, state.u, state.v, t=state.t, w=state.w
+    )
     with (outdir / "summary.txt").open("w") as handle:
         handle.write(f"# format_version={FORMAT_VERSION}\n")
         for key, value in (
@@ -244,19 +247,22 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
             _check_snapshot_grid(snap_path, snap, grid)
         u = RadialField(snap.u, grid)
         v = RadialField(snap.v, grid)
-        w = RadialField(snap.w, grid)
+        w_file = RadialField(snap.w, grid)
         t = snap.t if snap.t is not None else math.nan
         m = integrate(u)
-        results.append(replace(probe_entropy_floor(u, v, solver), sample=t))
-        results.append(replace(probe_pointwise_w(w, m), sample=t))
+        # one solve per snapshot feeds the energy and the local probes; the
+        # pointwise-w probe and int w report the file's w column as written
+        w = solve(solver, u)
+        results.append(replace(probe_entropy_floor(u, v, solver, w=w), sample=t))
+        results.append(replace(probe_pointwise_w(w_file, m), sample=t))
         results.append(replace(probe_pointwise_v(v, pconf, m, w22_norm(v)), sample=t))
-        for r in probe_local_inequalities(u, v, solver, pconf):
+        for r in probe_local_inequalities(u, v, solver, pconf, w=w):
             results.append(replace(r, sample=t))
         # enrich the nearest diagnostics sample with field integrals
         if samples:
             nearest = min(samples, key=lambda s: abs(s.t - t))
             nearest.int_v = integrate(v)
-            nearest.int_w = integrate(w)
+            nearest.int_w = integrate(w_file)
 
     if pconf is None:
         grid = make_grid(cfg.n, cfg.R, cfg.N)

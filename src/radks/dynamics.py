@@ -1,7 +1,8 @@
 """IMEX time stepping for the coupled cell/signal system.
 
 One step does, in order:
-  (a) w = (I - L)^{-1} u                        (elliptic signal)
+  (a) w = (I - L)^{-1} u                        (elliptic signal; reused
+                                                 when the state carries it)
   (b) (I + dt (I - L)) v+ = v + dt w            (implicit linear v-update)
   (c) (I - dt L) u+ = u - dt div Phi(u, v+)     (implicit diffusion,
                                                  explicit upwind advection)
@@ -25,6 +26,7 @@ from .errors import ConfigurationError, GridMismatchError
 from .grid import (
     Grid,
     RadialField,
+    _adopt,
     flux_divergence,
     gradient_faces,
     integrate,
@@ -56,7 +58,12 @@ class SimStatus(Enum):
 
 @dataclass(frozen=True)
 class State:
-    """Simulation state owned by exactly one run loop."""
+    """Simulation state owned by exactly one run loop.
+
+    w, when set, is (I - L)^{-1} u of this state's u: a sampled state
+    carries it so the next step and the sink do not solve again.  A new u
+    needs a new State (step builds one with w = None).
+    """
 
     t: float
     step: int
@@ -65,6 +72,7 @@ class State:
     dt: float
     status: SimStatus = SimStatus.RUNNING
     t_blowup: Optional[float] = None
+    w: Optional[RadialField] = None
 
 
 @dataclass(frozen=True)
@@ -171,17 +179,17 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
     grid = state.u.grid
     dt = state.dt
-    w = solve(solver, state.u)
-    v_new = shifted_solve(grid, 1.0 + dt, dt, state.v.values + dt * w.values)
-    v_plus = RadialField(v_new, grid)
+    w = state.w if state.w is not None else solve(solver, state.u)
+    v_new = shifted_solve(solver, 1.0 + dt, dt, state.v.values + dt * w.values)
+    v_plus = _adopt(v_new, grid)
     flux = advective_flux(state.u, v_plus)
     rhs = state.u.values - dt * flux_divergence(grid, flux)
-    u_new = shifted_solve(grid, 1.0, dt, rhs)
+    u_new = shifted_solve(solver, 1.0, dt, rhs)
     ok = np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
     return State(
         t=state.t + dt,
         step=state.step + 1,
-        u=RadialField(u_new, grid),
+        u=_adopt(u_new, grid),
         v=v_plus,
         dt=dt,
         status=SimStatus.RUNNING if ok else SimStatus.STALLED,
@@ -248,13 +256,14 @@ Sink = Callable[[State, TrajectorySample], None]
 
 def _sample(
     state: State, solver: HelmholtzSolver, prev: Optional[TrajectorySample]
-) -> TrajectorySample:
-    rep = compute_energy(state.u, state.v, solver)
-    w = solve(solver, state.u)
+) -> tuple[State, TrajectorySample]:
+    """The diagnostics of state, and state carrying its w (solved at most once)."""
+    w = state.w if state.w is not None else solve(solver, state.u)
+    rep = compute_energy(state.u, state.v, solver, w=w)
     res = 0.0
     if prev is not None and state.t > prev.t:
         res = identity_residual(prev.report, rep, state.t - prev.t)
-    return TrajectorySample(
+    return replace(state, w=w), TrajectorySample(
         t=state.t,
         dt=state.dt,
         mass=integrate(state.u),
@@ -280,7 +289,8 @@ def run(
     """March the system until t_end, blowup, stall, or max_steps.
 
     Emits a diagnostics sample at t = 0, every output_every steps, and at
-    termination; sink (if given) receives each emitted (state, sample).
+    termination; sink (if given) receives each emitted (state, sample),
+    the state carrying its w, as does the returned final state.
     """
     if np.min(u0.values) < 0.0:
         raise ConfigurationError("initial cell density must be nonnegative")
@@ -296,13 +306,14 @@ def run(
 
     samples: list[TrajectorySample] = []
 
-    def emit(st: State) -> None:
-        smp = _sample(st, solver, samples[-1] if samples else None)
+    def emit(st: State) -> State:
+        st, smp = _sample(st, solver, samples[-1] if samples else None)
         samples.append(smp)
         if sink is not None:
             sink(st, smp)
+        return st
 
-    emit(state)
+    state = emit(state)
     f0 = samples[0].F
     min_f = f0
     last_emitted = 0
@@ -323,12 +334,12 @@ def run(
             if status is not state.status:
                 state = replace(state, status=status, t_blowup=t_b)
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:
-            emit(state)
+            state = emit(state)
             last_emitted = state.step
             min_f = min(min_f, samples[-1].F)
 
     if state.step != last_emitted:
-        emit(state)
+        state = emit(state)
         min_f = min(min_f, samples[-1].F)
     summary = RunSummary(
         status=state.status,

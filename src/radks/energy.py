@@ -11,11 +11,12 @@ and the identity residual measures only the time discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import RadialField, gradient_faces
+from .grid import RadialField, _adopt, gradient_faces
 from .helmholtz import HelmholtzSolver, apply_operator, solve
 
 __all__ = [
@@ -47,12 +48,30 @@ class EnergyReport:
     regularized_faces: int
 
 
-def compute_f(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> RadialField:
-    """f = (I - L)v - w with w the screened-Poisson solve of u."""
+def _signal(u: RadialField, solver: HelmholtzSolver, w: Optional[RadialField]) -> RadialField:
+    """w = (I - L)^{-1} u: the given one, or a fresh solve."""
+    if w is None:
+        return solve(solver, u)
+    if not w.grid.same_as(u.grid):
+        raise GridMismatchError("w and u live on different grids")
+    return w
+
+
+def compute_f(
+    u: RadialField,
+    v: RadialField,
+    solver: HelmholtzSolver,
+    w: Optional[RadialField] = None,
+) -> RadialField:
+    """f = (I - L)v - w with w the screened-Poisson solve of u.
+
+    Pass w when it is already known (it must be solve(solver, u)) to skip
+    the solve.
+    """
     if not u.grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
-    w = solve(solver, u)
-    return RadialField(apply_operator(solver, v) - w.values, u.grid)
+    w = _signal(u, solver, w)
+    return _adopt(apply_operator(solver, v) - w.values, u.grid)
 
 
 def _face_means(u: RadialField) -> np.ndarray:
@@ -84,14 +103,23 @@ def _face_weights(grid) -> np.ndarray:
     return grid.face_areas * grid.spacing
 
 
-def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
-    """Evaluate every term of F and D at the state (u, v)."""
+def compute_energy(
+    u: RadialField,
+    v: RadialField,
+    solver: HelmholtzSolver,
+    w: Optional[RadialField] = None,
+) -> EnergyReport:
+    """Evaluate every term of F and D at the state (u, v).
+
+    Pass w when it is already known (it must be solve(solver, u)) to skip
+    the solve.
+    """
     grid = u.grid
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
-    w = solve(solver, u)
+    w = _signal(u, solver, w)
     opv = apply_operator(solver, v)
-    f = RadialField(opv - w.values, grid)
+    f = _adopt(opv - w.values, grid)
 
     entropy = float(np.sum(_entropy_density(u.values) * grid.volumes))
     mixed = float(np.sum(u.values * v.values * grid.volumes))

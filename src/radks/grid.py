@@ -206,6 +206,19 @@ class RadialField:
         object.__setattr__(self, "values", values)
 
 
+def _adopt(values: np.ndarray, grid: Grid) -> RadialField:
+    """RadialField over a fresh (N,) float array that no one else holds.
+
+    Skips the defensive copy of the constructor: the array is only made
+    read-only, so it must not be reachable from anywhere else.
+    """
+    values.flags.writeable = False
+    field = object.__new__(RadialField)
+    object.__setattr__(field, "values", values)
+    object.__setattr__(field, "grid", grid)
+    return field
+
+
 def constant_field(grid: Grid, value: float) -> RadialField:
     return RadialField(np.full(grid.N, float(value)), grid)
 
@@ -236,19 +249,23 @@ def gradient_faces(field: RadialField) -> np.ndarray:
     encode symmetry at the origin and the homogeneous Neumann condition
     at r = R.
     """
+    f = field.values
     g = np.zeros(field.grid.N + 1)
-    g[1:-1] = np.diff(field.values) / field.grid.spacing[1:-1]
+    inner = g[1:-1]
+    np.subtract(f[1:], f[:-1], out=inner)
+    inner /= field.grid.spacing[1:-1]
     return g
 
 
 def flux_divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
     """Cell values of the divergence of a face flux (already area-weighted)."""
-    flux = np.asarray(flux, dtype=float)
-    if flux.shape != (grid.N + 1,):
+    if np.shape(flux) != (grid.N + 1,):
         raise GridMismatchError(
-            f"flux must have one value per face ({grid.N + 1}), got {flux.shape}"
+            f"flux must have one value per face ({grid.N + 1}), got {np.shape(flux)}"
         )
-    return np.diff(flux) / grid.volumes
+    div = np.subtract(flux[1:], flux[:-1], dtype=float)
+    div /= grid.volumes
+    return div
 
 
 def laplacian(field: RadialField) -> RadialField:
@@ -259,5 +276,6 @@ def laplacian(field: RadialField) -> RadialField:
     every field (fluxes telescope).
     """
     grid = field.grid
-    flux = grid.face_areas * gradient_faces(field)
-    return RadialField(flux_divergence(grid, flux), grid)
+    flux = gradient_faces(field)
+    flux *= grid.face_areas
+    return _adopt(flux_divergence(grid, flux), grid)

@@ -6,19 +6,22 @@ K the stiffness of the zero-flux mesh: SPD for alpha > 0, beta >= 0, so
 LAPACK factors it as L D L^T (``dpttrf``) and solves with ``dpttrs``.
 (I - L)w = u is alpha = beta = 1, factored once per grid by
 :func:`build_solver`; the stepper's dt-dependent systems take the same
-path through :func:`shifted_solve`.  The K rows sum to zero, so
+path through :func:`shifted_solve`, which keeps the factors of the last
+two (alpha, beta) pairs on the solver, so they are reused while dt
+repeats.  The K rows sum to zero, so
 alpha sum x_i V_i = sum rhs_i V_i: the discrete mass identity of u and w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import Grid, RadialField, laplacian
+from .grid import Grid, RadialField, _adopt, laplacian
 
 __all__ = [
     "HelmholtzSolver",
@@ -40,7 +43,7 @@ def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
 
 def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """L D L^T factors of alpha*diag(V) + beta*K."""
-    d, e, info = dpttrf(*_assemble(grid, alpha, beta))
+    d, e, info = dpttrf(*_assemble(grid, alpha, beta), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ConfigurationError(
             f"alpha I - beta L with alpha={alpha!r}, beta={beta!r} is not positive "
@@ -56,17 +59,22 @@ def _solve(grid: Grid, alpha: float, beta: float, factor, rhs: np.ndarray) -> np
     where the factored system weights by it) solves that L to round-off.
     """
     d, e = factor
-    x = dpttrs(d, e, grid.volumes * rhs)[0]
-    defect = rhs - (alpha * x - beta * laplacian(RadialField(x, grid)).values)
-    return x + dpttrs(d, e, grid.volumes * defect)[0]
+    x = dpttrs(d, e, grid.volumes * rhs, overwrite_b=True)[0]
+    defect = rhs - (alpha * x - beta * laplacian(_adopt(x, grid)).values)
+    return x + dpttrs(d, e, grid.volumes * defect, overwrite_b=True)[0]
 
 
 @dataclass(frozen=True)
 class HelmholtzSolver:
-    """Reusable factorization of (I - L) on one grid."""
+    """Reusable factorization of (I - L) on one grid.
+
+    _shifted holds (key, factors) of the last two operators shifted_solve
+    factored, newest first: the stepper's v- and u-operators of one dt.
+    """
 
     grid: Grid
     _factor: tuple[np.ndarray, np.ndarray]
+    _shifted: list = field(default_factory=list, repr=False, compare=False)
 
 
 def build_solver(grid: Grid) -> HelmholtzSolver:
@@ -84,7 +92,7 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     # the scheme, and the constant shift (well below discretization error)
     # pins it down to the round-off of the two sums in floating point.
     gap = float(np.sum(grid.volumes * u.values) - np.sum(grid.volumes * x))
-    return RadialField(x + gap / grid.ball_volume, grid)
+    return _adopt(x + gap / grid.ball_volume, grid)
 
 
 def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
@@ -94,11 +102,25 @@ def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
     return v.values - laplacian(v).values
 
 
-def shifted_solve(grid: Grid, alpha: float, beta: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (alpha I - beta L) x = rhs for alpha > 0, beta >= 0.
+def shifted_solve(
+    solver: HelmholtzSolver, alpha: float, beta: float, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve (alpha I - beta L) x = rhs on the solver grid, alpha > 0, beta >= 0.
 
-    Used by the time stepper, where alpha and beta depend on dt, so each
-    call factors its own operator.  Raises ConfigurationError when the
-    operator is not positive definite.
+    Used by the time stepper, where alpha and beta depend on dt.  The
+    factors of the last two (alpha, beta) pairs stay on the solver and are
+    reused when the same pair comes back; the key is the exact bits of
+    the two floats, so a reused factor is the one a fresh factorization
+    would give.  Raises ConfigurationError when the operator is not
+    positive definite.
     """
-    return _solve(grid, alpha, beta, _factor(grid, alpha, beta), rhs)
+    key = struct.pack("dd", alpha, beta)
+    recent = solver._shifted
+    for known, factor in recent:
+        if known == key:
+            break
+    else:
+        del recent[1:]  # keep two pairs alive at most, the new one included
+        factor = _factor(solver.grid, alpha, beta)
+        recent.insert(0, (key, factor))
+    return _solve(solver.grid, alpha, beta, factor, rhs)

@@ -101,11 +101,17 @@ class ProbeResult:
 
 
 def probe_entropy_floor(
-    u: RadialField, v: RadialField, solver: HelmholtzSolver
+    u: RadialField,
+    v: RadialField,
+    solver: HelmholtzSolver,
+    w: Optional[RadialField] = None,
 ) -> ProbeResult:
-    """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e."""
+    """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e.
+
+    w, if given, must be solve(solver, u); it saves the solve.
+    """
     grid = u.grid
-    rep = compute_energy(u, v, solver)
+    rep = compute_energy(u, v, solver, w=w)
     lhs = -rep.F - rep.mixed_term
     rhs = grid.omega_n * grid.R**grid.n / math.e
     slack = 1e-6 * (1.0 + abs(rep.F))
@@ -315,6 +321,7 @@ def probe_local_inequalities(
     v: RadialField,
     solver: HelmholtzSolver,
     config: ProbeConfig,
+    w: Optional[RadialField] = None,
 ) -> list[ProbeResult]:
     """Ball-localized second-order estimates with their implied constants.
 
@@ -322,7 +329,8 @@ def probe_local_inequalities(
     local second-order bound (explicit 1/8, 3/4, 12, sqrt(m) rho, 2m),
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
-    basis and reported through the implied constant.
+    basis and reported through the implied constant.  w, if given, must
+    be solve(solver, u); otherwise it is solved here, once.
     """
     grid = u.grid
     if not config.rho:
@@ -333,10 +341,11 @@ def probe_local_inequalities(
 
     kappa = config.kappa
     m = integrate(u)
-    w = solve(solver, u)
-    f = compute_f(u, v, solver)
+    if w is None:
+        w = solve(solver, u)
+    f = compute_f(u, v, solver, w=w)
     g = compute_g(u, v)
-    rep = compute_energy(u, v, solver)
+    rep = compute_energy(u, v, solver, w=w)
     lap_v = laplacian(v)
     vr = gradient_faces(v)
     fr = gradient_faces(f)

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from radks.cli import main
+from radks.grid import RadialField, make_grid
+from radks.helmholtz import apply_operator, build_solver, solve
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
 BASE = """\
@@ -62,6 +65,28 @@ def test_simulate_deterministic_outputs(config_path, tmp_path):
         path.unlink()
     assert main(["-c", str(config_path), "simulate"]) == 0
     assert outputs() == first
+
+
+@pytest.mark.parametrize("output_every, snapshot_every", [(1, 1), (3, 2)])
+def test_snapshot_w_and_f_belong_to_their_own_state(
+    config_path, tmp_path, output_every, snapshot_every
+):
+    # Sampled states carry w into the next step, the sink and the snapshot
+    # writer; a w left over from another state would show up here.
+    overrides = ["--set", f"stepper.output_every={output_every}",
+                 "--set", f"run.snapshot_every={snapshot_every}"]
+    assert main(["-c", str(config_path), *overrides, "simulate"]) in (0, 2)
+    grid = make_grid(5, 1.0, 96)
+    solver = build_solver(grid)
+    paths = sorted((tmp_path / "out").glob("snapshot_*.csv"))
+    names = {p.name for p in paths}
+    assert "snapshot_final.csv" in names and len(names) >= 4
+    for path in paths:
+        snap = read_snapshot(path)
+        w = solve(solver, RadialField(snap.u, grid)).values
+        assert np.array_equal(snap.w, w), path.name
+        f = apply_operator(solver, RadialField(snap.v, grid)) - snap.w
+        assert np.array_equal(snap.f, f), path.name
 
 
 def test_simulate_blowup_exit_code(tmp_path):

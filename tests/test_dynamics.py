@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radks import helmholtz
 from radks.dynamics import (
     SimStatus,
     State,
@@ -322,3 +324,56 @@ def test_blowup_time_grid_stability():
         assert summary.status is SimStatus.BLOWN_UP
         t_b.append(summary.t_blowup)
     assert abs(t_b[0] - t_b[1]) / max(t_b) <= 0.35
+
+
+def test_step_reuses_factors_bit_for_bit(grid, monkeypatch):
+    # dt, dt, dt', dt on one solver: the second step reuses both factors,
+    # the fourth refactors (dt' evicted them); a fresh solver per step
+    # factors every time, and the states must agree bit for bit
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=5e-3)
+    u0, v0 = smooth_pair(grid, seed=5)
+    dts = (2e-3, 2e-3, 3e-3, 2e-3)
+    factored = []
+    inner = helmholtz._factor
+
+    def counting(g, alpha, beta):
+        factored.append((alpha, beta))
+        return inner(g, alpha, beta)
+
+    shared = build_solver(grid)
+    monkeypatch.setattr(helmholtz, "_factor", counting)
+    kept = [State(0.0, 0, u0, v0, dts[0])]
+    for dt in dts:
+        kept.append(step(replace(kept[-1], dt=dt), cfg, shared))
+    assert len(factored) == 6
+    fresh = kept[0]
+    for dt, want in zip(dts, kept[1:]):
+        fresh = step(replace(fresh, dt=dt), cfg, build_solver(grid))
+        assert np.array_equal(fresh.u.values, want.u.values)
+        assert np.array_equal(fresh.v.values, want.v.values)
+
+
+@pytest.mark.parametrize("output_every", [1, 2])
+def test_run_solves_once_per_state(grid, monkeypatch, output_every):
+    # Each state's w = (I - L)^{-1} u is solved once: by its step, or by
+    # its sample, whose w the step, the sink and the caller then reuse.
+    solver = build_solver(grid)
+    calls = []
+    inner = helmholtz._solve
+
+    def counting(g, alpha, beta, factor, rhs):
+        if factor is solver._factor:
+            calls.append(alpha)
+        return inner(g, alpha, beta, factor, rhs)
+
+    monkeypatch.setattr(helmholtz, "_solve", counting)
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=output_every)
+    u0, v0 = smooth_pair(grid, seed=2)
+    seen = []
+    state, summary, _ = run(
+        u0, v0, cfg, solver=solver, max_steps=5, sink=lambda st, smp: seen.append(st.w)
+    )
+    assert summary.steps == 5
+    assert len(calls) == summary.steps + 1
+    assert all(w is not None for w in seen)
+    assert state.w is seen[-1]

@@ -196,31 +196,31 @@ def test_shifted_solve_matches_identity_limit():
     g = make_grid(5, 1.0, 64)
     rng = np.random.default_rng(9)
     rhs = rng.random(g.N)
-    x = shifted_solve(g, 1.0, 0.0, rhs)
+    x = shifted_solve(build_solver(g), 1.0, 0.0, rhs)
     assert np.allclose(x, rhs, rtol=1e-13)
 
 
 def test_shifted_solve_constant_mode():
     # (alpha I - beta L) applied to constants divides by alpha exactly
     g = make_grid(5, 1.0, 64)
-    x = shifted_solve(g, 2.5, 0.7, np.full(g.N, 5.0))
+    x = shifted_solve(build_solver(g), 2.5, 0.7, np.full(g.N, 5.0))
     assert np.allclose(x, 2.0, rtol=1e-13)
 
 
-def test_graded_shifted_solve_mass_identity(graded):
+def test_graded_shifted_solve_mass_identity(graded, graded_solver):
     # the K rows sum to zero, so alpha sum V x = sum V rhs
     rng = np.random.default_rng(13)
     for alpha, beta in ((1.0, 1e-3), (1.7, 0.4), (1.0 + 1e-6, 1e-6)):
         rhs = rng.random(graded.N) * 3
-        x = shifted_solve(graded, alpha, beta, rhs)
+        x = shifted_solve(graded_solver, alpha, beta, rhs)
         scale = math.fsum(np.abs(rhs) * graded.volumes)
         gap = alpha * math.fsum(graded.volumes * x) - math.fsum(graded.volumes * rhs)
         assert abs(gap) <= 1e-12 * scale
 
 
-def test_graded_shifted_solve_constant_mode(graded):
+def test_graded_shifted_solve_constant_mode(graded, graded_solver):
     for alpha, beta, c in ((2.5, 0.7, 5.0), (1.0 + 1e-3, 1e-3, 1.0), (4.0, 0.0, -3.0)):
-        x = shifted_solve(graded, alpha, beta, np.full(graded.N, c))
+        x = shifted_solve(graded_solver, alpha, beta, np.full(graded.N, c))
         assert np.max(np.abs(x - c / alpha)) <= 1e-13 * abs(c / alpha)
 
 
@@ -229,12 +229,27 @@ def test_shifted_solve_unit_shift_matches_elliptic_solve(h_min):
     g = make_grid(5, 1.0, 100, h_min=h_min)
     u = RadialField(np.random.default_rng(17).random(g.N) + 0.5, g)
     w = solve(build_solver(g), u).values
-    x = shifted_solve(g, 1.0, 1.0, u.values)
+    x = shifted_solve(build_solver(g), 1.0, 1.0, u.values)
     assert np.max(np.abs(x - w)) <= 1e-13 * float(np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("h_min", [None, GRADED_H_MIN])
+def test_shifted_solve_cycling_pairs_get_their_own_factors(h_min):
+    # one solver keeps two factor pairs; cycling three (or four) pairs
+    # evicts and refactors, and every call must still solve its own system
+    g = make_grid(5, 1.0, 100, h_min=h_min)
+    rhs = np.random.default_rng(21).random(g.N) + 0.5
+    pairs = [(1.0 + 1e-3, 1e-3), (1.0, 1e-3), (1.0 + 2e-3, 2e-3), (3.0, 0.5)]
+    want = {p: shifted_solve(build_solver(g), *p, rhs) for p in pairs}
+    assert len({x.tobytes() for x in want.values()}) == len(pairs)
+    shared = build_solver(g)
+    for cycle in (pairs[:3], pairs, pairs[:2] * 2, pairs[::-1]):
+        for p in cycle:
+            assert np.array_equal(shifted_solve(shared, *p, rhs), want[p]), p
 
 
 @pytest.mark.parametrize("alpha, beta", [(-1.0, 1.0), (-1.0, 0.0), (0.5, -1.0)])
 def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
     g = make_grid(5, 1.0, 64)
     with pytest.raises(ConfigurationError, match="not positive definite"):
-        shifted_solve(g, alpha, beta, np.ones(g.N))
+        shifted_solve(build_solver(g), alpha, beta, np.ones(g.N))
