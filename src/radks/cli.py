@@ -52,7 +52,7 @@ def _build_problem(cfg: RunConfig):
     grid = make_grid(cfg.n, cfg.R, cfg.N)
     solver = build_solver(grid)
     params = {k: v for k, v in cfg.base_params.items() if v not in (None, "")}
-    u0, v0 = base_data(cfg.base_kind, grid, **params)
+    u0, v0 = base_data(cfg.base_kind, grid, solver, **params)
     return grid, solver, u0, v0
 
 
@@ -250,13 +250,15 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         w_file = RadialField(snap.w, grid)
         t = snap.t if snap.t is not None else math.nan
         m = integrate(u)
-        # one solve per snapshot feeds the energy and the local probes; the
-        # pointwise-w probe and int w report the file's w column as written
+        # one solve and one energy report per snapshot feed the energy and
+        # the local probes; the pointwise-w probe and int w report the
+        # file's w column as written
         w = solve(solver, u)
-        results.append(replace(probe_entropy_floor(u, v, solver, w=w), sample=t))
+        rep = compute_energy(u, v, solver, w=w)
+        results.append(replace(probe_entropy_floor(u, v, solver, report=rep), sample=t))
         results.append(replace(probe_pointwise_w(w_file, m), sample=t))
         results.append(replace(probe_pointwise_v(v, pconf, m, w22_norm(v)), sample=t))
-        for r in probe_local_inequalities(u, v, solver, pconf, w=w):
+        for r in probe_local_inequalities(u, v, solver, pconf, w=w, report=rep):
             results.append(replace(r, sample=t))
         # enrich the nearest diagnostics sample with field integrals
         if samples:

@@ -201,14 +201,16 @@ def detect_blowup(
     cfg: StepperConfig,
     sup0: float,
     history=None,
+    sup: Optional[float] = None,
 ) -> tuple[SimStatus, Optional[float]]:
     """Classify the current state.
 
     Blowup is declared when the sup norm passes blowup_factor * sup0, or
     when dt sits at its floor and the sup norm doubled within the last
     10 * dt_min of simulated time (history holds recent (t, sup) pairs).
+    sup, when given, is sup_norm(state.u), already taken by the caller.
     """
-    s = sup_norm(state.u)
+    s = sup_norm(state.u) if sup is None else sup
     if not math.isfinite(s):
         return SimStatus.STALLED, None
     if s >= cfg.blowup_factor * sup0:
@@ -330,7 +332,7 @@ def run(
         while history and state.t - history[0][0] > 20.0 * cfg.dt_min:
             history.popleft()
         if state.status is SimStatus.RUNNING:
-            status, t_b = detect_blowup(state, cfg, sup0, history)
+            status, t_b = detect_blowup(state, cfg, sup0, history, sup=s)
             if status is not state.status:
                 state = replace(state, status=status, t_blowup=t_b)
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import Grid, RadialField, _adopt, laplacian
@@ -30,6 +32,39 @@ __all__ = [
     "apply_operator",
     "shifted_solve",
 ]
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack(linalg_dir: Path | None):
+    """dpttrf and dpttrs from SciPy's compiled LAPACK module in linalg_dir.
+
+    Loading the ``_flapack`` extension file directly skips the import of
+    the scipy package (about 0.3 s of every process's start-up) and gives
+    the same routine objects that ``scipy.linalg.lapack`` exports.  Where
+    the file is missing or cannot load on its own (Windows wheels, whose
+    scipy ``__init__`` first adds its DLL directory), the public import
+    is used instead.
+    """
+    for suffix in EXTENSION_SUFFIXES if linalg_dir is not None else ():
+        path = linalg_dir / f"_flapack{suffix}"
+        if path.is_file():
+            loader = ExtensionFileLoader(_FLAPACK, str(path))
+            try:
+                module = module_from_spec(spec_from_loader(_FLAPACK, loader))
+                loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            return module.dpttrf, module.dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    return dpttrf, dpttrs
+
+
+_scipy = find_spec("scipy")
+dpttrf, dpttrs = _load_lapack(
+    Path(_scipy.submodule_search_locations[0], "linalg") if _scipy else None
+)
 
 
 def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigurationError, ResolutionError
 from .grid import Grid, RadialField, constant_field, integrate, laplacian
-from .helmholtz import HelmholtzSolver
+from .helmholtz import HelmholtzSolver, build_solver, solve
 from .energy import EnergyReport, compute_energy
 
 __all__ = [
@@ -279,8 +279,14 @@ def family_energy_scan(
     return rows
 
 
-def base_data(kind: str, grid: Grid, **params) -> tuple[RadialField, RadialField]:
-    """Positive radial base pairs: constant, bump, or a snapshot file."""
+def base_data(
+    kind: str, grid: Grid, solver: HelmholtzSolver | None = None, **params
+) -> tuple[RadialField, RadialField]:
+    """Positive radial base pairs: constant, bump, or a snapshot file.
+
+    solver, a HelmholtzSolver on grid, serves the relaxed bump's solves;
+    one is built when it is not given.
+    """
     if kind == "constant":
         value = float(params.get("value", 1.0))
         if value <= 0.0:
@@ -301,9 +307,8 @@ def base_data(kind: str, grid: Grid, **params) -> tuple[RadialField, RadialField
             return u_field, constant_field(grid, baseline)
         if v_mode == "relaxed":
             # signal in quasi-steady balance with the density
-            from .helmholtz import build_solver, solve
-
-            solver = build_solver(grid)
+            if solver is None:
+                solver = build_solver(grid)
             return u_field, solve(solver, solve(solver, u_field))
         raise ConfigurationError(f"bump v_mode must be flat or relaxed, got {v_mode!r}")
     if kind == "custom":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
 from .grid import RadialField, gradient_faces, integrate, laplacian
-from .energy import compute_energy, compute_f, compute_g
+from .energy import EnergyReport, compute_energy, compute_f, compute_g
 from .helmholtz import HelmholtzSolver, solve
 
 __all__ = [
@@ -104,14 +104,15 @@ def probe_entropy_floor(
     u: RadialField,
     v: RadialField,
     solver: HelmholtzSolver,
-    w: Optional[RadialField] = None,
+    report: Optional[EnergyReport] = None,
 ) -> ProbeResult:
     """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e.
 
-    w, if given, must be solve(solver, u); it saves the solve.
+    report, if given, must be compute_energy(u, v, solver); it saves the
+    evaluation.
     """
     grid = u.grid
-    rep = compute_energy(u, v, solver, w=w)
+    rep = report if report is not None else compute_energy(u, v, solver)
     lhs = -rep.F - rep.mixed_term
     rhs = grid.omega_n * grid.R**grid.n / math.e
     slack = 1e-6 * (1.0 + abs(rep.F))
@@ -322,6 +323,7 @@ def probe_local_inequalities(
     solver: HelmholtzSolver,
     config: ProbeConfig,
     w: Optional[RadialField] = None,
+    report: Optional[EnergyReport] = None,
 ) -> list[ProbeResult]:
     """Ball-localized second-order estimates with their implied constants.
 
@@ -330,7 +332,9 @@ def probe_local_inequalities(
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
     basis and reported through the implied constant.  w, if given, must
-    be solve(solver, u); otherwise it is solved here, once.
+    be solve(solver, u); otherwise it is solved here, once.  report, if
+    given, must be compute_energy(u, v, solver); otherwise it is evaluated
+    here.
     """
     grid = u.grid
     if not config.rho:
@@ -345,7 +349,7 @@ def probe_local_inequalities(
         w = solve(solver, u)
     f = compute_f(u, v, solver, w=w)
     g = compute_g(u, v)
-    rep = compute_energy(u, v, solver, w=w)
+    rep = report if report is not None else compute_energy(u, v, solver, w=w)
     lap_v = laplacian(v)
     vr = gradient_faces(v)
     fr = gradient_faces(f)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radks import helmholtz
+from radks import dynamics, helmholtz
 from radks.dynamics import (
     SimStatus,
     State,
@@ -377,3 +377,22 @@ def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     assert len(calls) == summary.steps + 1
     assert all(w is not None for w in seen)
     assert state.w is seen[-1]
+
+
+def test_run_takes_one_sup_norm_per_step(grid, monkeypatch):
+    # run hands the sup norm it records to detect_blowup instead of letting
+    # it take a second one of the same state
+    calls = []
+    inner = dynamics.sup_norm
+
+    def counting(f):
+        calls.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(dynamics, "sup_norm", counting)
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=2)
+    u0, v0 = smooth_pair(grid, seed=2)
+    _, summary, samples = run(u0, v0, cfg, max_steps=5)
+    assert summary.steps == 5
+    # sup0, one per step, one per sample
+    assert len(calls) == 1 + summary.steps + len(samples)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
+import radks
+from radks import helmholtz
 from radks.helmholtz import apply_operator, build_solver, shifted_solve, solve
 
 
@@ -253,3 +260,58 @@ def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
     g = make_grid(5, 1.0, 64)
     with pytest.raises(ConfigurationError, match="not positive definite"):
         shifted_solve(build_solver(g), alpha, beta, np.ones(g.N))
+
+
+def random_spd_tridiagonal(N, seed):
+    """Diagonally dominant (so SPD) tridiagonal system with a random rhs."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(N - 1)
+    d = 1.0 + rng.random(N)
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    return d, e, rng.standard_normal(N)
+
+
+@pytest.mark.parametrize("N", [5, 4096])
+def test_loaded_lapack_matches_public_scipy_routines(N):
+    from scipy.linalg import lapack
+
+    d, e, b = random_spd_tridiagonal(N, seed=N)
+    ours = helmholtz.dpttrf(d, e)
+    theirs = lapack.dpttrf(d, e)
+    assert ours[2] == theirs[2] == 0
+    for a, c in zip(ours[:2], theirs[:2]):
+        assert a.tobytes() == c.tobytes()
+    x = helmholtz.dpttrs(*ours[:2], b)
+    assert x[1] == 0
+    assert x[0].tobytes() == lapack.dpttrs(*theirs[:2], b)[0].tobytes()
+
+
+def test_import_leaves_the_scipy_package_unimported():
+    # the LAPACK routines come from the compiled module alone; importing
+    # the scipy package would cost ~0.3 s of every run's start-up
+    src = str(Path(radks.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, radks.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("content", [None, b"not a shared library"])
+def test_lapack_falls_back_to_public_import(tmp_path, monkeypatch, content):
+    from scipy.linalg import lapack
+
+    if content is not None:
+        (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(content)
+    routines = helmholtz._load_lapack(tmp_path)
+    assert routines == (lapack.dpttrf, lapack.dpttrs)
+    g = make_grid(5, 1.0, 64)
+    u = RadialField(np.random.default_rng(3).random(g.N) + 0.5, g)
+    want = solve(build_solver(g), u)
+    monkeypatch.setattr(helmholtz, "dpttrf", routines[0])
+    monkeypatch.setattr(helmholtz, "dpttrs", routines[1])
+    assert np.array_equal(solve(build_solver(g), u).values, want.values)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radks import initial_data
 from radks.errors import AdmissibilityError, ConfigurationError, ResolutionError
 from radks.grid import constant_field, integrate, make_grid
 from radks.helmholtz import build_solver
@@ -254,6 +255,20 @@ def test_base_data_rejects_nonpositive():
     with pytest.raises(AdmissibilityError):
         base_data("bump", g, baseline=1.0, amplitude=-2.0, width=0.3)
 
+
+def test_base_data_relaxed_uses_the_given_solver(monkeypatch):
+    g = make_grid(5, 1.0, 64)
+    params = dict(baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed")
+    want = base_data("bump", g, **params)
+    solver = build_solver(g)
+
+    def unexpected(grid):
+        raise AssertionError("base_data built a second solver")
+
+    monkeypatch.setattr(initial_data, "build_solver", unexpected)
+    u0, v0 = base_data("bump", g, solver, **params)
+    assert np.array_equal(u0.values, want[0].values)
+    assert np.array_equal(v0.values, want[1].values)
 
 def test_base_data_custom_roundtrip(tmp_path):
     from radks.energy import compute_f, compute_g

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from radks import probes
 from radks.dynamics import default_stepper_config, run
+from radks.energy import compute_energy
 from radks.errors import ConfigurationError, InsufficientDataError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
 from radks.helmholtz import build_solver, solve
@@ -339,3 +341,21 @@ def test_fd_ratio_reproducible_bitwise(grid, solver):
     _, _, s2 = run(u0, v0, cfg, solver=solver)
     pc = ProbeConfig(n=5, rho=(0.5,))
     assert probe_fd_ratio(s1, pc).implied_c == probe_fd_ratio(s2, pc).implied_c
+
+
+def test_probes_reuse_a_given_energy_report(grid, solver, monkeypatch):
+    rng = np.random.default_rng(4)
+    u = RadialField(rng.random(grid.N) + 0.5, grid)
+    v = RadialField(rng.random(grid.N) + 0.5, grid)
+    cfg = ProbeConfig(n=5, rho=(0.25, 0.5))
+    w = solve(solver, u)
+    rep = compute_energy(u, v, solver, w=w)
+    floor = probe_entropy_floor(u, v, solver)
+    local = probe_local_inequalities(u, v, solver, cfg, w=w)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("energy report evaluated again")
+
+    monkeypatch.setattr(probes, "compute_energy", unexpected)
+    assert probe_entropy_floor(u, v, solver, report=rep) == floor
+    assert probe_local_inequalities(u, v, solver, cfg, w=w, report=rep) == local
