@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
-import radks
 from radks import helmholtz
 from radks.helmholtz import apply_operator, build_solver, shifted_solve, solve
 
@@ -290,7 +289,7 @@ def test_loaded_lapack_matches_public_scipy_routines(N):
 def test_import_leaves_the_scipy_package_unimported():
     # the LAPACK routines come from the compiled module alone; importing
     # the scipy package would cost ~0.3 s of every run's start-up
-    src = str(Path(radks.__file__).parents[1])
+    src = str(Path(helmholtz.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", "import sys, radks.cli; print('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src},
