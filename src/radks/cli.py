@@ -12,18 +12,19 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import RunConfig, load_config, resolve_output_dir
-from .dynamics import SimStatus, default_stepper_config, run
+from .dynamics import SimStatus, run
 from .energy import compute_energy, compute_f, compute_g
 from .errors import RadksError, SnapshotFormatError
 from .grid import Grid, RadialField, make_grid, integrate
 from .helmholtz import build_solver, solve
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
 from .probes import (
-    ProbeConfig,
+    ProbeResult,
     probe_entropy_floor,
     probe_fd_ratio,
     probe_local_inequalities,
@@ -49,7 +50,7 @@ __all__ = ["main", "simulate_run"]
 
 
 def _build_problem(cfg: RunConfig):
-    grid = make_grid(cfg.n, cfg.R, cfg.N)
+    grid = cfg.grid
     solver = build_solver(grid)
     params = {k: v for k, v in cfg.base_params.items() if v not in (None, "")}
     u0, v0 = base_data(cfg.base_kind, grid, solver, **params)
@@ -62,18 +63,6 @@ def resolve_etas(cfg: RunConfig, grid: Grid, u0: RadialField) -> list[float]:
     iota = float(np.min(u0.values))
     star = eta_star(iota, cfg.gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
     return [star / (4 * 2**k) for k in range(cfg.eta_count)]
-
-
-def _probe_config(cfg: RunConfig, grid: Grid) -> ProbeConfig:
-    kw = {"n": grid.n}
-    if cfg.kappa != "auto":
-        kw["kappa"] = float(cfg.kappa)
-    if cfg.beta != "auto":
-        kw["beta"] = float(cfg.beta)
-    if cfg.theta != "auto":
-        kw["theta"] = float(cfg.theta)
-    kw["rho"] = cfg.rho if cfg.rho else (0.5 * grid.R,)
-    return ProbeConfig(**kw)
 
 
 def _write_snapshot_state(path, grid, solver, u, v, t=None, w=None):
@@ -104,7 +93,7 @@ def simulate_run(cfg: RunConfig):
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    pconf = _probe_config(cfg, grid)
+    pconf = cfg.probe
     v0_norm = w22_norm(v0)
     max_c = {"fd": 0.0, "w": 0.0, "v": 0.0}
     sample_count = 0
@@ -130,9 +119,8 @@ def simulate_run(cfg: RunConfig):
                 )
             sample_count += 1
 
-        stepper = default_stepper_config(grid, **cfg.stepper_kwargs())
         state, summary, samples = run(
-            u0, v0, stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
+            u0, v0, cfg.stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
 
     _write_snapshot_state(
@@ -212,20 +200,6 @@ def _grid_from_snapshot(path, snap, n: int) -> Grid:
     return grid
 
 
-class _RowSample:
-    """Adapter giving diagnostics rows the TrajectorySample attributes."""
-
-    def __init__(self, row, int_v=math.nan, int_w=math.nan):
-        self.t = row["t"]
-        self.dt = row["dt"]
-        self.mass = row["mass"]
-        self.sup_u = row["sup_u"]
-        self.F = row["F"]
-        self.D = row["D"]
-        self.int_v = int_v
-        self.int_w = int_w
-
-
 def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     diag_rows = read_diagnostics(diagnostics_path)
     if not diag_rows:
@@ -235,14 +209,14 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
 
     grid = None
     solver = None
-    samples = [_RowSample(row) for row in diag_rows]
-    pconf = None
+    # diagnostics rows with the TrajectorySample attributes the probes read
+    samples = [SimpleNamespace(**row, int_v=math.nan, int_w=math.nan) for row in diag_rows]
+    pconf = cfg.probe
     for snap_path in snaps:
         snap = read_snapshot(snap_path)
         if grid is None:
             grid = _grid_from_snapshot(snap_path, snap, cfg.n)
             solver = build_solver(grid)
-            pconf = _probe_config(cfg, grid)
         else:
             _check_snapshot_grid(snap_path, snap, grid)
         u = RadialField(snap.u, grid)
@@ -266,17 +240,12 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
             nearest.int_v = integrate(v)
             nearest.int_w = integrate(w_file)
 
-    if pconf is None:
-        grid = make_grid(cfg.n, cfg.R, cfg.N)
-        pconf = _probe_config(cfg, grid)
     results.append(probe_fd_ratio(samples, pconf))
     enriched = [s for s in samples if not math.isnan(s.int_v)]
     if enriched:
         results.extend(probe_mass_identities(enriched))
     try:
         odi = probe_odi(samples, pconf.theta)
-        from .probes import ProbeResult
-
         results.append(
             ProbeResult(name="odi_c5", lhs=odi.c5, rhs_free=1.0, implied_c=odi.c5,
                         param=pconf.theta)

@@ -1,20 +1,31 @@
 """Sectioned key-value run configuration.
 
 INI-style sections mirror the module names ([grid], [base], [family],
-[stepper], [probe], [run], [sweep]).  Loading validates every constraint
-and reports all violations at once; sub-blowup-regime dimensions
-(2 <= n < 5), unknown keys and sweep axes naming no known key only warn.
-Dotted overrides (--set section.key=value) are applied before validation.
+[stepper], [probe], [run], [sweep]).  Loading validates by building the
+domain objects once: the Grid (make_grid), the StepperConfig
+(default_stepper_config, which resolves the auto dt values on that grid)
+and the ProbeConfig.  Their checks, keyed by parameter name, and the few
+that no object makes (base kind and path, the family keys,
+stepper.max_steps, probe.rho in (0, R), the run keys, the sweep axes)
+are all reported at once as `section.key: message`.  A value that
+already failed, by not parsing or by being rejected, adds no follow-on
+message.  Sub-blowup-regime dimensions (2 <= n < 5), unknown keys and
+sweep axes naming no known key only warn.  Dotted overrides (--set
+section.key=value) are applied before validation.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+from .dynamics import StepperConfig, default_stepper_config
 from .errors import ConfigurationError
+from .grid import Grid, make_grid
+from .probes import ProbeConfig
 
 __all__ = ["RunConfig", "load_config", "parse_overrides", "resolve_output_dir"]
 
@@ -37,48 +48,31 @@ _KNOWN_KEYS = {("grid", "n"), ("grid", "R"), ("grid", "N")}.union(
 
 @dataclass
 class RunConfig:
-    """Validated run parameters plus any non-fatal warnings."""
+    """Validated run parameters plus any non-fatal warnings.
+
+    grid, stepper and probe are the objects load_config built to validate
+    the [grid], [stepper] and [probe] sections; the stepper carries the
+    resolved auto dt values.  n, R and N repeat the grid's inputs.
+    """
 
     n: int
     R: float
     N: int
+    grid: Grid
     base_kind: str
     base_params: dict
     gamma: float
     eta_spec: str            # "auto" or a comma list of scales
     eta_count: int
-    cfl: float
-    dt_init: str | float     # "auto" defers to the grid-derived default
-    dt_min: str | float
-    dt_max: float
-    t_end: float
-    blowup_factor: float
-    output_every: int
+    stepper: StepperConfig
     max_steps: int
-    kappa: str | float
-    beta: str | float
-    theta: str | float
-    rho: tuple
+    probe: ProbeConfig
     outdir: str
     snapshot_every: int
     workers: int
     sweep_axes: dict = dc_field(default_factory=dict)
     warnings: list = dc_field(default_factory=list)
     source_path: str = ""
-
-    def stepper_kwargs(self) -> dict:
-        kw = dict(
-            cfl=self.cfl,
-            dt_max=self.dt_max,
-            t_end=self.t_end,
-            blowup_factor=self.blowup_factor,
-            output_every=self.output_every,
-        )
-        if self.dt_min != "auto":
-            kw["dt_min"] = float(self.dt_min)
-        if self.dt_init != "auto":
-            kw["dt_init"] = float(self.dt_init)
-        return kw
 
 
 def parse_overrides(pairs) -> list[tuple[str, str, str]]:
@@ -111,7 +105,27 @@ def load_config(path, overrides=()) -> RunConfig:
         raise ConfigurationError(f"config file {path} does not exist")
     problems: list[str] = []
     warnings: list[str] = []
+    failed: set[str] = set()  # section.key of every value already reported
     _check_version_line(path, problems)
+
+    def report(key: str, message: str) -> None:
+        failed.add(key)
+        problems.append(f"{key}: {message}")
+
+    def check(key: str, ok: bool, message: str) -> None:
+        if not ok and key not in failed:
+            report(key, message)
+
+    def build(section: str, make, *args, **kwargs):
+        """make(*args, **kwargs), or None once its problems are reported."""
+        try:
+            return make(*args, **kwargs)
+        except ConfigurationError as exc:
+            if not exc.problems:
+                raise
+            for name, message in exc.problems.items():
+                check(f"{section}.{name}", False, message)
+            return None
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep key case: grid.n and grid.N differ
@@ -136,140 +150,100 @@ def load_config(path, overrides=()) -> RunConfig:
             return parser.get(section, key).strip()
         if section in _DEFAULTS and key in _DEFAULTS[section]:
             return _DEFAULTS[section][key]
-        problems.append(f"missing required key {section}.{key}")
+        report(f"{section}.{key}", "missing required key")
         return ""
 
-    def get_int(section: str, key: str):
+    def get_number(section: str, key: str, kind=float, allow_auto: bool = False):
+        """The value as kind, "auto" if allowed, or nan once reported as bad."""
         raw = get(section, key)
-        if raw == "":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            problems.append(f"{section}.{key} must be an integer, got {raw!r}")
-            return None
-
-    def get_float(section: str, key: str, allow_auto: bool = False):
-        raw = get(section, key)
-        if raw == "":
-            return None
         if allow_auto and raw == "auto":
             return "auto"
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            problems.append(f"{section}.{key} must be a number, got {raw!r}")
-            return None
+            what = "an integer" if kind is int else "a number"
+            check(f"{section}.{key}", False, f"must be {what}, got {raw!r}")
+            return math.nan
 
     if not parser.has_section("grid"):
         problems.append("missing required section [grid]")
-    n = get_int("grid", "n")
-    R = get_float("grid", "R")
-    N = get_int("grid", "N")
+    n = get_number("grid", "n", int)
+    R = get_number("grid", "R")
+    N = get_number("grid", "N", int)
+    grid = build("grid", make_grid, n, R, N)
+    if "grid.n" not in failed and n < 5:
+        warnings.append(f"grid.n={n} is below the n >= 5 blowup regime; run is fine for testing")
 
     base_kind = get("base", "kind")
-    base_params = {
-        "value": get_float("base", "value"),
-        "baseline": get_float("base", "baseline"),
-        "amplitude": get_float("base", "amplitude"),
-        "width": get_float("base", "width"),
-        "v_mode": get("base", "v_mode"),
-        "path": get("base", "path"),
-    }
-    if base_params["v_mode"] not in ("flat", "relaxed"):
-        problems.append(
-            f"base.v_mode must be flat or relaxed, got {base_params['v_mode']!r}"
-        )
-    gamma = get_float("family", "gamma")
-    eta_spec = get("family", "eta")
-    eta_count = get_int("family", "eta_count")
-    cfl = get_float("stepper", "cfl")
-    dt_init = get_float("stepper", "dt_init", allow_auto=True)
-    dt_min = get_float("stepper", "dt_min", allow_auto=True)
-    dt_max = get_float("stepper", "dt_max")
-    t_end = get_float("stepper", "t_end")
-    blowup_factor = get_float("stepper", "blowup_factor")
-    output_every = get_int("stepper", "output_every")
-    max_steps = get_int("stepper", "max_steps")
-    kappa = get_float("probe", "kappa", allow_auto=True)
-    beta = get_float("probe", "beta", allow_auto=True)
-    theta = get_float("probe", "theta", allow_auto=True)
-    rho_raw = get("probe", "rho")
-    outdir = get("run", "outdir")
-    snapshot_every = get_int("run", "snapshot_every")
-    workers = get_int("run", "workers")
-
-    rho: tuple = ()
-    if rho_raw:
-        try:
-            rho = tuple(float(x) for x in rho_raw.split(",") if x.strip())
-        except ValueError:
-            problems.append(f"probe.rho must be a comma list of numbers, got {rho_raw!r}")
-
-    # Constraint validation (collect everything, fail once).
-    if n is not None:
-        if n < 2:
-            problems.append(f"grid.n must be >= 2, got {n}")
-        elif n < 5:
-            warnings.append(
-                f"grid.n={n} is below the n >= 5 blowup regime; run is fine for testing"
-            )
-    if N is not None and N < 4:
-        problems.append(f"grid.N must be >= 4, got {N}")
-    if R is not None and not R > 0:
-        problems.append(f"grid.R must be positive, got {R}")
-    if base_kind not in ("constant", "bump", "custom"):
-        problems.append(f"base.kind must be constant|bump|custom, got {base_kind!r}")
+    base_params = {key: get_number("base", key)
+                   for key in ("value", "baseline", "amplitude", "width")}
+    base_params.update(v_mode=get("base", "v_mode"), path=get("base", "path"))
+    check("base.kind", base_kind in ("constant", "bump", "custom"),
+          f"must be constant|bump|custom, got {base_kind!r}")
+    check("base.v_mode", base_params["v_mode"] in ("flat", "relaxed"),
+          f"must be flat or relaxed, got {base_params['v_mode']!r}")
     if base_kind == "custom":
         p = base_params["path"]
-        if not p:
-            problems.append("base.kind=custom requires base.path")
-        elif not Path(p).is_file():
-            problems.append(f"base.path {p!r} is not a readable file")
-    if gamma is not None and not gamma > 1.0:
-        problems.append(f"family.gamma must exceed 1, got {gamma}")
+        check("base.path", bool(p), "required when base.kind=custom")
+        check("base.path", Path(p).is_file(), f"{p!r} is not a readable file")
+
+    gamma = get_number("family", "gamma")
+    eta_spec = get("family", "eta")
+    eta_count = get_number("family", "eta_count", int)
+    check("family.gamma", gamma > 1.0, f"must exceed 1, got {gamma}")
     if eta_spec != "auto":
         try:
             etas = [float(x) for x in eta_spec.split(",") if x.strip()]
-            if not etas:
-                problems.append("family.eta must be 'auto' or a nonempty comma list")
-            elif any(not 0.0 < e < 1.0 for e in etas):
-                problems.append(f"family.eta entries must lie in (0, 1), got {etas}")
+            check("family.eta", bool(etas), "must be 'auto' or a nonempty comma list")
+            check("family.eta", all(0.0 < e < 1.0 for e in etas),
+                  f"entries must lie in (0, 1), got {etas}")
         except ValueError:
-            problems.append(f"family.eta must be 'auto' or numbers, got {eta_spec!r}")
-    if eta_count is not None and eta_count < 1:
-        problems.append(f"family.eta_count must be >= 1, got {eta_count}")
-    if cfl is not None and not 0.0 < cfl <= 1.0:
-        problems.append(f"stepper.cfl must lie in (0, 1], got {cfl}")
-    if dt_max is not None and not dt_max > 0:
-        problems.append(f"stepper.dt_max must be positive, got {dt_max}")
-    if t_end is not None and not t_end > 0:
-        problems.append(f"stepper.t_end must be positive, got {t_end}")
-    if blowup_factor is not None and not blowup_factor > 1:
-        problems.append(f"stepper.blowup_factor must exceed 1, got {blowup_factor}")
-    if output_every is not None and output_every < 1:
-        problems.append(f"stepper.output_every must be >= 1, got {output_every}")
-    if max_steps is not None and max_steps < 1:
-        problems.append(f"stepper.max_steps must be >= 1, got {max_steps}")
-    if n is not None and isinstance(kappa, float) and not kappa > n - 2:
-        problems.append(f"probe.kappa must exceed n-2={n-2}, got {kappa}")
-    if n is not None and isinstance(beta, float) and not beta > n - 2:
-        problems.append(f"probe.beta must exceed n-2={n-2}, got {beta}")
-    if R is not None and rho and any(not 0.0 < x < R for x in rho):
-        problems.append(f"probe.rho entries must lie in (0, R={R}), got {list(rho)}")
-    if workers is not None and workers < 1:
-        problems.append(f"run.workers must be >= 1, got {workers}")
-    if snapshot_every is not None and snapshot_every < 0:
-        problems.append(f"run.snapshot_every must be >= 0, got {snapshot_every}")
+            report("family.eta", f"must be 'auto' or numbers, got {eta_spec!r}")
+    check("family.eta_count", eta_count >= 1, f"must be >= 1, got {eta_count}")
+
+    stepper_values = {key: get_number("stepper", key, allow_auto=key.startswith("dt_"))
+                      for key in ("cfl", "dt_init", "dt_min", "dt_max", "t_end", "blowup_factor")}
+    stepper_values["output_every"] = get_number("stepper", "output_every", int)
+    explicit = {key: v for key, v in stepper_values.items() if v != "auto"}
+    if grid is not None:
+        stepper = build("stepper", default_stepper_config, grid, **explicit)
+    else:
+        # the auto step bounds come from the grid: check only the other keys
+        failed.update(f"stepper.{key}" for key in stepper_values.keys() - explicit.keys())
+        stepper = build("stepper", StepperConfig,
+                        **{**dict.fromkeys(stepper_values, math.nan), **explicit})
+    max_steps = get_number("stepper", "max_steps", int)
+    check("stepper.max_steps", max_steps >= 1, f"must be >= 1, got {max_steps}")
+
+    rho: tuple = ()
+    rho_raw = get("probe", "rho")
+    try:
+        rho = tuple(float(x) for x in rho_raw.split(",") if x.strip())
+    except ValueError:
+        report("probe.rho", f"must be a comma list of numbers, got {rho_raw!r}")
+    check("probe.rho", "grid.R" in failed or all(0.0 < x < R for x in rho),
+          f"entries must lie in (0, R={R}), got {list(rho)}")
+    probe_values = {key: get_number("probe", key, allow_auto=True)
+                    for key in ("kappa", "beta", "theta")}
+    probe = None
+    if "grid.n" not in failed:  # every probe check is relative to n
+        probe = build("probe", ProbeConfig, n=n, rho=rho or (0.5 * R,),
+                      **{key: v for key, v in probe_values.items() if v != "auto"})
+
+    outdir = get("run", "outdir")
+    snapshot_every = get_number("run", "snapshot_every", int)
+    workers = get_number("run", "workers", int)
+    check("run.workers", workers >= 1, f"must be >= 1, got {workers}")
+    check("run.snapshot_every", snapshot_every >= 0, f"must be >= 0, got {snapshot_every}")
 
     sweep_axes: dict = {}
     if parser.has_section("sweep"):
         for key, raw in parser.items("sweep"):
             values = [x.strip() for x in raw.split(",") if x.strip()]
             if not values:
-                problems.append(f"sweep.{key} has no values")
+                problems.append(f"sweep.{key}: has no values")
             if "." not in key:
-                problems.append(f"sweep axis {key!r} must be a dotted section.key name")
+                problems.append(f"sweep.{key}: axis must be a dotted section.key name")
             elif tuple(key.split(".", 1)) not in _KNOWN_KEYS:
                 warnings.append(f"sweep axis {key} names no known key; its values change nothing")
             sweep_axes[key] = values
@@ -280,13 +254,10 @@ def load_config(path, overrides=()) -> RunConfig:
         )
 
     return RunConfig(
-        n=n, R=R, N=N,
+        n=n, R=R, N=N, grid=grid,
         base_kind=base_kind, base_params=base_params,
         gamma=gamma, eta_spec=eta_spec, eta_count=eta_count,
-        cfl=cfl, dt_init=dt_init, dt_min=dt_min, dt_max=dt_max,
-        t_end=t_end, blowup_factor=blowup_factor, output_every=output_every,
-        max_steps=max_steps,
-        kappa=kappa, beta=beta, theta=theta, rho=rho,
+        stepper=stepper, max_steps=max_steps, probe=probe,
         outdir=outdir, snapshot_every=snapshot_every, workers=workers,
         sweep_axes=sweep_axes, warnings=warnings, source_path=str(path),
     )

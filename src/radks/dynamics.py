@@ -86,22 +86,31 @@ class StepperConfig:
     output_every: int = 10
 
     def __post_init__(self):
-        problems = []
+        problems = {}
         if not 0.0 < self.cfl <= 1.0:
-            problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
-            problems.append(
-                "step bounds must satisfy 0 < dt_min <= dt_init <= dt_max, got "
-                f"dt_min={self.dt_min}, dt_init={self.dt_init}, dt_max={self.dt_max}"
+            problems["cfl"] = f"cfl must lie in (0, 1], got {self.cfl}"
+        if not self.dt_max > 0.0:
+            problems["dt_max"] = f"dt_max must be positive, got {self.dt_max}"
+        if not self.dt_min > 0.0:
+            problems["dt_min"] = f"dt_min must be positive, got {self.dt_min}"
+        elif "dt_max" not in problems and not self.dt_min <= self.dt_max:
+            problems["dt_min"] = f"dt_min must not exceed dt_max={self.dt_max}, got {self.dt_min}"
+        # dt_init is compared only with bounds that passed their own checks
+        if {"dt_min", "dt_max"}.isdisjoint(problems) and not (
+            self.dt_min <= self.dt_init <= self.dt_max
+        ):
+            problems["dt_init"] = (
+                f"dt_init must lie in [dt_min, dt_max] = [{self.dt_min}, {self.dt_max}], "
+                f"got {self.dt_init}"
             )
         if not self.t_end > 0.0:
-            problems.append(f"t_end must be positive, got {self.t_end}")
+            problems["t_end"] = f"t_end must be positive, got {self.t_end}"
         if not self.blowup_factor > 1.0:
-            problems.append(f"blowup_factor must exceed 1, got {self.blowup_factor}")
+            problems["blowup_factor"] = f"blowup_factor must exceed 1, got {self.blowup_factor}"
         if self.output_every < 1:
-            problems.append(f"output_every must be >= 1, got {self.output_every}")
+            problems["output_every"] = f"output_every must be >= 1, got {self.output_every}"
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError(problems=problems)
 
 
 def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConfig:
@@ -110,20 +119,21 @@ def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConf
     dt_min = (R 1e-8/N) (h_min/h)^2: on a uniform mesh that is R 1e-8/N;
     on a graded one the floor shrinks with the squared ratio of the
     smallest to the largest cell width, so it stays far below the steps
-    the smallest cells need.
+    the smallest cells need.  The default dt_init, 1e-6, is clamped into
+    [dt_min, dt_max]; an explicit dt_init outside them is rejected.
     """
     dt_min = grid.R * 1e-8 / grid.N * (grid.h_min / grid.h) ** 2
     values = dict(
         cfl=0.9,
         dt_min=dt_min,
-        dt_init=max(dt_min, 1e-6),
         dt_max=1e-2,
         t_end=t_end,
         blowup_factor=1e6,
         output_every=10,
     )
     values.update(overrides)
-    values["dt_init"] = min(max(values["dt_init"], values["dt_min"]), values["dt_max"])
+    if "dt_init" not in values:
+        values["dt_init"] = min(max(dt_min, 1e-6, values["dt_min"]), values["dt_max"])
     return StepperConfig(**values)
 
 

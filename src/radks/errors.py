@@ -6,7 +6,16 @@ class RadksError(Exception):
 
 
 class ConfigurationError(RadksError):
-    """Invalid parameters, config files, or precondition violations."""
+    """Invalid parameters, config files, or precondition violations.
+
+    A constructor that checks several parameters raises it with
+    `problems`, a map from each rejected parameter's name to its message;
+    the error text is then those messages joined by "; ".
+    """
+
+    def __init__(self, message: str = "", problems: dict | None = None):
+        self.problems = dict(problems or {})
+        super().__init__(message or "; ".join(self.problems.values()))
 
 
 class GridMismatchError(RadksError):

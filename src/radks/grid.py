@@ -131,21 +131,21 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
     With h_min (0 < h_min < R/N) the cell widths grow geometrically from
     h_min at the origin; without it the mesh is uniform with h = R/N.
     """
-    problems = []
+    problems = {}
     if not isinstance(n, (int, np.integer)) or n < 2:
-        problems.append(f"dimension n must be an integer >= 2, got {n!r}")
+        problems["n"] = f"dimension n must be an integer >= 2, got {n!r}"
     if not isinstance(N, (int, np.integer)) or N < 4:
-        problems.append(f"cell count N must be an integer >= 4, got {N!r}")
+        problems["N"] = f"cell count N must be an integer >= 4, got {N!r}"
     if not (isinstance(R, (int, float, np.floating)) and math.isfinite(R) and R > 0):
-        problems.append(f"radius R must be a positive finite number, got {R!r}")
+        problems["R"] = f"radius R must be a positive finite number, got {R!r}"
     if h_min is not None and not problems and not (
         isinstance(h_min, (int, float, np.floating)) and 0.0 < h_min < R / N
     ):
-        problems.append(
+        problems["h_min"] = (
             f"smallest cell width h_min must lie in (0, R/N) = (0, {R / N:g}), got {h_min!r}"
         )
     if problems:
-        raise ConfigurationError("; ".join(problems))
+        raise ConfigurationError(problems=problems)
 
     n = int(n)
     N = int(N)

@@ -64,26 +64,28 @@ class ProbeConfig:
     def __post_init__(self):
         if self.kappa is None:
             object.__setattr__(self, "kappa", self.n - 0.5)
+        problems = {}
+        if not self.kappa > self.n - 2:
+            problems["kappa"] = f"kappa must exceed n-2={self.n - 2}, got {self.kappa}"
+        # the defaults follow kappa, so only explicit beta and theta can add problems
         if self.beta is None:
             object.__setattr__(self, "beta", self.kappa)
+        elif not self.beta > self.n - 2:
+            problems["beta"] = f"beta must exceed n-2={self.n - 2}, got {self.beta}"
         if self.theta is None:
-            object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
-        problems = []
-        if not self.kappa > self.n - 2:
-            problems.append(f"kappa must exceed n-2={self.n - 2}, got {self.kappa}")
-        if not self.beta > self.n - 2:
-            problems.append(f"beta must exceed n-2={self.n - 2}, got {self.beta}")
-        if not 0.0 < self.theta < 1.0:
-            problems.append(f"theta must lie in (0, 1), got {self.theta}")
-        elif self.kappa is not None and self.kappa > self.n - 2:
+            if "kappa" not in problems:
+                object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
+        elif not 0.0 < self.theta < 1.0:
+            problems["theta"] = f"theta must lie in (0, 1), got {self.theta}"
+        elif "kappa" not in problems:
             expected = theta_exponent(self.kappa, self.n)
             if abs(self.theta - expected) > 1e-12:
-                problems.append(
+                problems["theta"] = (
                     f"theta={self.theta} is inconsistent with kappa={self.kappa} "
                     f"(branch value {expected})"
                 )
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError(problems=problems)
 
 
 @dataclass(frozen=True)

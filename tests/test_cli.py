@@ -224,6 +224,13 @@ def test_low_dimension_warning_printed(tmp_path, capsys):
     assert "blowup regime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["probe.theta=0.3", "stepper.dt_min=1", "grid.R=inf"])
+def test_simulate_bad_value_fails_before_any_output(config_path, tmp_path, capsys, override):
+    assert main(["-c", str(config_path), "--set", override, "simulate"]) == 1
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_error(capsys):
     assert main(["simulate"]) == 1
     assert "config" in capsys.readouterr().err

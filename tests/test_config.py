@@ -23,16 +23,16 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.n == 5 and cfg.N == 128 and cfg.R == 1.0
     assert cfg.base_kind == "constant"
     assert cfg.gamma == 1.5
-    assert cfg.cfl == 0.9
-    assert cfg.t_end == 1.0
-    assert cfg.blowup_factor == 1e6
+    assert cfg.stepper.cfl == 0.9
+    assert cfg.stepper.t_end == 1.0
+    assert cfg.stepper.blowup_factor == 1e6
     assert cfg.outdir == "out"
     assert cfg.warnings == []
 
 
 def test_unknown_key_is_warning(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL), ["stepper.dt_mx=1e-9"])
-    assert cfg.dt_max == 0.01
+    assert cfg.stepper.dt_max == 0.01
     assert cfg.warnings == ["unknown key stepper.dt_mx is ignored"]
 
 
@@ -87,7 +87,7 @@ def test_all_violations_reported_at_once(tmp_path):
 def test_overrides_applied_before_validation(tmp_path):
     path = write(tmp_path, MINIMAL)
     cfg = load_config(path, ["stepper.t_end=2.5", "grid.N=256"])
-    assert cfg.t_end == 2.5
+    assert cfg.stepper.t_end == 2.5
     assert cfg.N == 256
 
 
@@ -134,3 +134,42 @@ def test_inline_comments_allowed(tmp_path):
     text = MINIMAL.replace("N = 128", "N = 128  # cells")
     cfg = load_config(write(tmp_path, text))
     assert cfg.N == 128
+
+
+@pytest.mark.parametrize("override, key", [
+    ("probe.theta=0.3", "probe.theta"),      # off the kappa branch value
+    ("stepper.dt_min=1", "stepper.dt_min"),  # above dt_max
+    ("grid.R=inf", "grid.R"),
+    ("stepper.dt_init=-1", "stepper.dt_init"),
+    ("stepper.dt_init=0.5", "stepper.dt_init"),  # above dt_max, no silent clamp
+])
+def test_domain_object_checks_reject_at_load(tmp_path, override, key):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write(tmp_path, MINIMAL), [override])
+    assert f"1 violation(s):\n  - {key}: " in str(err.value)
+
+
+def test_load_builds_grid_stepper_and_probe(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL), ["stepper.dt_max=1e-7"])
+    assert (cfg.grid.n, cfg.grid.R, cfg.grid.N) == (5, 1.0, 128)
+    assert cfg.stepper.dt_min == pytest.approx(1e-8 / 128)
+    assert cfg.stepper.dt_init == 1e-7  # the auto value, clamped to dt_max
+    assert cfg.probe.theta == pytest.approx(5.0 / 7.0)
+    assert cfg.probe.rho == (0.25, 0.5, 0.75)
+
+
+def test_bad_grid_value_reported_once_without_follow_ons(tmp_path):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write(tmp_path, MINIMAL.replace("R = 1.0", "R = -2")))
+    msg = str(err.value)
+    assert "1 violation(s)" in msg
+    assert msg.count("grid.R") == 1
+    assert "probe.rho" not in msg
+
+
+def test_unparsable_value_reported_once(tmp_path):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write(tmp_path, MINIMAL), ["stepper.cfl=fast", "grid.n=five"])
+    msg = str(err.value)
+    assert "2 violation(s)" in msg
+    assert msg.count("stepper.cfl") == 1 and msg.count("grid.n") == 1

@@ -58,6 +58,22 @@ def test_default_config_dt_min_rule(grid):
     assert cfg.blowup_factor == 1e6
 
 
+def test_default_config_rejects_explicit_dt_init_outside_bounds(grid):
+    # the default dt_init is clamped into [dt_min, dt_max]; an explicit one is not
+    assert default_stepper_config(grid, t_end=1.0, dt_max=1e-7).dt_init == 1e-7
+    for dt_init in (-1.0, 0.0, 2e-2):
+        with pytest.raises(ConfigurationError) as err:
+            default_stepper_config(grid, t_end=1.0, dt_init=dt_init)
+        assert set(err.value.problems) == {"dt_init"}
+
+
+def test_stepper_config_problems_are_keyed_without_follow_ons():
+    with pytest.raises(ConfigurationError) as err:
+        StepperConfig(cfl=3.0, dt_init=1e-3, dt_min=1e-4, dt_max=-1.0, t_end=-1.0)
+    # dt_init and dt_min are not compared with the rejected dt_max
+    assert set(err.value.problems) == {"cfl", "dt_max", "t_end"}
+
+
 def test_default_config_dt_min_graded_stays_below_cfl_step():
     # a signal concentrated at r ~ 1e-8: its CFL step lies far below the
     # uniform floor R 1e-8/N, and the graded floor must not clamp it
