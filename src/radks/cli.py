@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
-from .energy import compute_energy, compute_f, compute_g
+from .energy import compute_energy
 from .errors import RadksError, SnapshotFormatError
 from .grid import Grid, RadialField, make_grid, integrate
-from .helmholtz import build_solver, solve
+from .helmholtz import build_solver
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
 from .probes import (
     ProbeResult,
@@ -65,14 +65,10 @@ def resolve_etas(cfg: RunConfig, grid: Grid, u0: RadialField) -> list[float]:
     return [star / (4 * 2**k) for k in range(cfg.eta_count)]
 
 
-def _write_snapshot_state(path, grid, solver, u, v, t=None, w=None):
-    """Snapshot of (u, v) with w, f and g; pass w = solve(solver, u) if known."""
-    if w is None:
-        w = solve(solver, u)
-    f = compute_f(u, v, solver, w=w)
-    g_faces = compute_g(u, v)
-    g_cells = 0.5 * (g_faces[:-1] + g_faces[1:])
-    write_snapshot(path, grid, u, v, w, f, g_cells, t=t)
+def _write_snapshot_state(path, u, v, report, t=None):
+    """Snapshot of (u, v) with the w, f and g of its energy report."""
+    g_cells = 0.5 * (report.g[:-1] + report.g[1:])
+    write_snapshot(path, u.grid, u, v, report.w, report.f, g_cells, t=t)
 
 
 def simulate_run(cfg: RunConfig):
@@ -108,14 +104,14 @@ def simulate_run(cfg: RunConfig):
                 max_c["fd"],
                 max(-sample.F, 0.0) / (max(sample.D, 0.0) ** pconf.theta + 1.0),
             )
-            max_c["w"] = max(max_c["w"], probe_pointwise_w(state.w, m).implied_c)
+            max_c["w"] = max(max_c["w"], probe_pointwise_w(state.report.w, m).implied_c)
             max_c["v"] = max(
                 max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c
             )
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 _write_snapshot_state(
                     outdir / f"snapshot_{state.step:08d}.csv",
-                    grid, solver, state.u, state.v, t=state.t, w=state.w,
+                    state.u, state.v, state.report, t=state.t,
                 )
             sample_count += 1
 
@@ -124,7 +120,7 @@ def simulate_run(cfg: RunConfig):
         )
 
     _write_snapshot_state(
-        outdir / "snapshot_final.csv", grid, solver, state.u, state.v, t=state.t, w=state.w
+        outdir / "snapshot_final.csv", state.u, state.v, state.report, t=state.t
     )
     with (outdir / "summary.txt").open("w") as handle:
         handle.write(f"# format_version={FORMAT_VERSION}\n")
@@ -178,7 +174,7 @@ def cmd_family(cfg: RunConfig) -> int:
         [[r.eta, r.F, r.mass, r.min_u] for r in rows],
     )
     for idx, r in enumerate(rows):
-        _write_snapshot_state(outdir / f"snapshot_eta_{idx:02d}.csv", grid, solver, r.u, r.v)
+        _write_snapshot_state(outdir / f"snapshot_eta_{idx:02d}.csv", r.u, r.v, r.report)
     print(f"{len(rows)} rows in {outdir / 'family.csv'}")
     return 0
 
@@ -224,15 +220,14 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         w_file = RadialField(snap.w, grid)
         t = snap.t if snap.t is not None else math.nan
         m = integrate(u)
-        # one solve and one energy report per snapshot feed the energy and
-        # the local probes; the pointwise-w probe and int w report the
-        # file's w column as written
-        w = solve(solver, u)
-        rep = compute_energy(u, v, solver, w=w)
-        results.append(replace(probe_entropy_floor(u, v, solver, report=rep), sample=t))
+        # one energy report per snapshot feeds the energy and the local
+        # probes; the pointwise-w probe and int w report the file's w
+        # column as written
+        rep = compute_energy(u, v, solver)
+        results.append(replace(probe_entropy_floor(rep), sample=t))
         results.append(replace(probe_pointwise_w(w_file, m), sample=t))
         results.append(replace(probe_pointwise_v(v, pconf, m, w22_norm(v)), sample=t))
-        for r in probe_local_inequalities(u, v, solver, pconf, w=w, report=rep):
+        for r in probe_local_inequalities(u, v, rep, pconf):
             results.append(replace(r, sample=t))
         # enrich the nearest diagnostics sample with field integrals
         if samples:

@@ -5,7 +5,7 @@ INI-style sections mirror the module names ([grid], [base], [family],
 domain objects once: the Grid (make_grid), the StepperConfig
 (default_stepper_config, which resolves the auto dt values on that grid)
 and the ProbeConfig.  Their checks, keyed by parameter name, and the few
-that no object makes (base kind and path, the family keys,
+that no object makes (base kind, value, width and path, the family keys,
 stepper.max_steps, probe.rho in (0, R), the run keys, the sweep axes)
 are all reported at once as `section.key: message`.  A value that
 already failed, by not parsing or by being rejected, adds no follow-on
@@ -182,6 +182,12 @@ def load_config(path, overrides=()) -> RunConfig:
           f"must be constant|bump|custom, got {base_kind!r}")
     check("base.v_mode", base_params["v_mode"] in ("flat", "relaxed"),
           f"must be flat or relaxed, got {base_params['v_mode']!r}")
+    if base_kind == "constant":
+        value = base_params["value"]
+        check("base.value", value > 0.0, f"must be positive when base.kind=constant, got {value}")
+    if base_kind == "bump":
+        width = base_params["width"]
+        check("base.width", width > 0.0, f"must be positive when base.kind=bump, got {width}")
     if base_kind == "custom":
         p = base_params["path"]
         check("base.path", bool(p), "required when base.kind=custom")

@@ -1,8 +1,9 @@
 """IMEX time stepping for the coupled cell/signal system.
 
 One step does, in order:
-  (a) w = (I - L)^{-1} u                        (elliptic signal; reused
-                                                 when the state carries it)
+  (a) w = (I - L)^{-1} u                        (elliptic signal; read from
+                                                 the state's energy report
+                                                 when it carries one)
   (b) (I + dt (I - L)) v+ = v + dt w            (implicit linear v-update)
   (c) (I - dt L) u+ = u - dt div Phi(u, v+)     (implicit diffusion,
                                                  explicit upwind advection)
@@ -60,9 +61,10 @@ class SimStatus(Enum):
 class State:
     """Simulation state owned by exactly one run loop.
 
-    w, when set, is (I - L)^{-1} u of this state's u: a sampled state
-    carries it so the next step and the sink do not solve again.  A new u
-    needs a new State (step builds one with w = None).
+    report, when set, is compute_energy of this state's (u, v): a sampled
+    state carries it, w included, so the next step and the sink do not
+    solve again.  A new u needs a new State (step builds one with
+    report = None).
     """
 
     t: float
@@ -72,7 +74,7 @@ class State:
     dt: float
     status: SimStatus = SimStatus.RUNNING
     t_blowup: Optional[float] = None
-    w: Optional[RadialField] = None
+    report: Optional[EnergyReport] = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
     grid = state.u.grid
     dt = state.dt
-    w = state.w if state.w is not None else solve(solver, state.u)
+    w = state.report.w if state.report is not None else solve(solver, state.u)
     v_new = shifted_solve(solver, 1.0 + dt, dt, state.v.values + dt * w.values)
     v_plus = _adopt(v_new, grid)
     flux = advective_flux(state.u, v_plus)
@@ -237,7 +239,10 @@ def detect_blowup(
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One diagnostics row plus the integrals the probes need."""
+    """One diagnostics row plus the integrals the probes need.
+
+    Scalars only: a run keeps every sample, so no per-cell field belongs here.
+    """
 
     t: float
     dt: float
@@ -249,7 +254,6 @@ class TrajectorySample:
     int_v: float
     int_w: float
     min_u: float
-    report: EnergyReport
 
 
 @dataclass(frozen=True)
@@ -269,13 +273,12 @@ Sink = Callable[[State, TrajectorySample], None]
 def _sample(
     state: State, solver: HelmholtzSolver, prev: Optional[TrajectorySample]
 ) -> tuple[State, TrajectorySample]:
-    """The diagnostics of state, and state carrying its w (solved at most once)."""
-    w = state.w if state.w is not None else solve(solver, state.u)
-    rep = compute_energy(state.u, state.v, solver, w=w)
+    """The diagnostics of state, and state carrying its energy report."""
+    rep = compute_energy(state.u, state.v, solver)
     res = 0.0
     if prev is not None and state.t > prev.t:
-        res = identity_residual(prev.report, rep, state.t - prev.t)
-    return replace(state, w=w), TrajectorySample(
+        res = identity_residual(prev, rep, state.t - prev.t)
+    return replace(state, report=rep), TrajectorySample(
         t=state.t,
         dt=state.dt,
         mass=integrate(state.u),
@@ -284,9 +287,8 @@ def _sample(
         D=rep.D,
         identity_residual=res,
         int_v=integrate(state.v),
-        int_w=integrate(w),
+        int_w=integrate(rep.w),
         min_u=float(np.min(state.u.values)),
-        report=rep,
     )
 
 
@@ -302,7 +304,7 @@ def run(
 
     Emits a diagnostics sample at t = 0, every output_every steps, and at
     termination; sink (if given) receives each emitted (state, sample),
-    the state carrying its w, as does the returned final state.
+    the state carrying its energy report, as does the returned final state.
     """
     if np.min(u0.values) < 0.0:
         raise ConfigurationError("initial cell density must be nonnegative")

@@ -6,12 +6,15 @@ from f = (I - L)v - w and a transport part built from the face quantity
 g = u_r/sqrt(u) - sqrt(u) v_r.  The same discrete operator (I - L) is
 used for w, f, and the quadratic term, so (I - L)v = f + w holds exactly
 and the identity residual measures only the time discretization.
+
+compute_energy is the one evaluation of a state: its EnergyReport
+carries the fields w, f and g next to the integrals, so the stepper,
+the snapshots and the probes read them instead of solving again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .helmholtz import HelmholtzSolver, apply_operator, solve
 __all__ = [
     "EnergyReport",
     "DENSITY_FLOOR",
-    "compute_f",
     "compute_g",
     "compute_energy",
     "identity_residual",
@@ -35,7 +37,11 @@ DENSITY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy, dissipation, and their components at one state."""
+    """Energy, dissipation, their components, and the fields behind them.
+
+    w = (I - L)^{-1} u and f = (I - L)v - w are cell fields, g is
+    face-sampled (compute_g); they do not take part in comparisons.
+    """
 
     F: float
     D: float
@@ -46,32 +52,9 @@ class EnergyReport:
     f_term: float         # int f^2
     g_term: float         # int g^2
     regularized_faces: int
-
-
-def _signal(u: RadialField, solver: HelmholtzSolver, w: Optional[RadialField]) -> RadialField:
-    """w = (I - L)^{-1} u: the given one, or a fresh solve."""
-    if w is None:
-        return solve(solver, u)
-    if not w.grid.same_as(u.grid):
-        raise GridMismatchError("w and u live on different grids")
-    return w
-
-
-def compute_f(
-    u: RadialField,
-    v: RadialField,
-    solver: HelmholtzSolver,
-    w: Optional[RadialField] = None,
-) -> RadialField:
-    """f = (I - L)v - w with w the screened-Poisson solve of u.
-
-    Pass w when it is already known (it must be solve(solver, u)) to skip
-    the solve.
-    """
-    if not u.grid.same_as(v.grid):
-        raise GridMismatchError("u and v live on different grids")
-    w = _signal(u, solver, w)
-    return _adopt(apply_operator(solver, v) - w.values, u.grid)
+    w: RadialField = field(compare=False, repr=False)
+    f: RadialField = field(compare=False, repr=False)
+    g: np.ndarray = field(compare=False, repr=False)
 
 
 def _face_means(u: RadialField) -> np.ndarray:
@@ -103,21 +86,12 @@ def _face_weights(grid) -> np.ndarray:
     return grid.face_areas * grid.spacing
 
 
-def compute_energy(
-    u: RadialField,
-    v: RadialField,
-    solver: HelmholtzSolver,
-    w: Optional[RadialField] = None,
-) -> EnergyReport:
-    """Evaluate every term of F and D at the state (u, v).
-
-    Pass w when it is already known (it must be solve(solver, u)) to skip
-    the solve.
-    """
+def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
+    """Evaluate every term of F and D at the state (u, v), with w, f and g."""
     grid = u.grid
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
-    w = _signal(u, solver, w)
+    w = solve(solver, u)
     opv = apply_operator(solver, v)
     f = _adopt(opv - w.values, grid)
 
@@ -143,16 +117,18 @@ def compute_energy(
         f_term=f_sq,
         g_term=g_sq,
         regularized_faces=regularized,
+        w=w,
+        f=f,
+        g=g,
     )
 
 
-def identity_residual(
-    before: EnergyReport, after: EnergyReport, delta_t: float
-) -> float:
+def identity_residual(before, after, delta_t: float) -> float:
     """Normalized defect of dF/dt + D = 0 between two diagnostic samples.
 
     D is time-averaged with the trapezoid rule, so the residual isolates
-    the first-order splitting error of the stepper.
+    the first-order splitting error of the stepper.  Only .F and .D are
+    read, so before and after may be EnergyReports or TrajectorySamples.
     """
     if not delta_t > 0.0:
         raise ConfigurationError(f"samples must be separated by dt > 0, got {delta_t!r}")

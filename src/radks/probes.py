@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, GridMismatchError, InsufficientDataError
 from .grid import RadialField, gradient_faces, integrate, laplacian
-from .energy import EnergyReport, compute_energy, compute_f, compute_g
-from .helmholtz import HelmholtzSolver, solve
+from .energy import EnergyReport
 
 __all__ = [
     "ProbeConfig",
@@ -99,25 +98,14 @@ class ProbeResult:
     hard_pass: Optional[bool] = None
     param: Optional[float] = None
     sample: Optional[float] = None
-    extra: Optional[dict] = None
 
 
-def probe_entropy_floor(
-    u: RadialField,
-    v: RadialField,
-    solver: HelmholtzSolver,
-    report: Optional[EnergyReport] = None,
-) -> ProbeResult:
-    """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e.
-
-    report, if given, must be compute_energy(u, v, solver); it saves the
-    evaluation.
-    """
-    grid = u.grid
-    rep = report if report is not None else compute_energy(u, v, solver)
-    lhs = -rep.F - rep.mixed_term
+def probe_entropy_floor(report: EnergyReport) -> ProbeResult:
+    """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e."""
+    grid = report.w.grid
+    lhs = -report.F - report.mixed_term
     rhs = grid.omega_n * grid.R**grid.n / math.e
-    slack = 1e-6 * (1.0 + abs(rep.F))
+    slack = 1e-6 * (1.0 + abs(report.F))
     return ProbeResult(
         name="entropy_floor",
         lhs=lhs,
@@ -320,12 +308,7 @@ def _face_l2sq(face_values, grid, faces) -> float:
 
 
 def probe_local_inequalities(
-    u: RadialField,
-    v: RadialField,
-    solver: HelmholtzSolver,
-    config: ProbeConfig,
-    w: Optional[RadialField] = None,
-    report: Optional[EnergyReport] = None,
+    u: RadialField, v: RadialField, report: EnergyReport, config: ProbeConfig
 ) -> list[ProbeResult]:
     """Ball-localized second-order estimates with their implied constants.
 
@@ -333,12 +316,12 @@ def probe_local_inequalities(
     local second-order bound (explicit 1/8, 3/4, 12, sqrt(m) rho, 2m),
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
-    basis and reported through the implied constant.  w, if given, must
-    be solve(solver, u); otherwise it is solved here, once.  report, if
-    given, must be compute_energy(u, v, solver); otherwise it is evaluated
-    here.
+    basis and reported through the implied constant.  report is
+    compute_energy(u, v, solver); its w, f and g are read, not recomputed.
     """
     grid = u.grid
+    if not (grid.same_as(v.grid) and grid.same_as(report.w.grid)):
+        raise GridMismatchError("u, v and the energy report live on different grids")
     if not config.rho:
         raise ConfigurationError("probe config has an empty rho list")
     for rho in config.rho:
@@ -347,11 +330,7 @@ def probe_local_inequalities(
 
     kappa = config.kappa
     m = integrate(u)
-    if w is None:
-        w = solve(solver, u)
-    f = compute_f(u, v, solver, w=w)
-    g = compute_g(u, v)
-    rep = report if report is not None else compute_energy(u, v, solver, w=w)
+    w, f, g = report.w, report.f, report.g
     lap_v = laplacian(v)
     vr = gradient_faces(v)
     fr = gradient_faces(f)
@@ -390,7 +369,7 @@ def probe_local_inequalities(
     g_all = math.sqrt(float(np.sum(g**2 * weights)))
 
     results: list[ProbeResult] = []
-    uv = rep.mixed_term
+    uv = report.mixed_term
     for rho_in in config.rho:
         cells, faces, rho = _restrict(grid, rho_in)
         lap_sq = _cell_l2sq(lap_v.values, grid, cells)
@@ -432,7 +411,7 @@ def probe_local_inequalities(
         )
 
         # energy split over the whole ball with rho-dependent weights
-        lhs3 = -rep.F / 24.0
+        lhs3 = -report.F / 24.0
         rhs3_known = 12.0 * rho**2 * fr_all + math.sqrt(m) * rho * g_all
         basis3 = B ** (4.0 / (grid.n + 2.0)) * fr_all ** (
             grid.n / (grid.n + 2.0)

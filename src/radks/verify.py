@@ -143,7 +143,7 @@ def check_entropy_floor(N: int = 256, steps: int = 400) -> tuple[bool, str]:
 
         def sink(st, smp):
             nonlocal violations, worst_margin
-            probe = probe_entropy_floor(st.u, st.v, s, report=smp.report)
+            probe = probe_entropy_floor(st.report)
             if not probe.hard_pass:
                 violations += 1
             worst_margin = min(worst_margin, probe.rhs_free - probe.lhs)

@@ -62,9 +62,9 @@ def smooth_positive_pair(grid, seed=2024, amp=0.25):
     return RadialField(u, grid), RadialField(v, grid)
 
 
-def entropy_sink(solver):
+def entropy_sink():
     def sink(state, sample):
-        res = probe_entropy_floor(state.u, state.v, solver)
+        res = probe_entropy_floor(state.report)
         ENTROPY_FLOOR_RESULTS.append(bool(res.hard_pass))
 
     return sink
@@ -86,7 +86,7 @@ def family_2048():
     rows = family_energy_scan(u0, v0, 1.5, etas, grid, solver)
     elapsed = time.perf_counter() - t0
     for row in rows:
-        res = probe_entropy_floor(row.u, row.v, solver)
+        res = probe_entropy_floor(row.report)
         ENTROPY_FLOOR_RESULTS.append(bool(res.hard_pass))
     return {
         "grid": grid, "solver": solver, "u0": u0, "v0": v0,
@@ -114,7 +114,7 @@ def blowup_runs(family_2048):
 
             def sink(state, sample, solver=solver, pw=pw, pv=pv, v0_norm=v0_norm):
                 ENTROPY_FLOOR_RESULTS.append(
-                    bool(probe_entropy_floor(state.u, state.v, solver).hard_pass)
+                    bool(probe_entropy_floor(state.report).hard_pass)
                 )
                 w = solve(solver, state.u)
                 pw.append((state.t, probe_pointwise_w(w, sample.mass).implied_c))
@@ -184,7 +184,7 @@ def test_criterion_02_conservation():
         every_tenth[0] += 1
         if every_tenth[0] % 10 == 0:
             ENTROPY_FLOOR_RESULTS.append(
-                bool(probe_entropy_floor(state.u, state.v, solver).hard_pass)
+                bool(probe_entropy_floor(state.report).hard_pass)
             )
 
     _, _, samples = run(u0, v0, cfg, solver=solver, sink=sink, max_steps=10_000)
@@ -220,7 +220,7 @@ def test_criterion_03_equilibrium():
         prev["u"] = state.u.values
         prev["v"] = state.v.values
         ENTROPY_FLOOR_RESULTS.append(
-            bool(probe_entropy_floor(state.u, state.v, solver).hard_pass)
+            bool(probe_entropy_floor(state.report).hard_pass)
         )
 
     _, _, samples = run(u0, v0, cfg, solver=solver, sink=sink)
@@ -247,7 +247,7 @@ def test_criterion_04_energy_identity_dt_refinement():
         cfg = default_stepper_config(
             grid, t_end=0.5, dt_max=dt, dt_init=dt, output_every=10
         )
-        _, _, samples = run(u0, v0, cfg, solver=solver, sink=entropy_sink(solver))
+        _, _, samples = run(u0, v0, cfg, solver=solver, sink=entropy_sink())
         # fixed-step study (the final step may absorb a round-off sliver)
         assert all(abs(s.dt - dt) <= 1e-9 * dt for s in samples[1:])
         return max(s.identity_residual for s in samples[1:])

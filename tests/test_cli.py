@@ -71,8 +71,9 @@ def test_simulate_deterministic_outputs(config_path, tmp_path):
 def test_snapshot_w_and_f_belong_to_their_own_state(
     config_path, tmp_path, output_every, snapshot_every
 ):
-    # Sampled states carry w into the next step, the sink and the snapshot
-    # writer; a w left over from another state would show up here.
+    # Sampled states carry their energy report (w, f, g) into the next
+    # step, the sink and the snapshot writer; a report left over from
+    # another state would show up here.
     overrides = ["--set", f"stepper.output_every={output_every}",
                  "--set", f"run.snapshot_every={snapshot_every}"]
     assert main(["-c", str(config_path), *overrides, "simulate"]) in (0, 2)
@@ -127,6 +128,26 @@ def test_family_row_count_and_snapshots(config_path, tmp_path):
     assert len(rows) == 4  # default eta_count
     for idx in range(4):
         assert (tmp_path / "out" / f"snapshot_eta_{idx:02d}.csv").exists()
+
+
+def test_family_solves_once_per_scale(config_path, tmp_path, monkeypatch):
+    # each scale's w = (I - L)^{-1} u is solved once, by its energy report,
+    # and its snapshot writes that w instead of solving again
+    from radks import helmholtz
+
+    calls = []
+    inner = helmholtz._solve
+
+    def counting(g, alpha, beta, factor, rhs):
+        if (alpha, beta) == (1.0, 1.0):
+            calls.append(alpha)
+        return inner(g, alpha, beta, factor, rhs)
+
+    monkeypatch.setattr(helmholtz, "_solve", counting)
+    assert main(["-c", str(config_path), "family"]) == 0
+    _, rows = read_table(tmp_path / "out" / "family.csv")
+    assert len(rows) == 4
+    assert len(calls) == len(rows)
 
 
 def test_family_empty_eta_list_fails(config_path):
@@ -205,6 +226,14 @@ def test_sweep_records_per_run_failures(config_path, tmp_path):
     assert errors == ["error: AdmissibilityError: bump base density is not strictly positive"]
 
 
+def test_sweep_bad_base_value_fails_before_any_output(config_path, tmp_path, capsys):
+    sweep_ini = tmp_path / "sweep.ini"
+    sweep_ini.write_text(config_path.read_text() + "\n[sweep]\nbase.amplitude = 0.4, 0.8\n")
+    assert main(["-c", str(sweep_ini), "--set", "base.width=-1", "sweep"]) == 1
+    assert "base.width: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep").exists()
+
+
 def test_energy_verb_prints_report(config_path, tmp_path, capsys):
     assert main(["-c", str(config_path), "simulate"]) == 0
     code = main(["-c", str(config_path), "energy", str(tmp_path / "out" / "snapshot_final.csv")])
@@ -237,17 +266,17 @@ def test_missing_config_is_error(capsys):
 
 
 def write_graded_snapshot(path):
-    from radks.energy import compute_f, compute_g
+    from radks.energy import compute_energy
     from radks.grid import make_grid
-    from radks.helmholtz import build_solver, solve
+    from radks.helmholtz import build_solver
     from radks.initial_data import base_data
     from radks.snapshots import write_snapshot
 
     g = make_grid(5, 1.0, 64, h_min=1e-6)
     s = build_solver(g)
     u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
-    gf = compute_g(u, v)
-    write_snapshot(path, g, u, v, solve(s, u), compute_f(u, v, s), 0.5 * (gf[:-1] + gf[1:]))
+    rep = compute_energy(u, v, s)
+    write_snapshot(path, g, u, v, rep.w, rep.f, 0.5 * (rep.g[:-1] + rep.g[1:]))
 
 
 def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):

@@ -149,6 +149,18 @@ def test_domain_object_checks_reject_at_load(tmp_path, override, key):
     assert f"1 violation(s):\n  - {key}: " in str(err.value)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (["base.kind=bump", "base.width=-1"], "base.width"),
+    (["base.kind=bump", "base.width=0"], "base.width"),
+    (["base.kind=constant", "base.value=0"], "base.value"),
+    (["base.kind=constant", "base.value=-2.5"], "base.value"),
+])
+def test_base_checks_reject_at_load(tmp_path, overrides, key):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write(tmp_path, MINIMAL), overrides)
+    assert f"1 violation(s):\n  - {key}: must be positive" in str(err.value)
+
+
 def test_load_builds_grid_stepper_and_probe(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL), ["stepper.dt_max=1e-7"])
     assert (cfg.grid.n, cfg.grid.R, cfg.grid.N) == (5, 1.0, 128)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -372,7 +372,8 @@ def test_step_reuses_factors_bit_for_bit(grid, monkeypatch):
 @pytest.mark.parametrize("output_every", [1, 2])
 def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     # Each state's w = (I - L)^{-1} u is solved once: by its step, or by
-    # its sample, whose w the step, the sink and the caller then reuse.
+    # its sample's energy report, whose w the step, the sink and the
+    # caller then reuse.
     solver = build_solver(grid)
     calls = []
     inner = helmholtz._solve
@@ -387,12 +388,25 @@ def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     u0, v0 = smooth_pair(grid, seed=2)
     seen = []
     state, summary, _ = run(
-        u0, v0, cfg, solver=solver, max_steps=5, sink=lambda st, smp: seen.append(st.w)
+        u0, v0, cfg, solver=solver, max_steps=5, sink=lambda st, smp: seen.append(st.report.w)
     )
     assert summary.steps == 5
     assert len(calls) == summary.steps + 1
     assert all(w is not None for w in seen)
-    assert state.w is seen[-1]
+    assert state.report.w is seen[-1]
+
+
+def test_trajectory_samples_hold_only_scalars(grid, solver):
+    # run keeps every sample, so a per-cell field held by one (an array, a
+    # RadialField or an energy report carrying w, f and g) would grow the
+    # run's memory with its sample count
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=1)
+    u0, v0 = smooth_pair(grid, seed=2)
+    _, _, samples = run(u0, v0, cfg, solver=solver, max_steps=3)
+    assert len(samples) == 4
+    for smp in samples:
+        held = {f.name: type(getattr(smp, f.name)) for f in fields(smp)}
+        assert all(issubclass(kind, (int, float)) for kind in held.values()), held
 
 
 def test_run_takes_one_sup_norm_per_step(grid, monkeypatch):

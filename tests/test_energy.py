@@ -6,7 +6,6 @@ import pytest
 from radks.energy import (
     EnergyReport,
     compute_energy,
-    compute_f,
     compute_g,
     identity_residual,
 )
@@ -35,12 +34,12 @@ def solver(grid):
 
 
 def test_compute_f_equilibrium_is_zero(grid, solver):
-    f = compute_f(constant_field(grid, 2.0), constant_field(grid, 2.0), solver)
+    f = compute_energy(constant_field(grid, 2.0), constant_field(grid, 2.0), solver).f
     assert np.max(np.abs(f.values)) <= 1e-13
 
 
 def test_compute_f_zero_density(grid, solver):
-    f = compute_f(constant_field(grid, 0.0), constant_field(grid, 3.0), solver)
+    f = compute_energy(constant_field(grid, 0.0), constant_field(grid, 3.0), solver).f
     assert np.allclose(f.values, 3.0, rtol=1e-13)
 
 
@@ -48,7 +47,7 @@ def test_compute_f_mean_identity(grid, solver):
     rng = np.random.default_rng(2)
     u = RadialField(rng.random(grid.N), grid)
     v = RadialField(rng.random(grid.N), grid)
-    f = compute_f(u, v, solver)
+    f = compute_energy(u, v, solver).f
     assert integrate(f) == pytest.approx(integrate(v) - integrate(u), abs=1e-12)
 
 
@@ -59,8 +58,8 @@ def test_compute_f_shift_identity(grid, solver):
     v = RadialField(rng.random(grid.N), grid)
     a = 2.75
     w = solve(solver, u)
-    lhs = compute_f(u, RadialField(a * v.values, grid), solver).values
-    rhs = a * compute_f(u, v, solver).values + (a - 1.0) * w.values
+    lhs = compute_energy(u, RadialField(a * v.values, grid), solver).f.values
+    rhs = a * compute_energy(u, v, solver).f.values + (a - 1.0) * w.values
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -189,6 +188,7 @@ def test_identity_residual_equilibrium():
     rep = EnergyReport(
         F=-2.6, D=0.0, entropy_term=0.0, mixed_term=0.0, quad_term=0.0,
         grad_f_term=0.0, f_term=0.0, g_term=0.0, regularized_faces=0,
+        w=None, f=None, g=None,
     )
     assert identity_residual(rep, rep, 0.1) <= 1e-15
 
@@ -197,6 +197,7 @@ def test_identity_residual_rejects_bad_dt():
     rep = EnergyReport(
         F=0.0, D=0.0, entropy_term=0.0, mixed_term=0.0, quad_term=0.0,
         grad_f_term=0.0, f_term=0.0, g_term=0.0, regularized_faces=0,
+        w=None, f=None, g=None,
     )
     with pytest.raises(ConfigurationError):
         identity_residual(rep, rep, 0.0)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from radks import probes
 from radks.dynamics import default_stepper_config, run
 from radks.energy import compute_energy
-from radks.errors import ConfigurationError, InsufficientDataError
+from radks.errors import ConfigurationError, GridMismatchError, InsufficientDataError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
 from radks.helmholtz import build_solver, solve
 from radks.initial_data import w22_norm
@@ -71,7 +70,9 @@ def test_probe_config_rejects_inconsistent_theta():
 def test_entropy_floor_homogeneous_closed_form(grid, solver):
     # -F - int uv = -|Omega|/2 - ... for u = v = 1: lhs is negative, bound is
     # omega_n R^n / e with full margin
-    res = probe_entropy_floor(constant_field(grid, 1.0), constant_field(grid, 1.0), solver)
+    res = probe_entropy_floor(
+        compute_energy(constant_field(grid, 1.0), constant_field(grid, 1.0), solver)
+    )
     assert res.hard_pass
     assert res.rhs_free == pytest.approx(OMEGA5 / math.e, rel=1e-12)
     lhs_expected = 0.5 * BALL_VOLUME - BALL_VOLUME  # -F - int uv
@@ -79,7 +80,9 @@ def test_entropy_floor_homogeneous_closed_form(grid, solver):
 
 
 def test_entropy_floor_zero_density(grid, solver):
-    res = probe_entropy_floor(constant_field(grid, 0.0), constant_field(grid, 0.0), solver)
+    res = probe_entropy_floor(
+        compute_energy(constant_field(grid, 0.0), constant_field(grid, 0.0), solver)
+    )
     assert res.hard_pass
     assert res.lhs == 0.0
 
@@ -88,7 +91,7 @@ def test_entropy_floor_worst_constant_margin(grid, solver):
     # over constants, -c log c peaks at c = 1/e; even there the margin is
     # at least (1 - 1/n) of the bound
     res = probe_entropy_floor(
-        constant_field(grid, 1.0 / math.e), constant_field(grid, 0.0), solver
+        compute_energy(constant_field(grid, 1.0 / math.e), constant_field(grid, 0.0), solver)
     )
     assert res.hard_pass
     margin = res.rhs_free - res.lhs
@@ -224,9 +227,8 @@ def test_mass_identities_trajectory(grid, solver):
 
 def test_local_inequalities_homogeneous(grid, solver):
     cfg = ProbeConfig(n=5, rho=(0.25, 0.5, 0.75))
-    results = probe_local_inequalities(
-        constant_field(grid, 1.0), constant_field(grid, 1.0), solver, cfg
-    )
+    one = constant_field(grid, 1.0)
+    results = probe_local_inequalities(one, one, compute_energy(one, one, solver), cfg)
     assert len(results) == 9  # three inequalities per radius
     for r in results:
         assert math.isfinite(r.implied_c) and r.implied_c >= 0.0
@@ -242,7 +244,7 @@ def test_local_norms_nested_in_rho(grid, solver):
     u = RadialField(rng.random(grid.N) + 0.5, grid)
     v = RadialField(rng.random(grid.N) + 0.5, grid)
     cfg = ProbeConfig(n=5, rho=(0.25, 0.5, 0.75))
-    results = probe_local_inequalities(u, v, solver, cfg)
+    results = probe_local_inequalities(u, v, compute_energy(u, v, solver), cfg)
     mixed = [r for r in results if r.name == "local_mixed_term"]
     # rhs_free aggregates ball-restricted norms, monotone in rho
     rhos = [r.param for r in mixed]
@@ -255,7 +257,7 @@ def test_local_inequalities_graded_snap_to_nearest_face():
     g = make_grid(5, 1.0, 64, h_min=1e-9)
     cfg = ProbeConfig(n=5, rho=(0.01, 0.25, 0.5))
     one = constant_field(g, 1.0)
-    results = probe_local_inequalities(one, one, build_solver(g), cfg)
+    results = probe_local_inequalities(one, one, compute_energy(one, one, build_solver(g)), cfg)
     snapped = sorted({r.param for r in results})
     for rho, face in zip(cfg.rho, snapped):
         assert face in g.faces
@@ -267,10 +269,18 @@ def test_local_inequalities_graded_snap_to_nearest_face():
 
 def test_local_inequalities_rejects_bad_rho(grid, solver):
     cfg = ProbeConfig(n=5, rho=(1.5,))
+    one = constant_field(grid, 1.0)
     with pytest.raises(ConfigurationError):
-        probe_local_inequalities(
-            constant_field(grid, 1.0), constant_field(grid, 1.0), solver, cfg
-        )
+        probe_local_inequalities(one, one, compute_energy(one, one, solver), cfg)
+
+
+def test_local_inequalities_reject_a_report_of_another_grid(grid, solver):
+    one = constant_field(grid, 1.0)
+    coarse = make_grid(5, 1.0, 64)
+    other = constant_field(coarse, 1.0)
+    rep = compute_energy(other, other, build_solver(coarse))
+    with pytest.raises(GridMismatchError):
+        probe_local_inequalities(one, one, rep, ProbeConfig(n=5, rho=(0.5,)))
 
 
 def test_local_implied_constants_stable_under_refinement():
@@ -281,7 +291,7 @@ def test_local_implied_constants_stable_under_refinement():
         s = build_solver(g)
         u = field_from_function(g, lambda r: 1.0 + 50.0 * math.exp(-((r / 0.1) ** 2)))
         v = field_from_function(g, lambda r: 1.0 + 0.3 * math.cos(math.pi * r))
-        for r in probe_local_inequalities(u, v, s, cfgp):
+        for r in probe_local_inequalities(u, v, compute_energy(u, v, s), cfgp):
             vals.setdefault(r.name, []).append(r.implied_c)
     for name, series in vals.items():
         base = series[-1]
@@ -342,20 +352,3 @@ def test_fd_ratio_reproducible_bitwise(grid, solver):
     pc = ProbeConfig(n=5, rho=(0.5,))
     assert probe_fd_ratio(s1, pc).implied_c == probe_fd_ratio(s2, pc).implied_c
 
-
-def test_probes_reuse_a_given_energy_report(grid, solver, monkeypatch):
-    rng = np.random.default_rng(4)
-    u = RadialField(rng.random(grid.N) + 0.5, grid)
-    v = RadialField(rng.random(grid.N) + 0.5, grid)
-    cfg = ProbeConfig(n=5, rho=(0.25, 0.5))
-    w = solve(solver, u)
-    rep = compute_energy(u, v, solver, w=w)
-    floor = probe_entropy_floor(u, v, solver)
-    local = probe_local_inequalities(u, v, solver, cfg, w=w)
-
-    def unexpected(*args, **kwargs):
-        raise AssertionError("energy report evaluated again")
-
-    monkeypatch.setattr(probes, "compute_energy", unexpected)
-    assert probe_entropy_floor(u, v, solver, report=rep) == floor
-    assert probe_local_inequalities(u, v, solver, cfg, w=w, report=rep) == local

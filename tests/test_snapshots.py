@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from radks.dynamics import TrajectorySample
-from radks.energy import EnergyReport, compute_f, compute_g
+from radks.energy import compute_energy
 from radks.errors import SnapshotFormatError
 from radks.grid import RadialField, make_grid
-from radks.helmholtz import build_solver, solve
+from radks.helmholtz import build_solver
 from radks.probes import ProbeResult
 from radks.snapshots import (
     DIAGNOSTICS_COLUMNS,
@@ -20,18 +20,10 @@ from radks.snapshots import (
 )
 
 
-def _report():
-    return EnergyReport(
-        F=-2.0, D=0.5, entropy_term=0.0, mixed_term=1.0, quad_term=-1.0,
-        grad_f_term=0.2, f_term=0.2, g_term=0.1, regularized_faces=0,
-    )
-
-
 def _sample(t):
     return TrajectorySample(
         t=t, dt=1e-3, mass=5.2637890139143245, sup_u=1.0, F=-2.631894506957161,
         D=1e-15, identity_residual=0.0, int_v=5.0, int_w=5.0, min_u=1.0,
-        report=_report(),
     )
 
 
@@ -46,9 +38,8 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     u = RadialField(rng.random(g.N) + 0.5, g)
     v = RadialField(rng.random(g.N), g)
-    w = solve(s, u)
-    f = compute_f(u, v, s)
-    gf = compute_g(u, v)
+    rep = compute_energy(u, v, s)
+    w, f, gf = rep.w, rep.f, rep.g
     g_cells = 0.5 * (gf[:-1] + gf[1:])
     path = tmp_path / "snap.csv"
     write_snapshot(path, g, u, v, w, f, g_cells, t=0.125)

@@ -17,6 +17,7 @@ def test_run_checks_rejects_bad_level():
         run_checks("medium")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the broken operator overflows
 def test_fault_injection_sign_flipped_operator(monkeypatch):
     """A deliberately broken operator must be caught by the scorecard.
 
