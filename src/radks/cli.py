@@ -65,12 +65,6 @@ def resolve_etas(cfg: RunConfig, grid: Grid, u0: RadialField) -> list[float]:
     return [star / (4 * 2**k) for k in range(cfg.eta_count)]
 
 
-def _write_snapshot_state(path, u, v, report, t=None):
-    """Snapshot of (u, v) with the w, f and g of its energy report."""
-    g_cells = 0.5 * (report.g[:-1] + report.g[1:])
-    write_snapshot(path, u.grid, u, v, report.w, report.f, g_cells, t=t)
-
-
 def simulate_run(cfg: RunConfig):
     """Shared by the simulate verb and the sweep worker.
 
@@ -109,9 +103,9 @@ def simulate_run(cfg: RunConfig):
                 max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c
             )
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
-                _write_snapshot_state(
+                write_snapshot(
                     outdir / f"snapshot_{state.step:08d}.csv",
-                    state.u, state.v, state.report, t=state.t,
+                    grid, state.u, state.v, t=state.t,
                 )
             sample_count += 1
 
@@ -119,9 +113,7 @@ def simulate_run(cfg: RunConfig):
             u0, v0, cfg.stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
 
-    _write_snapshot_state(
-        outdir / "snapshot_final.csv", state.u, state.v, state.report, t=state.t
-    )
+    write_snapshot(outdir / "snapshot_final.csv", grid, state.u, state.v, t=state.t)
     with (outdir / "summary.txt").open("w") as handle:
         handle.write(f"# format_version={FORMAT_VERSION}\n")
         for key, value in (
@@ -174,7 +166,7 @@ def cmd_family(cfg: RunConfig) -> int:
         [[r.eta, r.F, r.mass, r.min_u] for r in rows],
     )
     for idx, r in enumerate(rows):
-        _write_snapshot_state(outdir / f"snapshot_eta_{idx:02d}.csv", r.u, r.v, r.report)
+        write_snapshot(outdir / f"snapshot_eta_{idx:02d}.csv", grid, r.u, r.v)
     print(f"{len(rows)} rows in {outdir / 'family.csv'}")
     return 0
 
@@ -217,15 +209,13 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
             _check_snapshot_grid(snap_path, snap, grid)
         u = RadialField(snap.u, grid)
         v = RadialField(snap.v, grid)
-        w_file = RadialField(snap.w, grid)
         t = snap.t if snap.t is not None else math.nan
         m = integrate(u)
-        # one energy report per snapshot feeds the energy and the local
-        # probes; the pointwise-w probe and int w report the file's w
-        # column as written
+        # one energy report per snapshot feeds every probe of the state,
+        # the pointwise-w probe and int w included
         rep = compute_energy(u, v, solver)
         results.append(replace(probe_entropy_floor(rep), sample=t))
-        results.append(replace(probe_pointwise_w(w_file, m), sample=t))
+        results.append(replace(probe_pointwise_w(rep.w, m), sample=t))
         results.append(replace(probe_pointwise_v(v, pconf, m, w22_norm(v)), sample=t))
         for r in probe_local_inequalities(u, v, rep, pconf):
             results.append(replace(r, sample=t))
@@ -233,7 +223,7 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         if samples:
             nearest = min(samples, key=lambda s: abs(s.t - t))
             nearest.int_v = integrate(v)
-            nearest.int_w = integrate(w_file)
+            nearest.int_w = integrate(rep.w)
 
     results.append(probe_fd_ratio(samples, pconf))
     enriched = [s for s in samples if not math.isnan(s.int_v)]

@@ -25,6 +25,7 @@ from pathlib import Path
 from .dynamics import StepperConfig, default_stepper_config
 from .errors import ConfigurationError
 from .grid import Grid, make_grid
+from .initial_data import bump_density
 from .probes import ProbeConfig
 
 __all__ = ["RunConfig", "load_config", "parse_overrides", "resolve_output_dir"]
@@ -188,6 +189,15 @@ def load_config(path, overrides=()) -> RunConfig:
     if base_kind == "bump":
         width = base_params["width"]
         check("base.width", width > 0.0, f"must be positive when base.kind=bump, got {width}")
+        if grid is not None and not failed & {"base.baseline", "base.amplitude", "base.width"}:
+            baseline, amplitude = base_params["baseline"], base_params["amplitude"]
+            # the profile is monotone in r, so its minimum over the cell
+            # centers is at the first or the last one
+            ends = (float(grid.centers[0]), float(grid.centers[-1]))
+            low = float(min(bump_density(r, baseline, amplitude, width) for r in ends))
+            check("base.amplitude", low > 0.0,
+                  f"the bump density (baseline={baseline}, amplitude={amplitude}) must be "
+                  f"positive at every cell center, got a minimum of {low}")
     if base_kind == "custom":
         p = base_params["path"]
         check("base.path", bool(p), "required when base.kind=custom")

@@ -8,8 +8,8 @@ used for w, f, and the quadratic term, so (I - L)v = f + w holds exactly
 and the identity residual measures only the time discretization.
 
 compute_energy is the one evaluation of a state: its EnergyReport
-carries the fields w, f and g next to the integrals, so the stepper,
-the snapshots and the probes read them instead of solving again.
+carries the fields w, f and g next to the integrals, so the stepper
+and the probes read them instead of solving again.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ __all__ = [
     "build_family",
     "family_energy_scan",
     "base_data",
+    "bump_density",
     "w22_norm",
     "w22_distance",
     "l1_distance",
@@ -279,6 +280,11 @@ def family_energy_scan(
     return rows
 
 
+def bump_density(r, baseline: float, amplitude: float, width: float):
+    """The bump base density baseline + amplitude exp(-(r/width)^2) at radius (or radii) r."""
+    return baseline + amplitude * np.exp(-((r / width) ** 2))
+
+
 def base_data(
     kind: str, grid: Grid, solver: HelmholtzSolver | None = None, **params
 ) -> tuple[RadialField, RadialField]:
@@ -299,7 +305,7 @@ def base_data(
         v_mode = str(params.get("v_mode", "flat"))
         if width <= 0.0:
             raise ConfigurationError(f"bump width must be positive, got {width}")
-        u = baseline + amplitude * np.exp(-((grid.centers / width) ** 2))
+        u = bump_density(grid.centers, baseline, amplitude, width)
         if float(np.min(u)) <= 0.0:
             raise AdmissibilityError("bump base density is not strictly positive")
         u_field = RadialField(u, grid)

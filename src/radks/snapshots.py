@@ -1,10 +1,14 @@
 """File formats: snapshot, diagnostics, probe, and sweep CSVs.
 
-Every file starts with a `# format_version=1` line.  Floats are written
-with shortest round-trip decimal formatting (Python repr), so snapshots
-round-trip bit-exactly and identical runs produce byte-identical files.
-Diagnostics rows are flushed as they are written; a killed run leaves a
-parseable prefix.
+Every file starts with a `# format_version=N` line.  Snapshots are
+version 2 and hold the state alone: columns r,u,v, one row per cell
+center.  w, f and g are derived from (u, v) by compute_energy, so they
+are not stored; a version-1 snapshot (r,u,v,w,f,g) still reads, its
+last three columns parsed and dropped.  Every other file is version 1.
+Floats are written with shortest round-trip decimal formatting (Python
+repr), so snapshots round-trip bit-exactly and identical runs produce
+byte-identical files.  Diagnostics rows are flushed as they are written;
+a killed run leaves a parseable prefix.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .grid import Grid, RadialField
 
 __all__ = [
     "FORMAT_VERSION",
+    "SNAPSHOT_FORMAT_VERSION",
     "Snapshot",
     "write_snapshot",
     "read_snapshot",
@@ -33,7 +38,14 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-SNAPSHOT_COLUMNS = ["r", "u", "v", "w", "f", "g"]
+SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_COLUMNS = ["r", "u", "v"]
+# the column header under each readable snapshot version line; the reader
+# keeps r,u,v and drops version 1's w,f,g
+_SNAPSHOT_HEADERS = {
+    f"# format_version={SNAPSHOT_FORMAT_VERSION}": SNAPSHOT_COLUMNS,
+    "# format_version=1": ["r", "u", "v", "w", "f", "g"],
+}
 _SNAPSHOT_BLOCK_ROWS = 256
 DIAGNOSTICS_COLUMNS = ["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]
 PROBE_COLUMNS = ["probe", "param", "sample", "lhs", "rhs_free", "implied_C", "hard_pass"]
@@ -60,9 +72,6 @@ class Snapshot:
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
     t: Optional[float] = None
 
     def on_grid(self, grid: Grid) -> bool:
@@ -74,25 +83,13 @@ class Snapshot:
 
 
 def write_snapshot(
-    path,
-    grid: Grid,
-    u: RadialField,
-    v: RadialField,
-    w: RadialField,
-    f: RadialField,
-    g_cells: np.ndarray,
-    t: Optional[float] = None,
+    path, grid: Grid, u: RadialField, v: RadialField, t: Optional[float] = None
 ) -> None:
-    """Write one profile per cell center.
-
-    g is face-sampled by construction; the stored column carries the mean
-    of the two adjacent face values so every column shares the r axis.
-    """
+    """Write the state (u, v), one row per cell center."""
     path = Path(path)
-    columns = (grid.centers, u.values, v.values, w.values, f.values,
-               RadialField(g_cells, grid).values)
+    columns = (grid.centers, u.values, v.values)
     with path.open("w", newline="") as handle:
-        handle.write(_version_line())
+        handle.write(f"# format_version={SNAPSHOT_FORMAT_VERSION}\n")
         if t is not None:
             handle.write(f"# t={format_float(t)}\n")
         # blocks of repr'd values in csv's default CRLF dialect: memory stays flat in N
@@ -104,34 +101,43 @@ def write_snapshot(
 
 
 def read_snapshot(path) -> Snapshot:
+    """Read a version-2 (r,u,v) or version-1 (r,u,v,w,f,g) snapshot."""
     path = Path(path)
-    t = None
     with path.open() as handle:
-        first = handle.readline()
-        _check_version(first, path)
-        pos = handle.tell()
-        line = handle.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            if key.strip() == "t":
+        lines = handle.read().splitlines()
+    first = lines[0].strip() if lines else ""
+    columns = _SNAPSHOT_HEADERS.get(first)
+    if columns is None:
+        raise SnapshotFormatError(
+            f"{path}: expected '# format_version={SNAPSHOT_FORMAT_VERSION}' "
+            f"(or 1) on the first line, got {first!r}"
+        )
+    t = None
+    pos = 1
+    while pos < len(lines) and lines[pos].startswith("#"):
+        key, _, value = lines[pos][1:].strip().partition("=")
+        if key.strip() == "t":
+            try:
                 t = float(value)
-            pos = handle.tell()
-            line = handle.readline()
-        handle.seek(pos)
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SNAPSHOT_COLUMNS:
-            raise SnapshotFormatError(
-                f"{path}: expected header {SNAPSHOT_COLUMNS}, got {header}"
-            )
-        rows = [row for row in reader if row]
-    if not rows:
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{path}: malformed t line {lines[pos]!r}") from exc
+        pos += 1
+    header = lines[pos].split(",") if pos < len(lines) else None
+    if header != columns:
+        raise SnapshotFormatError(f"{path}: expected header {columns}, got {header}")
+    rows = lines[pos + 1:]
+    if not any(rows):
         raise SnapshotFormatError(f"{path}: snapshot has no data rows")
-    try:  # a ragged row or a wrong column count fails the conversion or the unpacking
-        r, u, v, w, f, g = np.array(rows, dtype=float).T.copy()
-    except (TypeError, ValueError) as exc:
+    try:  # a ragged row or a non-number fails the parse; blank lines are skipped
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
         raise SnapshotFormatError(f"{path}: malformed numeric data ({exc})") from exc
-    return Snapshot(r=r, u=u, v=v, w=w, f=f, g=g, t=t)
+    if data.shape[1] != len(columns):
+        raise SnapshotFormatError(
+            f"{path}: rows have {data.shape[1]} fields, expected {len(columns)}"
+        )
+    r, u, v = np.ascontiguousarray(data[:, :3].T)
+    return Snapshot(r=r, u=u, v=v, t=t)
 
 
 class DiagnosticsWriter:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from radks.cli import main
-from radks.grid import RadialField, make_grid
+from radks.config import load_config
+from radks.dynamics import run
+from radks.grid import make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
@@ -68,26 +70,40 @@ def test_simulate_deterministic_outputs(config_path, tmp_path):
 
 
 @pytest.mark.parametrize("output_every, snapshot_every", [(1, 1), (3, 2)])
-def test_snapshot_w_and_f_belong_to_their_own_state(
-    config_path, tmp_path, output_every, snapshot_every
+def test_sampled_w_and_f_belong_to_their_own_state(
+    config_path, tmp_path, monkeypatch, output_every, snapshot_every
 ):
     # Sampled states carry their energy report (w, f, g) into the next
-    # step, the sink and the snapshot writer; a report left over from
+    # step and the sink, between snapshot writes; a report left over from
     # another state would show up here.
-    overrides = ["--set", f"stepper.output_every={output_every}",
-                 "--set", f"run.snapshot_every={snapshot_every}"]
-    assert main(["-c", str(config_path), *overrides, "simulate"]) in (0, 2)
+    from radks import cli
+
     grid = make_grid(5, 1.0, 96)
     solver = build_solver(grid)
-    paths = sorted((tmp_path / "out").glob("snapshot_*.csv"))
-    names = {p.name for p in paths}
-    assert "snapshot_final.csv" in names and len(names) >= 4
-    for path in paths:
-        snap = read_snapshot(path)
-        w = solve(solver, RadialField(snap.u, grid)).values
-        assert np.array_equal(snap.w, w), path.name
-        f = apply_operator(solver, RadialField(snap.v, grid)) - snap.w
-        assert np.array_equal(snap.f, f), path.name
+    checked = []
+
+    def check(state):
+        w = solve(solver, state.u).values
+        assert np.array_equal(state.report.w.values, w), state.step
+        f = apply_operator(solver, state.v) - w
+        assert np.array_equal(state.report.f.values, f), state.step
+        checked.append(state.step)
+
+    def checked_run(*args, sink, **kwargs):
+        def checking_sink(state, sample):
+            check(state)
+            sink(state, sample)
+
+        state, summary, samples = run(*args, sink=checking_sink, **kwargs)
+        check(state)
+        return state, summary, samples
+
+    monkeypatch.setattr(cli, "run", checked_run)
+    cfg = load_config(config_path, [f"stepper.output_every={output_every}",
+                                    f"run.snapshot_every={snapshot_every}"])
+    summary, _ = cli.simulate_run(cfg)
+    assert len(checked) >= 4 and checked[-1] == summary.steps
+    assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) >= 4
 
 
 def test_simulate_blowup_exit_code(tmp_path):
@@ -132,7 +148,7 @@ def test_family_row_count_and_snapshots(config_path, tmp_path):
 
 def test_family_solves_once_per_scale(config_path, tmp_path, monkeypatch):
     # each scale's w = (I - L)^{-1} u is solved once, by its energy report,
-    # and its snapshot writes that w instead of solving again
+    # and its snapshot stores (u, v) alone
     from radks import helmholtz
 
     calls = []
@@ -214,7 +230,7 @@ def test_sweep_blowup_rows_ordered_by_amplitude(tmp_path):
 
 def test_sweep_records_per_run_failures(config_path, tmp_path):
     sweep_ini = tmp_path / "sweep.ini"
-    # second amplitude makes the base density negative: admissibility error
+    # second amplitude makes the base density negative: loading that point fails
     sweep_ini.write_text(
         config_path.read_text() + "\n[sweep]\nbase.amplitude = 0.4, -2.0\n"
     )
@@ -223,7 +239,11 @@ def test_sweep_records_per_run_failures(config_path, tmp_path):
     statuses = [row[header.index("status")] for row in rows]
     assert any(s == "completed" for s in statuses)
     errors = [s for s in statuses if s.startswith("error")]
-    assert errors == ["error: AdmissibilityError: bump base density is not strictly positive"]
+    assert errors == [
+        f"error: ConfigurationError: {sweep_ini}: 1 violation(s):\n"
+        "  - base.amplitude: the bump density (baseline=1.0, amplitude=-2.0) must be "
+        "positive at every cell center, got a minimum of -0.999397274479739"
+    ]
 
 
 def test_sweep_bad_base_value_fails_before_any_output(config_path, tmp_path, capsys):
@@ -266,17 +286,13 @@ def test_missing_config_is_error(capsys):
 
 
 def write_graded_snapshot(path):
-    from radks.energy import compute_energy
     from radks.grid import make_grid
-    from radks.helmholtz import build_solver
     from radks.initial_data import base_data
     from radks.snapshots import write_snapshot
 
     g = make_grid(5, 1.0, 64, h_min=1e-6)
-    s = build_solver(g)
     u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
-    rep = compute_energy(u, v, s)
-    write_snapshot(path, g, u, v, rep.w, rep.f, 0.5 * (rep.g[:-1] + rep.g[1:]))
+    write_snapshot(path, g, u, v)
 
 
 def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
@@ -286,6 +302,15 @@ def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mesh mismatch" in captured.err
     assert "F=" not in captured.out
+
+
+def test_energy_verb_rejects_malformed_t_line(config_path, tmp_path, capsys):
+    snap = tmp_path / "bad_t.csv"
+    snap.write_text("# format_version=2\n# t=abc\nr,u,v\n0.5,1,1\n")
+    assert main(["-c", str(config_path), "energy", str(snap)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "t=abc" in captured.err
+    assert "Traceback" not in captured.err and "F=" not in captured.out
 
 
 def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):

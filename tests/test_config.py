@@ -161,6 +161,22 @@ def test_base_checks_reject_at_load(tmp_path, overrides, key):
     assert f"1 violation(s):\n  - {key}: must be positive" in str(err.value)
 
 
+def test_bump_density_checked_at_load(tmp_path):
+    # the density baseline + amplitude exp(-(r/width)^2) is checked on the
+    # loaded grid and listed with the other violations
+    bump = ["base.kind=bump", "base.width=0.3"]
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write(tmp_path, MINIMAL), bump + ["base.amplitude=-2", "run.workers=0"])
+    msg = str(err.value)
+    assert "2 violation(s)" in msg
+    assert "\n  - base.amplitude: the bump density (baseline=1.0, amplitude=-2.0) must be " \
+        "positive at every cell center, got a minimum of -0.99" in msg
+    assert "\n  - run.workers: must be >= 1" in msg
+    # a dip that stays above zero loads
+    cfg = load_config(write(tmp_path, MINIMAL), bump + ["base.amplitude=-0.5"])
+    assert cfg.base_params["amplitude"] == -0.5
+
+
 def test_load_builds_grid_stepper_and_probe(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL), ["stepper.dt_max=1e-7"])
     assert (cfg.grid.n, cfg.grid.R, cfg.grid.N) == (5, 1.0, 128)

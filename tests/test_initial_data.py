@@ -271,30 +271,24 @@ def test_base_data_relaxed_uses_the_given_solver(monkeypatch):
     assert np.array_equal(v0.values, want[1].values)
 
 def test_base_data_custom_roundtrip(tmp_path):
-    from radks.energy import compute_energy
     from radks.snapshots import write_snapshot
 
     g = make_grid(5, 1.0, 64)
-    s = build_solver(g)
     u0, v0 = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
-    rep = compute_energy(u0, v0, s)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, g, u0, v0, rep.w, rep.f, 0.5 * (rep.g[:-1] + rep.g[1:]), t=0.25)
+    write_snapshot(path, g, u0, v0, t=0.25)
     u1, v1 = base_data("custom", g, path=str(path))
     assert np.array_equal(u1.values, u0.values)
     assert np.array_equal(v1.values, v0.values)
 
 
 def test_base_data_custom_rejects_other_mesh(tmp_path):
-    from radks.energy import compute_energy
     from radks.snapshots import write_snapshot
 
     graded = make_grid(5, 1.0, 64, h_min=1e-6)
-    s = build_solver(graded)
     u0, v0 = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
-    rep = compute_energy(u0, v0, s)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, graded, u0, v0, rep.w, rep.f, 0.5 * (rep.g[:-1] + rep.g[1:]))
+    write_snapshot(path, graded, u0, v0)
     # same row count, other mesh
     with pytest.raises(ConfigurationError, match="another mesh"):
         base_data("custom", make_grid(5, 1.0, 64), path=str(path))

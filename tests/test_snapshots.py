@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from radks.dynamics import TrajectorySample
-from radks.energy import compute_energy
 from radks.errors import SnapshotFormatError
 from radks.grid import RadialField, make_grid
-from radks.helmholtz import build_solver
+from radks.initial_data import base_data
 from radks.probes import ProbeResult
 from radks.snapshots import (
     DIAGNOSTICS_COLUMNS,
@@ -34,23 +33,16 @@ def test_format_float_roundtrip():
 
 def test_snapshot_roundtrip_bit_exact(tmp_path):
     g = make_grid(5, 1.0, 32)
-    s = build_solver(g)
     rng = np.random.default_rng(0)
     u = RadialField(rng.random(g.N) + 0.5, g)
     v = RadialField(rng.random(g.N), g)
-    rep = compute_energy(u, v, s)
-    w, f, gf = rep.w, rep.f, rep.g
-    g_cells = 0.5 * (gf[:-1] + gf[1:])
     path = tmp_path / "snap.csv"
-    write_snapshot(path, g, u, v, w, f, g_cells, t=0.125)
+    write_snapshot(path, g, u, v, t=0.125)
     snap = read_snapshot(path)
     assert snap.t == 0.125
     assert np.array_equal(snap.r, g.centers)
     assert np.array_equal(snap.u, u.values)
     assert np.array_equal(snap.v, v.values)
-    assert np.array_equal(snap.w, w.values)
-    assert np.array_equal(snap.f, f.values)
-    assert np.array_equal(snap.g, g_cells)
 
 
 @pytest.mark.parametrize("N", [4, 255, 256, 257, 700])
@@ -59,48 +51,98 @@ def test_snapshot_bytes_match_per_value_rendering(tmp_path, N):
     # across block boundaries and for signed zeros, infinities and tiny values
     g = make_grid(5, 1.0, N)
     rng = np.random.default_rng(N)
-    cols = [rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N) for _ in range(5)]
-    cols[0][0], cols[1][-1], cols[2][N // 2], cols[3][1] = 0.0, -0.0, np.inf, 5e-324
-    u, v, w, f = (RadialField(c, g) for c in cols[:4])
+    cols = [rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N) for _ in range(2)]
+    cols[0][0], cols[1][-1], cols[0][N // 2], cols[1][1] = 0.0, -0.0, np.inf, 5e-324
+    u, v = (RadialField(c, g) for c in cols)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, g, u, v, w, f, cols[4], t=0.1)
-    expected = "# format_version=1\n# t=0.1\nr,u,v,w,f,g\r\n" + "".join(
+    write_snapshot(path, g, u, v, t=0.1)
+    expected = "# format_version=2\n# t=0.1\nr,u,v\r\n" + "".join(
         ",".join(format_float(c[i]) for c in [g.centers] + cols) + "\r\n" for i in range(N)
     )
     assert path.read_bytes() == expected.encode()
+    snap = read_snapshot(path)
+    for got, want in zip((snap.r, snap.u, snap.v), [g.centers] + cols):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# a version-1 snapshot as the r,u,v,w,f,g writer left it: the relaxed bump
+# (baseline 1, amplitude 0.5, width 0.3) on the 4-cell n=5 unit ball
+VERSION_1_BYTES = (
+    b"# format_version=1\n# t=0.25\nr,u,v,w,f,g\r\n"
+    b"0.125,1.4203118716672527,1.0051956608731196,1.0130977646421102,"
+    b"-6.439293542825908e-15,-0.561358575266143\r\n"
+    b"0.375,1.1048056935755488,1.0050968845760073,1.008007588304296,"
+    b"-2.6645352591003757e-15,-0.7525269108135959\r\n"
+    b"0.625,1.0065164537242546,1.0050202174515184,1.0053451231711446,"
+    b"2.886579864025407e-15,-0.20392647598419278\r\n"
+    b"0.875,1.0001010301445257,1.004994493836366,1.0047810635851662,"
+    b"-6.661338147750939e-16,-0.012758140436739895\r\n"
+)
+
+
+def test_snapshot_reads_version_1(tmp_path):
+    g = make_grid(5, 1.0, 4)
+    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed")
+    path = tmp_path / "v1.csv"
+    path.write_bytes(VERSION_1_BYTES)
+    snap = read_snapshot(path)
+    assert snap.t == 0.25
+    assert np.array_equal(snap.r, g.centers)
+    assert np.array_equal(snap.u, u.values)
+    assert np.array_equal(snap.v, v.values)
+
+
+def _assert_rejected(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
 
 
 def test_snapshot_rejects_missing_version(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("r,u,v,w,f,g\n0.1,1,1,1,0,0\n")
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(path)
+    _assert_rejected(tmp_path, "r,u,v,w,f,g\n0.1,1,1,1,0,0\n")
+    _assert_rejected(tmp_path, "r,u,v\n0.1,1,1\n")
+    _assert_rejected(tmp_path, "# format_version=3\nr,u,v\n0.1,1,1\n")
+    _assert_rejected(tmp_path, "")
 
 
 def test_snapshot_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# format_version=1\nr,u,v\n0.1,1,1\n")
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(path)
+    _assert_rejected(tmp_path, "# format_version=1\nr,u,v\n0.1,1,1\n")
+    _assert_rejected(tmp_path, "# format_version=2\nr,u,v,w,f,g\n0.1,1,1,1,0,0\n")
+    _assert_rejected(tmp_path, "# format_version=2\nr,v,u\n0.1,1,1\n")
+    _assert_rejected(tmp_path, "# format_version=2\n# t=0.5\n")
 
 
 def test_snapshot_rejects_corrupt_numbers(tmp_path):
+    _assert_rejected(tmp_path, "# format_version=1\nr,u,v,w,f,g\n0.1,one,1,1,0,0\n")
+    # version 1's w, f and g are dropped, but only after they parsed
+    _assert_rejected(tmp_path, "# format_version=1\nr,u,v,w,f,g\n0.1,1,1,one,0,0\n")
+    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n0.1,one,1\n")
+    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n0.1,,1\n")
+    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n")
+
+
+def test_snapshot_rejects_malformed_t_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# format_version=1\nr,u,v,w,f,g\n0.1,one,1,1,0,0\n")
-    with pytest.raises(SnapshotFormatError):
+    path.write_text("# format_version=2\n# t=abc\nr,u,v\n0.1,1,1\n")
+    with pytest.raises(SnapshotFormatError, match="t=abc"):
         read_snapshot(path)
+
+
+V1 = "# format_version=1\nr,u,v,w,f,g\n"
+V2 = "# format_version=2\nr,u,v\n"
 
 
 @pytest.mark.parametrize(
-    "rows",
-    ["0.1,1,1,1,0,0\n0.2,1,1,1,0\n", "0.1,1,1,1,0\n0.2,1,1,1,0\n", "0.1,1,1,1,0,0,9\n"],
-    ids=["one-row-short", "every-row-short", "extra-field"],
+    "text",
+    [V1 + "0.1,1,1,1,0,0\n0.2,1,1,1,0\n", V1 + "0.1,1,1,1,0\n0.2,1,1,1,0\n",
+     V1 + "0.1,1,1,1,0,0,9\n",
+     V2 + "0.1,1,1\n0.2,1\n", V2 + "0.1,1\n0.2,1\n", V2 + "0.1,1,1,9\n"],
+    ids=["one-row-short", "every-row-short", "extra-field",
+         "v2-one-row-short", "v2-every-row-short", "v2-extra-field"],
 )
-def test_snapshot_rejects_wrong_field_count(tmp_path, rows):
-    path = tmp_path / "bad.csv"
-    path.write_text("# format_version=1\nr,u,v,w,f,g\n" + rows)
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(path)
+def test_snapshot_rejects_wrong_field_count(tmp_path, text):
+    _assert_rejected(tmp_path, text)
 
 
 def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
