@@ -1,5 +1,9 @@
 """Command-line interface: simulate, family, probe, sweep, verify, energy.
 
+Every verb works on the mesh its config builds (RunConfig.grid): probe,
+energy and custom base data read snapshots onto that grid through
+Snapshot.fields, which rejects a file written on any other mesh.
+
 Exit codes: 0 success (simulate: run completed), 2 blowup detected (the
 scientifically expected outcome, distinguishable in shell pipelines),
 1 stall or error.
@@ -19,8 +23,8 @@ import numpy as np
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
 from .energy import compute_energy
-from .errors import RadksError, SnapshotFormatError
-from .grid import Grid, RadialField, make_grid, integrate
+from .errors import RadksError
+from .grid import RadialField, integrate
 from .helmholtz import build_solver
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
 from .probes import (
@@ -50,16 +54,16 @@ __all__ = ["main", "simulate_run"]
 
 
 def _build_problem(cfg: RunConfig):
-    grid = cfg.grid
-    solver = build_solver(grid)
+    solver = build_solver(cfg.grid)
     params = {k: v for k, v in cfg.base_params.items() if v not in (None, "")}
-    u0, v0 = base_data(cfg.base_kind, grid, solver, **params)
-    return grid, solver, u0, v0
+    u0, v0 = base_data(cfg.base_kind, cfg.grid, solver, **params)
+    return solver, u0, v0
 
 
-def resolve_etas(cfg: RunConfig, grid: Grid, u0: RadialField) -> list[float]:
+def resolve_etas(cfg: RunConfig, u0: RadialField) -> list[float]:
     if cfg.eta_spec != "auto":
         return [float(x) for x in cfg.eta_spec.split(",") if x.strip()]
+    grid = cfg.grid
     iota = float(np.min(u0.values))
     star = eta_star(iota, cfg.gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
     return [star / (4 * 2**k) for k in range(cfg.eta_count)]
@@ -73,9 +77,10 @@ def simulate_run(cfg: RunConfig):
     default "auto" leaves the base pair untouched.  Returns (RunSummary,
     extras) with the trajectory maxima of the probe constants.
     """
-    grid, solver, u0, v0 = _build_problem(cfg)
+    grid = cfg.grid
+    solver, u0, v0 = _build_problem(cfg)
     if cfg.eta_spec != "auto":
-        etas = resolve_etas(cfg, grid, u0)
+        etas = resolve_etas(cfg, u0)
         if len(etas) == 1:
             u0, v0 = build_family(
                 FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=etas[0]), grid
@@ -136,7 +141,6 @@ def simulate_run(cfg: RunConfig):
         "max_C_w": max_c["w"],
         "max_C_v": max_c["v"],
         "outdir": outdir,
-        "samples": samples,
     }
     return summary, extras
 
@@ -153,8 +157,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_family(cfg: RunConfig) -> int:
-    grid, solver, u0, v0 = _build_problem(cfg)
-    etas = resolve_etas(cfg, grid, u0)
+    grid = cfg.grid
+    solver, u0, v0 = _build_problem(cfg)
+    etas = resolve_etas(cfg, u0)
     if not etas:
         raise RadksError("family requires a nonempty eta list")
     rows = family_energy_scan(u0, v0, cfg.gamma, etas, grid, solver)
@@ -171,44 +176,19 @@ def cmd_family(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_snapshot_grid(path, snap, grid: Grid) -> None:
-    if not snap.on_grid(grid):
-        raise SnapshotFormatError(
-            f"{path}: mesh mismatch: the r column is not the cell centers of the "
-            f"uniform {grid.N}-cell mesh on (0, {grid.R:g}]; only uniform-mesh "
-            "snapshots can be read back"
-        )
-
-
-def _grid_from_snapshot(path, snap, n: int) -> Grid:
-    """The uniform mesh whose cell centers are the snapshot's r column."""
-    # on a uniform mesh r[0] = h/2 exactly, so R = r[-1] + r[0]
-    grid = make_grid(n, float(snap.r[-1] + snap.r[0]), len(snap.r))
-    _check_snapshot_grid(path, snap, grid)
-    return grid
-
-
 def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     diag_rows = read_diagnostics(diagnostics_path)
     if not diag_rows:
         raise RadksError(f"{diagnostics_path} has no rows")
     snaps = sorted(Path(snapshot_dir).glob("snapshot_*.csv")) if snapshot_dir else []
     results = []
-
-    grid = None
-    solver = None
+    solver = build_solver(cfg.grid)
     # diagnostics rows with the TrajectorySample attributes the probes read
     samples = [SimpleNamespace(**row, int_v=math.nan, int_w=math.nan) for row in diag_rows]
     pconf = cfg.probe
     for snap_path in snaps:
         snap = read_snapshot(snap_path)
-        if grid is None:
-            grid = _grid_from_snapshot(snap_path, snap, cfg.n)
-            solver = build_solver(grid)
-        else:
-            _check_snapshot_grid(snap_path, snap, grid)
-        u = RadialField(snap.u, grid)
-        v = RadialField(snap.v, grid)
+        u, v = snap.fields(cfg.grid)
         t = snap.t if snap.t is not None else math.nan
         m = integrate(u)
         # one energy report per snapshot feeds every probe of the state,
@@ -266,12 +246,8 @@ def cmd_verify(level: str) -> int:
 
 
 def cmd_energy(cfg: RunConfig, snapshot_path: str) -> int:
-    snap = read_snapshot(snapshot_path)
-    grid = _grid_from_snapshot(snapshot_path, snap, cfg.n)
-    solver = build_solver(grid)
-    u = RadialField(snap.u, grid)
-    v = RadialField(snap.v, grid)
-    rep = compute_energy(u, v, solver)
+    u, v = read_snapshot(snapshot_path).fields(cfg.grid)
+    rep = compute_energy(u, v, build_solver(cfg.grid))
     for key in ("F", "D", "entropy_term", "mixed_term", "quad_term",
                 "grad_f_term", "f_term", "g_term", "regularized_faces"):
         print(f"{key}={getattr(rep, key)!r}")

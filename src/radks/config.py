@@ -39,7 +39,7 @@ _DEFAULTS = {
     "stepper": {"cfl": "0.9", "dt_init": "auto", "dt_min": "auto", "dt_max": "1e-2",
                 "t_end": "1.0", "blowup_factor": "1e6", "output_every": "10",
                 "max_steps": "5000000"},
-    "probe": {"kappa": "auto", "beta": "auto", "theta": "auto", "rho": "0.25,0.5,0.75"},
+    "probe": {"kappa": "auto", "beta": "auto", "rho": "0.25,0.5,0.75"},
     "run": {"outdir": "out", "snapshot_every": "0", "workers": "1"},
 }
 # every key load_config reads: the [grid] keys (no default) and the defaulted ones
@@ -73,7 +73,6 @@ class RunConfig:
     workers: int
     sweep_axes: dict = dc_field(default_factory=dict)
     warnings: list = dc_field(default_factory=list)
-    source_path: str = ""
 
 
 def parse_overrides(pairs) -> list[tuple[str, str, str]]:
@@ -100,17 +99,20 @@ def _check_version_line(path: Path, problems: list) -> None:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    """Parse and validate; raises ConfigurationError listing every violation."""
+    """Parse and validate; raises ConfigurationError listing every violation,
+    with problems mapping each keyed one (section.key) to its message."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file {path} does not exist")
     problems: list[str] = []
+    keyed: dict[str, str] = {}  # section.key -> message, for the error's problems
     warnings: list[str] = []
     failed: set[str] = set()  # section.key of every value already reported
     _check_version_line(path, problems)
 
     def report(key: str, message: str) -> None:
         failed.add(key)
+        keyed.setdefault(key, message)
         problems.append(f"{key}: {message}")
 
     def check(key: str, ok: bool, message: str) -> None:
@@ -240,7 +242,7 @@ def load_config(path, overrides=()) -> RunConfig:
     check("probe.rho", "grid.R" in failed or all(0.0 < x < R for x in rho),
           f"entries must lie in (0, R={R}), got {list(rho)}")
     probe_values = {key: get_number("probe", key, allow_auto=True)
-                    for key in ("kappa", "beta", "theta")}
+                    for key in ("kappa", "beta")}
     probe = None
     if "grid.n" not in failed:  # every probe check is relative to n
         probe = build("probe", ProbeConfig, n=n, rho=rho or (0.5 * R,),
@@ -266,7 +268,8 @@ def load_config(path, overrides=()) -> RunConfig:
 
     if problems:
         raise ConfigurationError(
-            f"{path}: {len(problems)} violation(s):\n  - " + "\n  - ".join(problems)
+            f"{path}: {len(problems)} violation(s):\n  - " + "\n  - ".join(problems),
+            problems=keyed,
         )
 
     return RunConfig(
@@ -275,7 +278,7 @@ def load_config(path, overrides=()) -> RunConfig:
         gamma=gamma, eta_spec=eta_spec, eta_count=eta_count,
         stepper=stepper, max_steps=max_steps, probe=probe,
         outdir=outdir, snapshot_every=snapshot_every, workers=workers,
-        sweep_axes=sweep_axes, warnings=warnings, source_path=str(path),
+        sweep_axes=sweep_axes, warnings=warnings,
     )
 
 

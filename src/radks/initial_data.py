@@ -288,7 +288,8 @@ def bump_density(r, baseline: float, amplitude: float, width: float):
 def base_data(
     kind: str, grid: Grid, solver: HelmholtzSolver | None = None, **params
 ) -> tuple[RadialField, RadialField]:
-    """Positive radial base pairs: constant, bump, or a snapshot file.
+    """Positive radial base pairs: constant, bump, or a snapshot file read
+    onto grid (Snapshot.fields checks its mesh).
 
     solver, a HelmholtzSolver on grid, serves the relaxed bump's solves;
     one is built when it is not given.
@@ -323,18 +324,7 @@ def base_data(
         path = params.get("path")
         if not path:
             raise ConfigurationError("custom base data requires a path")
-        snap = read_snapshot(path)
-        if len(snap.u) != grid.N:
-            raise ConfigurationError(
-                f"snapshot has {len(snap.u)} rows but the grid has {grid.N} cells"
-            )
-        if not snap.on_grid(grid):
-            raise ConfigurationError(
-                f"snapshot {path} was written on another mesh: its r column "
-                "does not match the grid's cell centers"
-            )
-        u = RadialField(snap.u, grid)
-        v = RadialField(snap.v, grid)
+        u, v = read_snapshot(path).fields(grid)
         if float(np.min(u.values)) <= 0.0:
             raise AdmissibilityError("snapshot density is not strictly positive")
         return u, v

@@ -11,7 +11,7 @@ non-constructive and are surfaced purely as measured values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,13 +52,14 @@ def theta_exponent(kappa: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Exponents and radii shared by the probes."""
+    """Exponents and radii shared by the probes; theta is derived from
+    kappa (theta_exponent)."""
 
     n: int
     kappa: float = None  # type: ignore[assignment]
     beta: float = None   # type: ignore[assignment]
-    theta: float = None  # type: ignore[assignment]
     rho: tuple = ()
+    theta: float = field(init=False)
 
     def __post_init__(self):
         if self.kappa is None:
@@ -66,25 +67,14 @@ class ProbeConfig:
         problems = {}
         if not self.kappa > self.n - 2:
             problems["kappa"] = f"kappa must exceed n-2={self.n - 2}, got {self.kappa}"
-        # the defaults follow kappa, so only explicit beta and theta can add problems
+        # the default follows kappa, so only an explicit beta can add a problem
         if self.beta is None:
             object.__setattr__(self, "beta", self.kappa)
         elif not self.beta > self.n - 2:
             problems["beta"] = f"beta must exceed n-2={self.n - 2}, got {self.beta}"
-        if self.theta is None:
-            if "kappa" not in problems:
-                object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
-        elif not 0.0 < self.theta < 1.0:
-            problems["theta"] = f"theta must lie in (0, 1), got {self.theta}"
-        elif "kappa" not in problems:
-            expected = theta_exponent(self.kappa, self.n)
-            if abs(self.theta - expected) > 1e-12:
-                problems["theta"] = (
-                    f"theta={self.theta} is inconsistent with kappa={self.kappa} "
-                    f"(branch value {expected})"
-                )
         if problems:
             raise ConfigurationError(problems=problems)
+        object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
 
 
 @dataclass(frozen=True)
@@ -287,24 +277,20 @@ def probe_mass_identities(samples: Sequence) -> list[ProbeResult]:
     ]
 
 
-def _restrict(grid, rho: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Inner-cell masks for the ball of radius rho, snapped to the nearest face."""
+def _restrict(grid, rho: float) -> tuple[int, float]:
+    """(k, radius) of the ball of radius rho snapped to the nearest face k:
+    its cells are [:k] and its interior faces [1:k]."""
     k = int(np.argmin(np.abs(grid.faces - rho)))
     k = max(1, min(k, grid.N))
-    cells = np.zeros(grid.N, dtype=bool)
-    cells[:k] = True
-    faces = np.zeros(grid.N + 1, dtype=bool)
-    faces[1:k] = True  # interior faces strictly inside the snapped ball
-    return cells, faces, float(grid.faces[k])
+    return k, float(grid.faces[k])
 
 
-def _cell_l2sq(field_values, grid, cells) -> float:
-    return float(np.sum(field_values[cells] ** 2 * grid.volumes[cells]))
-
-
-def _face_l2sq(face_values, grid, faces) -> float:
-    w = grid.face_areas * grid.spacing
-    return float(np.sum(face_values[faces] ** 2 * w[faces]))
+def _weighted_sup(a: RadialField, power: float) -> float:
+    """max of |r^power a| at the centers and of its difference quotients."""
+    grid = a.grid
+    weighted = grid.centers**power * a.values
+    quotients = np.abs(np.diff(weighted)) / grid.spacing[1:-1]
+    return float(np.max(np.concatenate((np.abs(weighted), quotients))))
 
 
 def probe_local_inequalities(
@@ -336,33 +322,8 @@ def probe_local_inequalities(
     fr = gradient_faces(f)
 
     # Constraint-set constants measured on this state.
-    r_f = grid.faces[1:-1]
-    w_weighted = float(
-        np.max(
-            np.maximum(
-                np.abs(grid.centers ** (grid.n - 1) * w.values),
-                np.append(
-                    np.abs(np.diff(grid.centers ** (grid.n - 1) * w.values))
-                    / grid.spacing[1:-1],
-                    0.0,
-                ),
-            )
-        )
-    )
-    v_weighted = float(
-        np.max(
-            np.maximum(
-                np.abs(grid.centers ** (kappa - 1) * v.values),
-                np.append(
-                    np.abs(np.diff(grid.centers ** (kappa - 1) * v.values))
-                    / grid.spacing[1:-1],
-                    0.0,
-                ),
-            )
-        )
-    )
-    M = max(integrate(v), w_weighted)
-    B = max(float(np.sum(np.abs(f.values) * grid.volumes)), v_weighted)
+    M = max(integrate(v), _weighted_sup(w, grid.n - 1))
+    B = max(float(np.sum(np.abs(f.values) * grid.volumes)), _weighted_sup(v, kappa - 1))
 
     weights = grid.face_areas * grid.spacing
     fr_all = float(np.sum(fr**2 * weights))
@@ -371,13 +332,14 @@ def probe_local_inequalities(
     results: list[ProbeResult] = []
     uv = report.mixed_term
     for rho_in in config.rho:
-        cells, faces, rho = _restrict(grid, rho_in)
-        lap_sq = _cell_l2sq(lap_v.values, grid, cells)
-        v_sq = _cell_l2sq(v.values, grid, cells)
-        f_sq = _cell_l2sq(f.values, grid, cells)
-        vr_sq = _face_l2sq(vr, grid, faces)
-        fr_sq = _face_l2sq(fr, grid, faces)
-        g_l2 = math.sqrt(_face_l2sq(g, grid, faces))
+        k, rho = _restrict(grid, rho_in)
+        vol, fw = grid.volumes[:k], weights[1:k]  # inner cells, interior faces
+        lap_sq = float(np.sum(lap_v.values[:k] ** 2 * vol))
+        v_sq = float(np.sum(v.values[:k] ** 2 * vol))
+        f_sq = float(np.sum(f.values[:k] ** 2 * vol))
+        vr_sq = float(np.sum(vr[1:k] ** 2 * fw))
+        fr_sq = float(np.sum(fr[1:k] ** 2 * fw))
+        g_l2 = math.sqrt(float(np.sum(g[1:k] ** 2 * fw)))
 
         # mixed-term bound over the inner ball
         rhs_known = 3.0 * lap_sq + 3.0 * v_sq + f_sq

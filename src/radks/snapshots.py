@@ -4,11 +4,14 @@ Every file starts with a `# format_version=N` line.  Snapshots are
 version 2 and hold the state alone: columns r,u,v, one row per cell
 center.  w, f and g are derived from (u, v) by compute_energy, so they
 are not stored; a version-1 snapshot (r,u,v,w,f,g) still reads, its
-last three columns parsed and dropped.  Every other file is version 1.
-Floats are written with shortest round-trip decimal formatting (Python
-repr), so snapshots round-trip bit-exactly and identical runs produce
-byte-identical files.  Diagnostics rows are flushed as they are written;
-a killed run leaves a parseable prefix.
+last three columns parsed and dropped.  A snapshot carries no mesh
+header: Snapshot.fields reads it onto the grid the caller's config
+built, after checking that the r column holds that grid's cell centers,
+so graded and uniform meshes read back alike.  Every other file is
+version 1.  Floats are written with shortest round-trip decimal
+formatting (Python repr), so snapshots round-trip bit-exactly and
+identical runs produce byte-identical files.  Diagnostics rows are
+flushed as they are written; a killed run leaves a parseable prefix.
 """
 
 from __future__ import annotations
@@ -69,17 +72,30 @@ def _check_version(first_line: str, path) -> None:
 
 @dataclass(frozen=True)
 class Snapshot:
+    path: Path
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
     t: Optional[float] = None
 
-    def on_grid(self, grid: Grid) -> bool:
-        """True when the r column holds grid's cell centers; the tolerance
-        only absorbs the round-off of a grid rebuilt from the column."""
-        return self.r.shape == grid.centers.shape and bool(
-            np.allclose(self.r, grid.centers, rtol=1e-13, atol=0.0)
-        )
+    def fields(self, grid: Grid) -> tuple[RadialField, RadialField]:
+        """(u, v) on grid; raises SnapshotFormatError unless the r column
+        holds grid's cell centers.
+
+        The column round-trips bit-exactly, so a snapshot written on the
+        same mesh matches exactly; the tolerance only forgives last-bit
+        differences in centers that another math library computed for
+        the same (n, R, N, h_min).
+        """
+        if self.r.shape != grid.centers.shape or not np.allclose(
+            self.r, grid.centers, rtol=1e-13, atol=0.0
+        ):
+            raise SnapshotFormatError(
+                f"{self.path}: mesh mismatch: the r column ({len(self.r)} rows) is not "
+                f"the cell centers of the configured mesh (n={grid.n}, R={grid.R:g}, "
+                f"N={grid.N}, h_min={grid.h_min:g})"
+            )
+        return RadialField(self.u, grid), RadialField(self.v, grid)
 
 
 def write_snapshot(
@@ -137,7 +153,7 @@ def read_snapshot(path) -> Snapshot:
             f"{path}: rows have {data.shape[1]} fields, expected {len(columns)}"
         )
     r, u, v = np.ascontiguousarray(data[:, :3].T)
-    return Snapshot(r=r, u=u, v=v, t=t)
+    return Snapshot(path=path, r=r, u=u, v=v, t=t)
 
 
 class DiagnosticsWriter:

@@ -72,7 +72,10 @@ def _run_point(args):
             float(extras["max_C_v"]),
         ]
     except Exception as exc:  # recorded, never fatal to the sweep
-        return point, [f"error: {type(exc).__name__}: {exc}", "", "", "", "", "", "", ""]
+        # a rejected config gives its keyed violations on one line, without its path
+        problems = getattr(exc, "problems", None)
+        detail = "; ".join(f"{k}: {m}" for k, m in problems.items()) if problems else exc
+        return point, [f"error: {type(exc).__name__}: {detail}", "", "", "", "", "", "", ""]
 
 
 def run_sweep(config_path, base_overrides, axes: dict, outdir: Path, workers: int):

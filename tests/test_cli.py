@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from radks.config import load_config
 from radks.dynamics import run
 from radks.grid import make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
+from radks.initial_data import base_data
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
 BASE = """\
@@ -239,10 +242,11 @@ def test_sweep_records_per_run_failures(config_path, tmp_path):
     statuses = [row[header.index("status")] for row in rows]
     assert any(s == "completed" for s in statuses)
     errors = [s for s in statuses if s.startswith("error")]
+    # one line with the keyed violation and no config path
     assert errors == [
-        f"error: ConfigurationError: {sweep_ini}: 1 violation(s):\n"
-        "  - base.amplitude: the bump density (baseline=1.0, amplitude=-2.0) must be "
-        "positive at every cell center, got a minimum of -0.999397274479739"
+        "error: ConfigurationError: base.amplitude: the bump density (baseline=1.0, "
+        "amplitude=-2.0) must be positive at every cell center, got a minimum of "
+        "-0.999397274479739"
     ]
 
 
@@ -273,7 +277,7 @@ def test_low_dimension_warning_printed(tmp_path, capsys):
     assert "blowup regime" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["probe.theta=0.3", "stepper.dt_min=1", "grid.R=inf"])
+@pytest.mark.parametrize("override", ["probe.kappa=2", "stepper.dt_min=1", "grid.R=inf"])
 def test_simulate_bad_value_fails_before_any_output(config_path, tmp_path, capsys, override):
     assert main(["-c", str(config_path), "--set", override, "simulate"]) == 1
     assert override.partition("=")[0] in capsys.readouterr().err
@@ -317,7 +321,7 @@ def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):
     snap = tmp_path / "one.csv"
     snap.write_text("# format_version=1\nr,u,v,w,f,g\n0.5,1,1,1,0,0\n")
     assert main(["-c", str(config_path), "energy", str(snap)]) == 1
-    assert "cell count N must be an integer >= 4" in capsys.readouterr().err
+    assert "mesh mismatch" in capsys.readouterr().err
 
 
 def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
@@ -327,3 +331,49 @@ def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
     code = main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)])
     assert code == 1
     assert "mesh mismatch" in capsys.readouterr().err
+
+
+def test_energy_and_probe_read_graded_snapshot_on_graded_config(config_path, tmp_path, capsys):
+    # the config's grid is the snapshot's mesh: graded files read back too
+    from radks.cli import cmd_energy, cmd_probe
+    from radks.energy import compute_energy
+    from radks.probes import probe_entropy_floor
+    from radks.snapshots import write_snapshot
+
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    graded = make_grid(5, 1.0, 64, h_min=1e-6)
+    cfg = replace(load_config(config_path), grid=graded)
+    u, v = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
+    snap_dir = tmp_path / "graded"
+    snap_dir.mkdir()
+    write_snapshot(snap_dir / "snapshot_graded.csv", graded, u, v, t=0.05)
+    rep = compute_energy(u, v, build_solver(graded))
+    capsys.readouterr()
+
+    assert cmd_energy(cfg, str(snap_dir / "snapshot_graded.csv")) == 0
+    assert f"F={rep.F!r}\n" in capsys.readouterr().out
+
+    assert cmd_probe(cfg, str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)) == 0
+    header, rows = read_table(tmp_path / "out" / "probe_report.csv")
+    floor = [row for row in rows if row[header.index("probe")] == "entropy_floor"]
+    assert len(floor) == 1
+    assert float(floor[0][header.index("sample")]) == 0.05
+    assert float(floor[0][header.index("lhs")]) == probe_entropy_floor(rep).lhs
+
+
+def test_snapshot_on_other_uniform_mesh_is_rejected(config_path, tmp_path, capsys):
+    # no grid is inferred from the r column: an N=64 file does not fit N=96
+    from radks.snapshots import write_snapshot
+
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    g = make_grid(5, 1.0, 64)
+    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
+    snap_dir = tmp_path / "n64"
+    snap_dir.mkdir()
+    write_snapshot(snap_dir / "snapshot_n64.csv", g, u, v, t=0.0)
+    capsys.readouterr()
+    for verb in (["probe", str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)],
+                 ["energy", str(snap_dir / "snapshot_n64.csv")]):
+        assert main(["-c", str(config_path), *verb]) == 1
+        err = capsys.readouterr().err
+        assert "mesh mismatch" in err and "N=96" in err

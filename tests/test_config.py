@@ -36,6 +36,13 @@ def test_unknown_key_is_warning(tmp_path):
     assert cfg.warnings == ["unknown key stepper.dt_mx is ignored"]
 
 
+def test_probe_theta_key_is_unknown(tmp_path):
+    # theta follows kappa (theta_exponent), so it is not a config key
+    cfg = load_config(write(tmp_path, MINIMAL), ["probe.theta=0.3"])
+    assert cfg.warnings == ["unknown key probe.theta is ignored"]
+    assert cfg.probe.theta == pytest.approx(5.0 / 7.0)
+
+
 def test_sweep_axis_naming_no_key_is_warning(tmp_path):
     text = MINIMAL + "[sweep]\nbase.amplitud = 1, 2\nbase.amplitude = 1, 2\n"
     cfg = load_config(write(tmp_path, text))
@@ -137,7 +144,7 @@ def test_inline_comments_allowed(tmp_path):
 
 
 @pytest.mark.parametrize("override, key", [
-    ("probe.theta=0.3", "probe.theta"),      # off the kappa branch value
+    ("probe.kappa=2", "probe.kappa"),        # not above n-2
     ("stepper.dt_min=1", "stepper.dt_min"),  # above dt_max
     ("grid.R=inf", "grid.R"),
     ("stepper.dt_init=-1", "stepper.dt_init"),

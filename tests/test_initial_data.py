@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radks import initial_data
-from radks.errors import AdmissibilityError, ConfigurationError, ResolutionError
+from radks.errors import AdmissibilityError, ConfigurationError, ResolutionError, SnapshotFormatError
 from radks.grid import constant_field, integrate, make_grid
 from radks.helmholtz import build_solver
 from radks.initial_data import (
@@ -290,7 +290,7 @@ def test_base_data_custom_rejects_other_mesh(tmp_path):
     path = tmp_path / "snap.csv"
     write_snapshot(path, graded, u0, v0)
     # same row count, other mesh
-    with pytest.raises(ConfigurationError, match="another mesh"):
+    with pytest.raises(SnapshotFormatError, match="mesh mismatch.*N=64, h_min=0.015625"):
         base_data("custom", make_grid(5, 1.0, 64), path=str(path))
     u1, _ = base_data("custom", graded, path=str(path))
     assert np.array_equal(u1.values, u0.values)

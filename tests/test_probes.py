@@ -62,11 +62,6 @@ def test_probe_config_defaults():
     assert cfg.theta == pytest.approx(5.0 / 7.0)
 
 
-def test_probe_config_rejects_inconsistent_theta():
-    with pytest.raises(ConfigurationError):
-        ProbeConfig(n=5, theta=0.9, rho=(0.5,))
-
-
 def test_entropy_floor_homogeneous_closed_form(grid, solver):
     # -F - int uv = -|Omega|/2 - ... for u = v = 1: lhs is negative, bound is
     # omega_n R^n / e with full margin
@@ -157,9 +152,7 @@ def test_fd_ratio_monotone_in_theta():
     # raising theta toward 1 shrinks the ratio once D >= 1
     samples = [FakeSample(t, F=-10.0 - t, D=5.0 + t) for t in range(10)]
     lo = probe_fd_ratio(samples, ProbeConfig(n=5, kappa=4.5, rho=(0.5,)))
-    hi = probe_fd_ratio(
-        samples, ProbeConfig(n=5, kappa=6.0, theta=theta_exponent(6.0, 5), rho=(0.5,))
-    )
+    hi = probe_fd_ratio(samples, ProbeConfig(n=5, kappa=6.0, rho=(0.5,)))
     assert theta_exponent(6.0, 5) > theta_exponent(4.5, 5)
     assert hi.implied_c < lo.implied_c
 
@@ -352,3 +345,9 @@ def test_fd_ratio_reproducible_bitwise(grid, solver):
     pc = ProbeConfig(n=5, rho=(0.5,))
     assert probe_fd_ratio(s1, pc).implied_c == probe_fd_ratio(s2, pc).implied_c
 
+
+
+def test_probe_config_theta_is_derived_from_kappa():
+    assert ProbeConfig(n=5, kappa=6.0, rho=(0.5,)).theta == theta_exponent(6.0, 5)
+    with pytest.raises(TypeError):
+        ProbeConfig(n=5, theta=0.9, rho=(0.5,))
