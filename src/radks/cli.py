@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
 from .energy import compute_energy
-from .errors import RadksError
+from .errors import InsufficientDataError, RadksError
 from .grid import RadialField, integrate
 from .helmholtz import build_solver
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
@@ -211,16 +211,19 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         results.extend(probe_mass_identities(enriched))
     try:
         odi = probe_odi(samples, pconf.theta)
-        results.append(
-            ProbeResult(name="odi_c5", lhs=odi.c5, rhs_free=1.0, implied_c=odi.c5,
-                        param=pconf.theta)
-        )
-        results.append(
-            ProbeResult(name="odi_tail_slope", lhs=odi.tail_slope, rhs_free=1.0 / pconf.theta,
-                        implied_c=odi.tail_slope, param=pconf.theta)
-        )
-    except RadksError:
-        pass
+    except InsufficientDataError as exc:
+        # too few tail samples to fit: c5 needs none of them
+        odi = replace(probe_odi(samples, pconf.theta, fit_tail=False), tail_note=str(exc))
+    results.append(
+        ProbeResult(name="odi_c5", lhs=odi.c5, rhs_free=1.0, implied_c=odi.c5,
+                    param=pconf.theta)
+    )
+    results.append(
+        ProbeResult(name="odi_tail_slope", lhs=odi.tail_slope, rhs_free=1.0 / pconf.theta,
+                    implied_c=odi.tail_slope, param=pconf.theta)
+    )
+    if odi.tail_note:
+        print(f"odi_tail_slope is nan: {odi.tail_note}")
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -9,15 +9,23 @@ One step does, in order:
                                                  explicit upwind advection)
 Both flux sums telescope, so the integral of u is conserved exactly;
 upwinding plus the M-matrix solves keep u nonnegative whenever dt
-respects the advective stability bound.
+respects the advective stability bound, which depends on v alone.
+
+Work per step: one face gradient of v per state (step computes v+_r for
+the flux of (c), and the new state carries it as face_velocity for the
+next adapt_dt); three solves, (a) to (c), of two LAPACK dpttrs calls each
+(the second is the refinement pass); and two factorizations, of the (b)
+and (c) operators, only when dt changes.  A sampled state skips (a): its
+energy report already solved w.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,6 +73,10 @@ class State:
     state carries it, w included, so the next step and the sink do not
     solve again.  A new u needs a new State (step builds one with
     report = None).
+
+    face_velocity is v_r at the faces, gradient_faces(v): the step that
+    builds a state sets it from the flux it already took, and a state
+    built by hand computes it on first use.  It is read-only, like u and v.
     """
 
     t: float
@@ -75,6 +87,23 @@ class State:
     status: SimStatus = SimStatus.RUNNING
     t_blowup: Optional[float] = None
     report: Optional[EnergyReport] = None
+
+    @cached_property
+    def face_velocity(self) -> np.ndarray:
+        vel = gradient_faces(self.v)
+        vel.setflags(write=False)
+        return vel
+
+
+def _evolve(state: State, **changes) -> State:
+    """dataclasses.replace(state, **changes) for fields other than u and v.
+
+    Copies the instance dict, so the cached face velocity comes along and
+    the run loop does not pay replace's walk over the fields every step.
+    """
+    new = object.__new__(State)
+    new.__dict__.update(state.__dict__, **changes)
+    return new
 
 
 @dataclass(frozen=True)
@@ -139,42 +168,52 @@ def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConf
     return StepperConfig(**values)
 
 
-def advective_flux(u: RadialField, v: RadialField) -> np.ndarray:
-    """Upwind chemotactic face flux A * u_up * v_r; zero at both ends."""
-    if not u.grid.same_as(v.grid):
-        raise GridMismatchError("u and v live on different grids")
+def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
+    """Upwind chemotactic face flux A * u_up * vel, zero at both ends.
+
+    vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R
+    (a State carries it as face_velocity).
+    """
     grid = u.grid
-    vel = gradient_faces(v)  # face velocity v_r, zero at r=0 and r=R
+    if vel.shape != (grid.N + 1,):
+        raise GridMismatchError(
+            f"face velocity must have one value per face ({grid.N + 1}), got {vel.shape}"
+        )
     flux = np.zeros(grid.N + 1)
     inner = vel[1:-1]
     upwind = np.where(inner > 0.0, u.values[:-1], u.values[1:])
-    flux[1:-1] = grid.face_areas[1:-1] * upwind * inner
+    upwind *= grid.face_areas[1:-1]
+    np.multiply(upwind, inner, out=flux[1:-1])
     return flux
 
 
-def _stable_dt(u: RadialField, v: RadialField) -> float:
+def _stable_dt(grid: Grid, vel: np.ndarray) -> float:
     """Largest dt keeping the explicit upwind update positivity-preserving.
 
-    min(min_faces spacing / |v_r|, min_i V_i / outflow_i); near the origin
-    the per-cell outflow bound is the binding one because face areas
-    outgrow volumes.
+    min(min_faces spacing / |v_r|, min_i V_i / outflow_i) for the face
+    velocity vel = v_r; near the origin the per-cell outflow bound is the
+    binding one because face areas outgrow volumes.  A zero |v_r| or
+    outflow contributes +inf, so v_r = 0 everywhere gives +inf.
     """
-    grid = u.grid
-    vel = gradient_faces(v)
     speed = np.abs(vel)
-    if float(np.max(speed)) == 0.0:
-        return math.inf
     area_vel = grid.face_areas * vel
-    outflow = np.maximum(area_vel[1:], 0.0) - np.minimum(area_vel[:-1], 0.0)
+    outflow = np.maximum(area_vel[1:], 0.0)
+    outflow -= np.minimum(area_vel[:-1], 0.0, out=area_vel[:-1])
+    # outflow >= 0, but a face term of -0.0 can leave -0.0 there, and
+    # V / -0.0 would be -inf; abs keeps it +inf
+    np.abs(outflow, out=outflow)
     with np.errstate(divide="ignore"):
-        transit = float(np.min(grid.spacing / speed))
-        per_cell = np.where(outflow > 0.0, grid.volumes / outflow, math.inf)
-    return min(transit, float(np.min(per_cell)))
+        transit = np.divide(grid.spacing, speed, out=speed).min()
+        per_cell = np.divide(grid.volumes, outflow, out=outflow).min()
+    return min(float(transit), float(per_cell))
 
 
 def adapt_dt(state: State, cfg: StepperConfig) -> float:
-    """clamp(cfl * stable dt, dt_min, dt_max), then capped by t_end - t."""
-    dt = cfg.cfl * _stable_dt(state.u, state.v)
+    """clamp(cfl * stable dt, dt_min, dt_max), then capped by t_end - t.
+
+    The stable dt depends on v alone, through the state's face velocity.
+    """
+    dt = cfg.cfl * _stable_dt(state.u.grid, state.face_velocity)
     dt = min(max(dt, cfg.dt_min), cfg.dt_max)
     remaining = cfg.t_end - state.t
     dt = min(dt, remaining)
@@ -192,13 +231,18 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     grid = state.u.grid
     dt = state.dt
     w = state.report.w if state.report is not None else solve(solver, state.u)
-    v_new = shifted_solve(solver, 1.0 + dt, dt, state.v.values + dt * w.values)
+    v_rhs = w.values * dt
+    v_rhs += state.v.values
+    v_new = shifted_solve(solver, 1.0 + dt, dt, v_rhs)
     v_plus = _adopt(v_new, grid)
-    flux = advective_flux(state.u, v_plus)
-    rhs = state.u.values - dt * flux_divergence(grid, flux)
+    vel = gradient_faces(v_plus)
+    vel.setflags(write=False)
+    rhs = flux_divergence(grid, advective_flux(state.u, vel))
+    rhs *= dt
+    np.subtract(state.u.values, rhs, out=rhs)
     u_new = shifted_solve(solver, 1.0, dt, rhs)
-    ok = np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    return State(
+    ok = np.isfinite(u_new).all() and np.isfinite(v_new).all()
+    new = State(
         t=state.t + dt,
         step=state.step + 1,
         u=_adopt(u_new, grid),
@@ -206,6 +250,10 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         dt=dt,
         status=SimStatus.RUNNING if ok else SimStatus.STALLED,
     )
+    # fill the cached property, so adapt_dt reads this v_r without a
+    # second gradient of the same v
+    new.__dict__["face_velocity"] = vel
+    return new
 
 
 def detect_blowup(
@@ -278,7 +326,7 @@ def _sample(
     res = 0.0
     if prev is not None and state.t > prev.t:
         res = identity_residual(prev, rep, state.t - prev.t)
-    return replace(state, report=rep), TrajectorySample(
+    return _evolve(state, report=rep), TrajectorySample(
         t=state.t,
         dt=state.dt,
         mass=integrate(state.u),
@@ -288,7 +336,7 @@ def _sample(
         identity_residual=res,
         int_v=integrate(state.v),
         int_w=integrate(rep.w),
-        min_u=float(np.min(state.u.values)),
+        min_u=float(state.u.values.min()),
     )
 
 
@@ -306,7 +354,7 @@ def run(
     termination; sink (if given) receives each emitted (state, sample),
     the state carrying its energy report, as does the returned final state.
     """
-    if np.min(u0.values) < 0.0:
+    if u0.values.min() < 0.0:
         raise ConfigurationError("initial cell density must be nonnegative")
     if not u0.grid.same_as(v0.grid):
         raise GridMismatchError("u0 and v0 live on different grids")
@@ -335,9 +383,7 @@ def run(
     while state.status is SimStatus.RUNNING:
         if max_steps is not None and state.step >= max_steps:
             break
-        dt = adapt_dt(state, cfg)
-        state = replace(state, dt=dt)
-        state = step(state, cfg, solver)
+        state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
         s = sup_norm(state.u)
         peak = max(peak, s)
         history.append((state.t, s))
@@ -346,7 +392,7 @@ def run(
         if state.status is SimStatus.RUNNING:
             status, t_b = detect_blowup(state, cfg, sup0, history, sup=s)
             if status is not state.status:
-                state = replace(state, status=status, t_blowup=t_b)
+                state = _evolve(state, status=status, t_blowup=t_b)
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:
             state = emit(state)
             last_emitted = state.step

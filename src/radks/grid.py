@@ -74,13 +74,14 @@ class Grid:
     spacing: np.ndarray      # dual-cell widths, length N+1
     volumes: np.ndarray      # V_i = omega_n (r_{i+1/2}^n - r_{i-1/2}^n)/n
     face_areas: np.ndarray   # A_{i+1/2} = omega_n r_{i+1/2}^{n-1}
+    coupling: np.ndarray     # A / spacing at the interior faces, length N-1
     omega_n: float
     ball_volume: float       # omega_n R^n / n
 
     def same_as(self, other: "Grid") -> bool:
         # make_grid is deterministic in (n, R, N, h_min), so these four
         # fix the faces; h_min separates a graded mesh from a uniform one
-        return (
+        return self is other or (
             self.n == other.n
             and self.N == other.N
             and self.R == other.R
@@ -184,6 +185,7 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
         spacing=_readonly(spacing),
         volumes=_readonly(volumes),
         face_areas=_readonly(face_areas),
+        coupling=_readonly(face_areas[1:-1] / spacing[1:-1]),
         omega_n=omega,
         ball_volume=float(cumulative[-1]),
     )
@@ -212,10 +214,9 @@ def _adopt(values: np.ndarray, grid: Grid) -> RadialField:
     Skips the defensive copy of the constructor: the array is only made
     read-only, so it must not be reachable from anywhere else.
     """
-    values.flags.writeable = False
+    values.setflags(write=False)
     field = object.__new__(RadialField)
-    object.__setattr__(field, "values", values)
-    object.__setattr__(field, "grid", grid)
+    field.__dict__.update(values=values, grid=grid)
     return field
 
 
@@ -234,11 +235,11 @@ def integrate(field: RadialField) -> float:
     NumPy's pairwise sum: deterministic, and accurate to round-off (a
     relative error of O(log N) ulps of sum |f_i| V_i).
     """
-    return float(np.sum(field.values * field.grid.volumes))
+    return float((field.values * field.grid.volumes).sum())
 
 
 def sup_norm(field: RadialField) -> float:
-    return float(np.max(np.abs(field.values)))
+    return float(np.abs(field.values).max())
 
 
 def gradient_faces(field: RadialField) -> np.ndarray:
@@ -273,9 +274,18 @@ def laplacian(field: RadialField) -> RadialField:
 
     (Lf)_i = [A_{i+1/2} g_{i+1/2} - A_{i-1/2} g_{i-1/2}] / V_i with g the
     face gradients.  Annihilates constants and has zero discrete mean for
-    every field (fluxes telescope).
+    every field (fluxes telescope).  The solves call it in every
+    refinement pass, so it computes the face gradients and their
+    divergence inline, in the same order as gradient_faces and
+    flux_divergence.
     """
     grid = field.grid
-    flux = gradient_faces(field)
-    flux *= grid.face_areas
-    return _adopt(flux_divergence(grid, flux), grid)
+    f = field.values
+    flux = np.zeros(grid.N + 1)
+    inner = flux[1:-1]
+    np.subtract(f[1:], f[:-1], out=inner)
+    inner /= grid.spacing[1:-1]
+    inner *= grid.face_areas[1:-1]  # the end fluxes stay exactly zero
+    div = np.subtract(flux[1:], flux[:-1])
+    div /= grid.volumes
+    return _adopt(div, grid)

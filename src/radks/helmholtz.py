@@ -69,7 +69,7 @@ dpttrf, dpttrs = _load_lapack(
 
 def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of alpha*diag(V) + beta*K (no flux at the ends)."""
-    coupling = beta * (grid.face_areas[1:-1] / grid.spacing[1:-1])
+    coupling = beta * grid.coupling
     diag = alpha * grid.volumes
     diag[:-1] += coupling
     diag[1:] += coupling
@@ -95,8 +95,13 @@ def _solve(grid: Grid, alpha: float, beta: float, factor, rhs: np.ndarray) -> np
     """
     d, e = factor
     x = dpttrs(d, e, grid.volumes * rhs, overwrite_b=True)[0]
-    defect = rhs - (alpha * x - beta * laplacian(_adopt(x, grid)).values)
-    return x + dpttrs(d, e, grid.volumes * defect, overwrite_b=True)[0]
+    residual = alpha * x
+    residual -= beta * laplacian(_adopt(x, grid)).values
+    defect = np.subtract(rhs, residual, out=residual)
+    defect *= grid.volumes
+    correction = dpttrs(d, e, defect, overwrite_b=True)[0]
+    correction += x
+    return correction
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,9 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     # Mass projection: telescoping makes sum w V = sum u V an identity of
     # the scheme, and the constant shift (well below discretization error)
     # pins it down to the round-off of the two sums in floating point.
-    gap = float(np.sum(grid.volumes * u.values) - np.sum(grid.volumes * x))
-    return _adopt(x + gap / grid.ball_volume, grid)
+    gap = float((grid.volumes * u.values).sum() - (grid.volumes * x).sum())
+    x += gap / grid.ball_volume
+    return _adopt(x, grid)
 
 
 def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "FamilyParams",
     "FamilyRow",
     "mollifier_spec",
-    "mollifier_value",
     "eta_star",
     "bump_cell_fractions",
     "build_family",
@@ -79,15 +78,6 @@ def mollifier_spec(n: int) -> MollifierSpec:
     nodes, weights = _gauss_panels(0.0, 1.0, panels=32, order=16)
     raw = float(np.sum(weights * _profile(nodes) * nodes ** (n - 1)))
     return MollifierSpec(n=n, normalization=1.0 / (unit_sphere_area(n) * raw))
-
-
-def mollifier_value(spec: MollifierSpec, r: float) -> float:
-    """c_n exp(-1/(1-r^2)) for r < 1, zero outside."""
-    if r < 0:
-        raise ConfigurationError(f"radius must be nonnegative, got {r}")
-    if r >= 1.0:
-        return 0.0
-    return spec.normalization * math.exp(-1.0 / (1.0 - r * r))
 
 
 def _psi(eta: float, n: int, gamma: float) -> float:

@@ -163,13 +163,23 @@ def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
     )
 
 
+# The tail fit needs -F to grow: over a narrower range of positive -F a
+# log-log slope only measures how D varies at nearly constant F (the README
+# blowup data, with -F between 5062 and 5827, gives 43.4).
+ODI_TAIL_MIN_SPAN = 2.0
+
+
 @dataclass(frozen=True)
 class OdiFit:
-    """Fitted superlinear-inequality parameters along one trajectory."""
+    """Fitted superlinear-inequality parameters along one trajectory.
+
+    tail_slope is NaN exactly when tail_note says why no slope was fitted.
+    """
 
     c5: float
     tail_slope: float
     tail_size: int
+    tail_note: str = ""
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -184,15 +194,19 @@ def probe_odi(samples: Sequence, theta: float, fit_tail: bool = True) -> OdiFit:
     """Smallest c5 with D >= ((-F - c5)/c5)^{1/theta} at every sample,
     plus the log-log slope of D against -F over the final decade of -F.
 
-    The slope fit needs at least 8 tail samples with positive -F and D;
-    pass fit_tail=False to get only c5 (for trajectories with no growth).
+    The slope fit needs at least 8 tail samples with positive -F and D
+    (InsufficientDataError otherwise), and positive -F must span at least
+    a factor ODI_TAIL_MIN_SPAN over the trajectory: below that the tail is
+    not reached, and tail_slope is NaN with the span in tail_note.  Pass
+    fit_tail=False to get only c5 (for trajectories with no growth).
     """
     negF = np.array([-s.F for s in samples])
     D = np.array([max(s.D, 0.0) for s in samples])
     peak = float(np.max(negF)) if len(negF) else 0.0
     if peak <= 0.0:
         # Energy never went negative; any c5 >= sup(-F)_+ = 0 works.
-        return OdiFit(c5=0.0, tail_slope=math.nan, tail_size=0)
+        return OdiFit(c5=0.0, tail_slope=math.nan, tail_size=0,
+                      tail_note="-F is never positive")
 
     def feasible(c5: float) -> bool:
         active = negF > c5
@@ -216,12 +230,21 @@ def probe_odi(samples: Sequence, theta: float, fit_tail: bool = True) -> OdiFit:
     c5 = hi
 
     if not fit_tail:
-        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0)
+        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0, tail_note="no tail fit asked for")
     tail = (negF >= 0.1 * peak) & (negF > 0.0) & (D > 0.0)
     n_tail = int(np.count_nonzero(tail))
     if n_tail < 8:
         raise InsufficientDataError(
             f"only {n_tail} usable tail samples; need at least 8"
+        )
+    span = peak / float(negF[negF > 0.0].min())
+    if span < ODI_TAIL_MIN_SPAN:
+        return OdiFit(
+            c5=c5, tail_slope=math.nan, tail_size=0,
+            tail_note=(
+                f"tail not reached: positive -F spans a factor {span:.3g} over the "
+                f"trajectory, less than {ODI_TAIL_MIN_SPAN:g}"
+            ),
         )
     slope = _fit_slope(np.log(negF[tail]), np.log(D[tail]))
     return OdiFit(c5=c5, tail_slope=slope, tail_size=n_tail)

@@ -187,6 +187,30 @@ def test_probe_verb_emits_report(config_path, tmp_path):
     assert all(row[-1] == "true" for row in hard)
 
 
+@pytest.mark.parametrize(
+    "rows, note",
+    [(40, "tail not reached: positive -F spans a factor 1.15"), (5, "need at least 8")],
+)
+def test_probe_keeps_odi_c5_when_tail_not_reached(config_path, tmp_path, capsys, rows, note):
+    # -F grows by 15% while D grows 27x (README blowup data), or there are
+    # too few samples to fit: the tail row reads nan with the reason on
+    # stdout, and the c5 row is still written
+    diag = tmp_path / "diagnostics.csv"
+    lines = ["# format_version=1", "t,dt,mass,sup_u,F,D,identity_residual"]
+    for k in range(rows):
+        F = -5062.0 - 765.0 * k / (rows - 1)
+        D = 1.8e7 * 27.0 ** (k / (rows - 1))
+        lines.append(f"{1e-5 * k!r},1e-05,1.0,1.0,{F!r},{D!r},0.0")
+    diag.write_text("\n".join(lines) + "\n")
+    assert main(["-c", str(config_path), "probe", str(diag)]) == 0
+    out = capsys.readouterr().out
+    assert "odi_tail_slope is nan: " in out and note in out
+    _, report = read_table(tmp_path / "out" / "probe_report.csv")
+    by_name = {row[0]: row for row in report}
+    assert float(by_name["odi_c5"][3]) > 0.0
+    assert by_name["odi_tail_slope"][3] == "nan"
+
+
 def test_sweep_single_point_matches_simulate(config_path, tmp_path):
     overrides = ["--set", "run.workers=1"]
     sweep_ini = tmp_path / "sweep.ini"

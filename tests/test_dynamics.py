@@ -18,8 +18,8 @@ from radks.dynamics import (
     run,
     step,
 )
-from radks.errors import ConfigurationError
-from radks.grid import RadialField, constant_field, integrate, make_grid
+from radks.errors import ConfigurationError, GridMismatchError
+from radks.grid import RadialField, constant_field, gradient_faces, integrate, make_grid
 from radks.helmholtz import build_solver, solve
 
 
@@ -98,9 +98,15 @@ def test_step_mass_conserved_graded():
 
 def test_advective_flux_zero_cases(grid):
     u = constant_field(grid, 1.0)
-    assert np.all(advective_flux(u, constant_field(grid, 2.0)) == 0.0)
+    assert np.all(advective_flux(u, gradient_faces(constant_field(grid, 2.0))) == 0.0)
     v = RadialField(np.linspace(0, 1, grid.N), grid)
-    assert np.all(advective_flux(constant_field(grid, 0.0), v) == 0.0)
+    assert np.all(advective_flux(constant_field(grid, 0.0), gradient_faces(v)) == 0.0)
+
+
+def test_advective_flux_rejects_cell_values(grid):
+    # the flux takes the face velocity, one value per face, not v itself
+    with pytest.raises(GridMismatchError):
+        advective_flux(constant_field(grid, 1.0), constant_field(grid, 2.0).values)
 
 
 def test_advective_flux_upwind_stencil():
@@ -109,12 +115,12 @@ def test_advective_flux_upwind_stencil():
     u_vals = np.array([1.0, 2.0, 3.0, 4.0])
     u = RadialField(u_vals, g)
     v = RadialField(g.h * np.arange(4.0), g)
-    flux = advective_flux(u, v)
+    flux = advective_flux(u, gradient_faces(v))
     assert flux[0] == 0.0 and flux[-1] == 0.0
     # positive face velocity: upwind value comes from the inner cell i
     assert np.all(flux[1:-1] == g.face_areas[1:-1] * u_vals[:-1])
     # reversed ramp: upwind value comes from the outer cell i+1
-    flux_rev = advective_flux(u, RadialField(-g.h * np.arange(4.0), g))
+    flux_rev = advective_flux(u, gradient_faces(RadialField(-g.h * np.arange(4.0), g)))
     assert np.all(flux_rev[1:-1] == -g.face_areas[1:-1] * u_vals[1:])
 
 
@@ -426,3 +432,51 @@ def test_run_takes_one_sup_norm_per_step(grid, monkeypatch):
     assert summary.steps == 5
     # sup0, one per step, one per sample
     assert len(calls) == 1 + summary.steps + len(samples)
+
+
+@pytest.mark.parametrize("h_min", [None, 1e-4], ids=["uniform", "graded"])
+@pytest.mark.parametrize("dt_max", [1.0, 1e-4], ids=["cfl", "dt_max"])
+def test_run_matches_public_adapt_dt_and_step_loop(h_min, dt_max):
+    # run is adapt_dt + step and nothing else, bit for bit: the face
+    # velocity a stepped state carries, the dt bound read from it and the
+    # grid's stored stiffness change no value
+    g = make_grid(5, 1.0, 64, h_min=h_min)
+    u0 = RadialField(1.0 + 1e5 * np.exp(-((g.centers / 0.1) ** 2)), g)
+    v0 = solve(build_solver(g), solve(build_solver(g), u0))
+    cfg = default_stepper_config(g, t_end=1e3, dt_max=dt_max, output_every=3)
+    emitted = []
+    final, summary, samples = run(
+        u0, v0, cfg, solver=build_solver(g), max_steps=7,
+        sink=lambda st, smp: emitted.append(st),
+    )
+    assert summary.steps == 7
+
+    solver = build_solver(g)
+    st = State(0.0, 0, u0, v0, cfg.dt_init)
+    dts = []
+    for _ in range(7):
+        dt = adapt_dt(st, cfg)
+        dts.append(dt)
+        st = step(replace(st, dt=dt), cfg, solver)
+        assert np.array_equal(st.face_velocity, gradient_faces(st.v))
+        assert not st.face_velocity.flags.writeable
+    if dt_max == 1.0:
+        assert all(dt < dt_max for dt in dts) and len(set(dts)) > 1
+    else:
+        assert all(dt == dt_max for dt in dts)
+    assert st.t == final.t and st.step == final.step
+    assert np.array_equal(st.u.values, final.u.values)
+    assert np.array_equal(st.v.values, final.v.values)
+    assert [smp.dt for smp in samples[1:]] == [dts[2], dts[5], dts[6]]
+    for state in emitted + [final]:
+        assert np.array_equal(state.face_velocity, gradient_faces(state.v))
+
+    for dt in set(dts):
+        for alpha, beta in ((1.0 + dt, dt), (1.0, dt), (1.0, 1.0)):
+            diag, off = helmholtz._assemble(g, alpha, beta)
+            coupling = beta * (g.face_areas[1:-1] / g.spacing[1:-1])
+            want = alpha * g.volumes
+            want[:-1] += coupling
+            want[1:] += coupling
+            assert np.array_equal(diag, want)
+            assert np.array_equal(off, -coupling)

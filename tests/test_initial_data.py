@@ -15,7 +15,6 @@ from radks.initial_data import (
     family_energy_scan,
     l1_distance,
     mollifier_spec,
-    mollifier_value,
     w22_norm,
 )
 
@@ -58,15 +57,11 @@ def test_mollifier_unit_integral_quadrature():
 
 
 def test_mollifier_support_and_monotonicity():
-    spec = mollifier_spec(5)
-    assert mollifier_value(spec, 1.0) == 0.0
-    assert mollifier_value(spec, 1.7) == 0.0
-    assert mollifier_value(spec, 0.0) == pytest.approx(
-        spec.normalization * math.exp(-1.0), rel=1e-14
-    )
-    assert mollifier_value(spec, 0.3) >= mollifier_value(spec, 0.7)
-    with pytest.raises(ConfigurationError):
-        mollifier_value(spec, -0.1)
+    # the profile the normalization and the cell fractions integrate
+    phi = initial_data._profile(np.array([0.0, 0.3, 0.7, 1.0, 1.7]))
+    assert phi[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert phi[1] >= phi[2] > 0.0
+    assert phi[3] == 0.0 and phi[4] == 0.0
 
 
 def test_eta_star_frozen_regression():
@@ -228,7 +223,8 @@ def test_bump_fractions_match_pointwise_profile_when_resolved():
     fr = bump_cell_fractions(g, eta)
     inside = g.centers < 0.8 * eta
     expected = (
-        np.array([mollifier_value(spec, r / eta) for r in g.centers[inside]])
+        spec.normalization
+        * initial_data._profile(g.centers[inside] / eta)
         * g.volumes[inside]
         / eta**g.n
     )

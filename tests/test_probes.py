@@ -169,6 +169,20 @@ def test_odi_insufficient_tail_raises():
         probe_odi(samples, 5.0 / 7.0)
 
 
+def test_odi_tail_not_reached_when_negF_barely_grows():
+    # the README blowup data: F converges (-5062 -> -5827) while D grows
+    # 27x, so every sample sits in the "final decade"; a slope fitted there
+    # (43.4 on the real run) says nothing about the ODI tail
+    theta = 5.0 / 7.0
+    negF = np.linspace(5062.0, 5827.0, 200)
+    D = np.geomspace(1.8e7, 4.9e8, 200)
+    samples = [FakeSample(t, F=-x, D=d) for t, (x, d) in enumerate(zip(negF, D))]
+    fit = probe_odi(samples, theta)
+    assert math.isnan(fit.tail_slope) and fit.tail_size == 0
+    assert "tail not reached" in fit.tail_note and "1.15" in fit.tail_note
+    assert fit.c5 == probe_odi(samples, theta, fit_tail=False).c5 > 0.0
+
+
 def test_odi_recovers_powerlaw_slope():
     # synthetic samples with D = ((-F - c5)/c5)^{1/theta} exactly
     theta = 5.0 / 7.0
