@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
 from .energy import compute_energy
-from .errors import InsufficientDataError, RadksError
+from .errors import RadksError
 from .grid import RadialField, integrate
 from .helmholtz import build_solver
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
@@ -69,28 +69,37 @@ def resolve_etas(cfg: RunConfig, u0: RadialField) -> list[float]:
     return [star / (4 * 2**k) for k in range(cfg.eta_count)]
 
 
-def simulate_run(cfg: RunConfig):
-    """Shared by the simulate verb and the sweep worker.
+def _initial_pair(cfg: RunConfig):
+    """(solver, u0, v0) of the run cfg describes.
 
     An explicit single-valued family.eta perturbs the base pair with the
     concentrated bump at that scale (this is how eta sweeps work); the
-    default "auto" leaves the base pair untouched.  Returns (RunSummary,
-    extras) with the trajectory maxima of the probe constants.
+    default "auto" leaves the base pair untouched.
     """
-    grid = cfg.grid
     solver, u0, v0 = _build_problem(cfg)
     if cfg.eta_spec != "auto":
         etas = resolve_etas(cfg, u0)
         if len(etas) == 1:
             u0, v0 = build_family(
-                FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=etas[0]), grid
+                FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=etas[0]), cfg.grid
             )
+    return solver, u0, v0
+
+
+def simulate_run(cfg: RunConfig):
+    """Shared by the simulate verb and the sweep worker.
+
+    Runs from _initial_pair(cfg).  Returns (RunSummary, extras) with the
+    trajectory maxima of the probe constants.
+    """
+    grid = cfg.grid
+    solver, u0, v0 = _initial_pair(cfg)
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     pconf = cfg.probe
     v0_norm = w22_norm(v0)
-    max_c = {"fd": 0.0, "w": 0.0, "v": 0.0}
+    max_c = {"w": 0.0, "v": 0.0}
     sample_count = 0
 
     with DiagnosticsWriter(outdir / "diagnostics.csv") as diag:
@@ -99,10 +108,6 @@ def simulate_run(cfg: RunConfig):
             nonlocal sample_count
             diag.write(sample)
             m = sample.mass
-            max_c["fd"] = max(
-                max_c["fd"],
-                max(-sample.F, 0.0) / (max(sample.D, 0.0) ** pconf.theta + 1.0),
-            )
             max_c["w"] = max(max_c["w"], probe_pointwise_w(state.report.w, m).implied_c)
             max_c["v"] = max(
                 max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c
@@ -117,6 +122,7 @@ def simulate_run(cfg: RunConfig):
         state, summary, samples = run(
             u0, v0, cfg.stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
+    max_c["fd"] = probe_fd_ratio(samples, pconf).implied_c
 
     write_snapshot(outdir / "snapshot_final.csv", grid, state.u, state.v, t=state.t)
     with (outdir / "summary.txt").open("w") as handle:
@@ -177,15 +183,15 @@ def cmd_family(cfg: RunConfig) -> int:
 
 
 def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
-    diag_rows = read_diagnostics(diagnostics_path)
-    if not diag_rows:
+    # trajectory rows with the TrajectorySample attributes the probes read
+    samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
+    if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
     snaps = sorted(Path(snapshot_dir).glob("snapshot_*.csv")) if snapshot_dir else []
-    results = []
-    solver = build_solver(cfg.grid)
-    # diagnostics rows with the TrajectorySample attributes the probes read
-    samples = [SimpleNamespace(**row, int_v=math.nan, int_w=math.nan) for row in diag_rows]
     pconf = cfg.probe
+    solver, _, v0 = _initial_pair(cfg)
+    v0_norm = w22_norm(v0)
+    results, records = [], []
     for snap_path in snaps:
         snap = read_snapshot(snap_path)
         u, v = snap.fields(cfg.grid)
@@ -196,24 +202,18 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         rep = compute_energy(u, v, solver)
         results.append(replace(probe_entropy_floor(rep), sample=t))
         results.append(replace(probe_pointwise_w(rep.w, m), sample=t))
-        results.append(replace(probe_pointwise_v(v, pconf, m, w22_norm(v)), sample=t))
+        results.append(replace(probe_pointwise_v(v, pconf, m, v0_norm), sample=t))
         for r in probe_local_inequalities(u, v, rep, pconf):
             results.append(replace(r, sample=t))
-        # enrich the nearest diagnostics sample with field integrals
-        if samples:
-            nearest = min(samples, key=lambda s: abs(s.t - t))
-            nearest.int_v = integrate(v)
-            nearest.int_w = integrate(rep.w)
+        # this state's mass record, for the identity checks
+        records.append(
+            SimpleNamespace(t=t, mass=m, int_v=integrate(v), int_w=integrate(rep.w))
+        )
 
     results.append(probe_fd_ratio(samples, pconf))
-    enriched = [s for s in samples if not math.isnan(s.int_v)]
-    if enriched:
-        results.extend(probe_mass_identities(enriched))
-    try:
-        odi = probe_odi(samples, pconf.theta)
-    except InsufficientDataError as exc:
-        # too few tail samples to fit: c5 needs none of them
-        odi = replace(probe_odi(samples, pconf.theta, fit_tail=False), tail_note=str(exc))
+    if records:
+        results.extend(probe_mass_identities(records))
+    odi = probe_odi(samples, pconf.theta)
     results.append(
         ProbeResult(name="odi_c5", lhs=odi.c5, rhs_free=1.0, implied_c=odi.c5,
                     param=pconf.theta)

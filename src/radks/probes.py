@@ -190,15 +190,14 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y - np.mean(y)) / denom)
 
 
-def probe_odi(samples: Sequence, theta: float, fit_tail: bool = True) -> OdiFit:
+def probe_odi(samples: Sequence, theta: float) -> OdiFit:
     """Smallest c5 with D >= ((-F - c5)/c5)^{1/theta} at every sample,
     plus the log-log slope of D against -F over the final decade of -F.
 
-    The slope fit needs at least 8 tail samples with positive -F and D
-    (InsufficientDataError otherwise), and positive -F must span at least
-    a factor ODI_TAIL_MIN_SPAN over the trajectory: below that the tail is
-    not reached, and tail_slope is NaN with the span in tail_note.  Pass
-    fit_tail=False to get only c5 (for trajectories with no growth).
+    c5 is always fitted.  The slope is not, and tail_slope is NaN with the
+    reason in tail_note, when -F is never positive, when fewer than 8 tail
+    samples have positive -F and D, or when positive -F spans less than a
+    factor ODI_TAIL_MIN_SPAN over the trajectory (the tail is not reached).
     """
     negF = np.array([-s.F for s in samples])
     D = np.array([max(s.D, 0.0) for s in samples])
@@ -229,14 +228,11 @@ def probe_odi(samples: Sequence, theta: float, fit_tail: bool = True) -> OdiFit:
             lo = mid
     c5 = hi
 
-    if not fit_tail:
-        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0, tail_note="no tail fit asked for")
     tail = (negF >= 0.1 * peak) & (negF > 0.0) & (D > 0.0)
     n_tail = int(np.count_nonzero(tail))
     if n_tail < 8:
-        raise InsufficientDataError(
-            f"only {n_tail} usable tail samples; need at least 8"
-        )
+        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0,
+                      tail_note=f"only {n_tail} usable tail samples; need at least 8")
     span = peak / float(negF[negF > 0.0].min())
     if span < ODI_TAIL_MIN_SPAN:
         return OdiFit(

@@ -182,64 +182,50 @@ class DiagnosticsWriter:
 
 
 def read_diagnostics(path) -> list[dict]:
-    path = Path(path)
-    with path.open() as handle:
-        first = handle.readline()
-        _check_version(first, path)
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != DIAGNOSTICS_COLUMNS:
-            raise SnapshotFormatError(
-                f"{path}: expected header {DIAGNOSTICS_COLUMNS}, got {reader.fieldnames}"
-            )
-        out = []
-        for row in reader:
-            try:
-                out.append({k: float(v) for k, v in row.items()})
-            except (TypeError, ValueError) as exc:
-                raise SnapshotFormatError(f"{path}: malformed row {row!r}") from exc
+    """Diagnostics rows as {column: float}, parsed through read_table."""
+    header, rows = read_table(path)
+    if header != DIAGNOSTICS_COLUMNS:
+        raise SnapshotFormatError(f"{path}: expected header {DIAGNOSTICS_COLUMNS}, got {header}")
+    out = []
+    for row in rows:
+        try:  # a ragged row fails zip, a non-number fails float
+            out.append(dict(zip(header, map(float, row), strict=True)))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: malformed row {row!r}") from exc
     return out
 
 
 def write_probe_rows(path, rows: Iterable) -> None:
     """Probe report CSV: probe,param,sample,lhs,rhs_free,implied_C,hard_pass."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        handle.write(_version_line())
-        writer = csv.writer(handle)
-        writer.writerow(PROBE_COLUMNS)
-        for row in rows:
-            hard = "" if row.hard_pass is None else str(bool(row.hard_pass)).lower()
-            writer.writerow(
-                [
-                    row.name,
-                    "" if row.param is None else format_float(row.param),
-                    "" if row.sample is None else format_float(row.sample),
-                    format_float(row.lhs),
-                    format_float(row.rhs_free),
-                    format_float(row.implied_c),
-                    hard,
-                ]
-            )
+    write_table(path, PROBE_COLUMNS, (
+        [r.name, r.param, r.sample, r.lhs, r.rhs_free, r.implied_c, r.hard_pass]
+        for r in rows
+    ))
+
+
+def _cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format_float(x) if isinstance(x, float) else x
 
 
 def write_table(path, columns: list[str], rows: Iterable[Iterable]) -> None:
-    """Generic versioned CSV used by the family and sweep outputs."""
+    """Versioned CSV of the family, sweep and probe outputs: floats in
+    round-trip repr, bools as true/false, None as an empty cell."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         handle.write(_version_line())
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [format_float(x) if isinstance(x, float) else x for x in row]
-            )
+            writer.writerow([_cell(x) for x in row])
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """(header, nonblank rows) of a versioned CSV; header is None when absent."""
     path = Path(path)
     with path.open() as handle:
-        first = handle.readline()
-        _check_version(first, path)
+        _check_version(handle.readline(), path)
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
         return header, [row for row in reader if row]

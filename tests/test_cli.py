@@ -6,9 +6,9 @@ import pytest
 from radks.cli import main
 from radks.config import load_config
 from radks.dynamics import run
-from radks.grid import make_grid
+from radks.grid import integrate, make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
-from radks.initial_data import base_data
+from radks.initial_data import base_data, w22_norm
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
 BASE = """\
@@ -211,6 +211,53 @@ def test_probe_keeps_odi_c5_when_tail_not_reached(config_path, tmp_path, capsys,
     assert by_name["odi_tail_slope"][3] == "nan"
 
 
+def _probe_rows(path, name):
+    header, rows = read_table(path)
+    return [dict(zip(header, row)) for row in rows if row[0] == name]
+
+
+def test_probe_pointwise_v_uses_initial_signal_norm(config_path, tmp_path):
+    # the bound is r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}}): every
+    # snapshot is normalised by the initial signal, as simulate's max_C_v is
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    out = tmp_path / "out"
+    assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]) == 0
+    grid = make_grid(5, 1.0, 96)
+    _, v0 = read_snapshot(out / "snapshot_00000000.csv").fields(grid)
+    mass = {}
+    for snap_path in out.glob("snapshot_*.csv"):
+        snap = read_snapshot(snap_path)
+        mass[snap.t] = integrate(snap.fields(grid)[0])
+    rows = _probe_rows(out / "probe_report.csv", "pointwise_v")
+    assert len(rows) == len(mass) == 3
+    for row in rows:
+        assert float(row["rhs_free"]) == mass[float(row["sample"])] + w22_norm(v0)
+
+
+def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
+    # the diagnostics' mass column (1.0 here) belongs to no snapshot; every
+    # mass record pairs int u, int v and int w of one snapshot's own state
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    out = tmp_path / "out"
+    diag = tmp_path / "diagnostics.csv"
+    lines = ["# format_version=1", "t,dt,mass,sup_u,F,D,identity_residual"]
+    lines += [f"{0.01 * k!r},0.01,1.0,1.0,-1.0,1.0,0.0" for k in range(11)]
+    diag.write_text("\n".join(lines) + "\n")
+    assert main(["-c", str(config_path), "probe", str(diag), str(out)]) == 0
+    for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
+        (row,) = _probe_rows(out / "probe_report.csv", name)
+        assert row["hard_pass"] == "true", name
+
+
+def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path):
+    # both read probe_fd_ratio over the same samples; diagnostics round-trip
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    out = tmp_path / "out"
+    assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv")]) == 0
+    (row,) = _probe_rows(out / "probe_report.csv", "fd_ratio")
+    assert f"max_C_fd={row['implied_C']}\n" in (out / "summary.txt").read_text()
+
+
 def test_sweep_single_point_matches_simulate(config_path, tmp_path):
     overrides = ["--set", "run.workers=1"]
     sweep_ini = tmp_path / "sweep.ini"
@@ -314,8 +361,8 @@ def test_missing_config_is_error(capsys):
 
 
 def write_graded_snapshot(path):
-    from radks.grid import make_grid
-    from radks.initial_data import base_data
+    from radks.grid import integrate, make_grid
+    from radks.initial_data import base_data, w22_norm
     from radks.snapshots import write_snapshot
 
     g = make_grid(5, 1.0, 64, h_min=1e-6)

@@ -159,14 +159,18 @@ def test_fd_ratio_monotone_in_theta():
 
 def test_odi_equilibrium_c5_is_sup_negF():
     samples = [FakeSample(t, F=-2.6, D=0.0) for t in np.linspace(0, 1, 20)]
-    fit = probe_odi(samples, 5.0 / 7.0, fit_tail=False)
+    fit = probe_odi(samples, 5.0 / 7.0)
     assert fit.c5 == pytest.approx(2.6, rel=1e-9)
 
 
 def test_odi_insufficient_tail_raises():
+    # too few samples to fit a tail: the slope is NaN with the reason, and
+    # c5 is still fitted (D = 1 binds at the peak: c5 = max(-F)/2 = 1)
     samples = [FakeSample(t, F=-1.0 - t, D=1.0) for t in np.linspace(0, 1, 5)]
-    with pytest.raises(InsufficientDataError):
-        probe_odi(samples, 5.0 / 7.0)
+    fit = probe_odi(samples, 5.0 / 7.0)
+    assert math.isnan(fit.tail_slope) and fit.tail_size == 0
+    assert "need at least 8" in fit.tail_note
+    assert fit.c5 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_odi_tail_not_reached_when_negF_barely_grows():
@@ -180,7 +184,7 @@ def test_odi_tail_not_reached_when_negF_barely_grows():
     fit = probe_odi(samples, theta)
     assert math.isnan(fit.tail_slope) and fit.tail_size == 0
     assert "tail not reached" in fit.tail_note and "1.15" in fit.tail_note
-    assert fit.c5 == probe_odi(samples, theta, fit_tail=False).c5 > 0.0
+    assert fit.c5 == probe_odi(samples, theta).c5 > 0.0
 
 
 def test_odi_recovers_powerlaw_slope():
@@ -201,8 +205,8 @@ def test_odi_c5_monotone_under_tail_extension():
     negF = np.linspace(0.5, 60.0, 60)
     samples = [FakeSample(t, F=-x, D=0.5 * ((x - 2.0) / 2.0) ** (1 / theta) if x > 2 else 0.0)
                for t, x in enumerate(negF)]
-    c5_short = probe_odi(samples[:30], theta, fit_tail=False).c5
-    c5_long = probe_odi(samples, theta, fit_tail=False).c5
+    c5_short = probe_odi(samples[:30], theta).c5
+    c5_long = probe_odi(samples, theta).c5
     assert c5_long >= c5_short - 1e-12
 
 
@@ -230,6 +234,11 @@ def test_mass_identities_trajectory(grid, solver):
     assert results["v_mass_bound"].hard_pass
     # backward-Euler relaxation tracks the scalar solution at O(dt)
     assert results["v_mass_relaxation_gap"].lhs <= 0.05
+
+
+def test_mass_identities_need_samples():
+    with pytest.raises(InsufficientDataError):
+        probe_mass_identities([])
 
 
 def test_local_inequalities_homogeneous(grid, solver):

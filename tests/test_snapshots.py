@@ -162,6 +162,34 @@ def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
     assert len(read_diagnostics(tmp_path / "cut.csv")) == 1
 
 
+DIAG_HEADER = "t,dt,mass,sup_u,F,D,identity_residual\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", DIAG_HEADER + "0,0,1,1,0,0,0\n", "# format_version=2\n" + DIAG_HEADER,
+     "# format_version=1\n", "# format_version=1\nt,dt,mass,sup_u,F,D\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0,0,9\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,one,1,0,0,0\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,,1,0,0,0\n"],
+    ids=["empty", "no-version", "wrong-version", "no-header", "bad-header",
+         "short-row", "long-row", "non-numeric", "empty-cell"],
+)
+def test_diagnostics_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "diag.csv"
+    path.write_text(text)
+    with pytest.raises(SnapshotFormatError):
+        read_diagnostics(path)
+
+
+def test_write_table_cells(tmp_path):
+    # floats in round-trip repr, bools as true/false, None empty, the rest as is
+    path = tmp_path / "table.csv"
+    write_table(path, ["a", "b", "c", "d"], [[0.1, True, None, 3], [1e-300, False, "x", ""]])
+    assert read_table(path)[1] == [["0.1", "true", "", "3"], ["1e-300", "false", "x", ""]]
+
+
 def test_probe_rows_roundtrip(tmp_path):
     rows = [
         ProbeResult(name="entropy_floor", lhs=-2.0, rhs_free=9.68, implied_c=0.0,
