@@ -15,12 +15,14 @@ Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
 next adapt_dt); three solves, (a) to (c), of two LAPACK dpttrs calls each
 (the second is the refinement pass); and two factorizations, of the (b)
-and (c) operators, only when dt changes.  A sampled state skips (a): its
-energy report already solved w.
+and (c) operators, only when dt moves to another rung of adapt_dt's
+ladder 2^(k/16).  A sampled state skips (a): its energy report already
+solved w.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -150,8 +152,11 @@ def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConf
     dt_min = (R 1e-8/N) (h_min/h)^2: on a uniform mesh that is R 1e-8/N;
     on a graded one the floor shrinks with the squared ratio of the
     smallest to the largest cell width, so it stays far below the steps
-    the smallest cells need.  The default dt_init, 1e-6, is clamped into
-    [dt_min, dt_max]; an explicit dt_init outside them is rejected.
+    the smallest cells need.  dt_init steers nothing: run puts it only on
+    the t = 0 state, whose diagnostics row shows it, and every step,
+    the first included, takes its dt from adapt_dt.  The default,
+    1e-6, is clamped into [dt_min, dt_max]; an explicit dt_init outside
+    them is rejected.
     """
     dt_min = grid.R * 1e-8 / grid.N * (grid.h_min / grid.h) ** 2
     values = dict(
@@ -208,12 +213,37 @@ def _stable_dt(grid: Grid, vel: np.ndarray) -> float:
     return min(float(transit), float(per_cell))
 
 
+# The dt ladder: rungs 2^(k/16), k an integer.  _RUNG_MANTISSAS holds the
+# rungs in [0.5, 1), the range of math.frexp's mantissa, so every rung is
+# one of them times a power of two, exactly.
+_RUNGS_PER_OCTAVE = 16
+_RUNG_MANTISSAS = tuple(2.0 ** (k / _RUNGS_PER_OCTAVE - 1.0) for k in range(_RUNGS_PER_OCTAVE))
+
+
+def _rung_below(dt: float) -> float:
+    """The largest rung of the dt ladder that does not exceed dt.
+
+    A dt that is not positive and finite (+inf when v_r vanishes) passes
+    through unchanged, for adapt_dt's clamps to handle.
+    """
+    if not 0.0 < dt < math.inf:
+        return dt
+    mantissa, exponent = math.frexp(dt)
+    k = bisect.bisect_right(_RUNG_MANTISSAS, mantissa) - 1
+    return math.ldexp(_RUNG_MANTISSAS[k], exponent)
+
+
 def adapt_dt(state: State, cfg: StepperConfig) -> float:
-    """clamp(cfl * stable dt, dt_min, dt_max), then capped by t_end - t.
+    """clamp(rung below cfl * stable dt, dt_min, dt_max), then capped by t_end - t.
 
     The stable dt depends on v alone, through the state's face velocity.
+    cfl times it is rounded down to the ladder 2^(k/16) (16 rungs per
+    octave, k an integer) before the clamps, so dt stays at or below the
+    CFL step and changes only when that step moves to another rung: while
+    it does not, step reuses both factorizations, at the price of a mean
+    step about 2% below the CFL step.
     """
-    dt = cfg.cfl * _stable_dt(state.u.grid, state.face_velocity)
+    dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, state.face_velocity))
     dt = min(max(dt, cfg.dt_min), cfg.dt_max)
     remaining = cfg.t_end - state.t
     dt = min(dt, remaining)

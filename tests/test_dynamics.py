@@ -133,13 +133,55 @@ def test_adapt_dt_zero_velocity(grid):
     assert adapt_dt(st1, cfg) == cfg.dt_max
 
 
+def ramp_state(grid, speed, t=0.0):
+    # inward linear ramp: |v_r| = speed everywhere, geometry cap not binding,
+    # so the CFL step is cfl * h / speed
+    v = RadialField(-speed * grid.centers, grid)
+    return State(t, 0, constant_field(grid, 1.0), v, 1e-3)
+
+
 def test_adapt_dt_cfl_formula():
-    # inward linear ramp: |v_r| = 10 everywhere, geometry cap not binding
     g = make_grid(5, 1.0, 100)
     cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1.0)
-    v = RadialField(-10.0 * g.centers, g)
-    st = State(0.0, 0, constant_field(g, 1.0), v, 1e-3)
-    assert adapt_dt(st, cfg) == pytest.approx(0.5 * g.h / 10.0, rel=1e-12)
+    bound = 0.5 * g.h / 10.0
+    dt = adapt_dt(ramp_state(g, 10.0), cfg)
+    # the largest rung 2^(k/16) <= bound: 2^-11 < 0.0005 < 2^(-11 + 1/16)
+    assert dt == 2.0 ** -11 == 0.00048828125
+    assert bound * 2 ** (-1 / 16) < dt <= bound
+
+
+def test_rung_below_keeps_rungs_and_rounds_down_monotonically():
+    mantissas = dynamics._RUNG_MANTISSAS
+    assert len(mantissas) == 16 and mantissas[0] == 0.5
+    assert all(a * 2 ** (1 / 16) == pytest.approx(b, rel=1e-15)
+               for a, b in zip(mantissas, mantissas[1:] + (1.0,)))
+    rungs = [math.ldexp(m, e) for m in mantissas for e in range(-1021, 8)]
+    assert all(dynamics._rung_below(r) == r for r in rungs)
+    rng = np.random.default_rng(3)
+    bounds = np.sort(10.0 ** rng.uniform(-12.0, 2.0, 4000)).tolist()
+    snapped = [dynamics._rung_below(b) for b in bounds]
+    assert all(a <= b for a, b in zip(snapped, snapped[1:]))
+    assert all(b * 2 ** (-1 / 16) < s <= b for b, s in zip(bounds, snapped))
+    # a dense sweep of one octave lands on its 16 rungs and no other value
+    octave = [dynamics._rung_below(x) for x in np.linspace(1.0, 2.0, 1001)[:-1].tolist()]
+    assert sorted(set(octave)) == [2.0 * m for m in mantissas]
+    # +inf (no velocity) is left for adapt_dt's dt_max clamp
+    assert dynamics._rung_below(math.inf) == math.inf
+
+
+def test_adapt_dt_clamps_and_horizon_act_after_the_ladder():
+    g = make_grid(5, 1.0, 100)
+    # a CFL step far above dt_max gives dt_max itself, though 1e-3 is no rung
+    cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1e-3)
+    assert adapt_dt(ramp_state(g, 1e-3), cfg) == 1e-3
+    # a CFL step 1% above dt_min rounds to a rung below it: dt_min is taken
+    bound = 0.5 * g.h / 10.0
+    cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1.0, dt_min=bound / 1.01)
+    assert adapt_dt(ramp_state(g, 10.0), cfg) == cfg.dt_min
+    # a remaining horizon below the rung is taken as it is
+    cfg = default_stepper_config(g, t_end=1.0, cfl=0.5, dt_max=1.0)
+    st = ramp_state(g, 10.0, t=1.0 - 3e-4)
+    assert adapt_dt(st, cfg) == 1.0 - st.t
 
 
 def test_adapt_dt_hits_floor(grid):
@@ -373,6 +415,31 @@ def test_step_reuses_factors_bit_for_bit(grid, monkeypatch):
         fresh = step(replace(fresh, dt=dt), cfg, build_solver(grid))
         assert np.array_equal(fresh.u.values, want.u.values)
         assert np.array_equal(fresh.v.values, want.v.values)
+
+
+def test_run_factors_once_per_rung(monkeypatch):
+    # a collapsing run whose CFL step shrinks every step: dt stays on one
+    # rung of the ladder for several steps, and the solver factors the
+    # v- and u-operators again only when dt moves to another rung
+    g = make_grid(5, 1.0, 64)
+    solver = build_solver(g)
+    u0 = RadialField(1.0 + 1e7 * np.exp(-((g.centers / 0.1) ** 2)), g)
+    v0 = solve(solver, solve(solver, u0))
+    cfg = default_stepper_config(g, t_end=1e3, dt_max=1.0, output_every=1)
+    factored = []
+    inner = helmholtz._factor
+
+    def counting(g, alpha, beta):
+        factored.append((alpha, beta))
+        return inner(g, alpha, beta)
+
+    monkeypatch.setattr(helmholtz, "_factor", counting)
+    _, summary, samples = run(u0, v0, cfg, solver=solver, max_steps=300)
+    assert summary.steps == 300
+    dts = [smp.dt for smp in samples[1:]]
+    assert len(dts) == summary.steps and max(dts) < cfg.dt_max
+    assert len(factored) <= 2 * len(set(dts)) + 2
+    assert len(factored) < summary.steps / 2
 
 
 @pytest.mark.parametrize("output_every", [1, 2])

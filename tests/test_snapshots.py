@@ -65,6 +65,16 @@ def test_snapshot_bytes_match_per_value_rendering(tmp_path, N):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_snapshot_r_column_follows_the_grid(tmp_path):
+    # the rendered r column is reused across snapshots of one mesh and never
+    # carried over to another mesh with the same cell count
+    uniform, graded = make_grid(5, 1.0, 300), make_grid(5, 1.0, 300, h_min=1e-6)
+    path = tmp_path / "snap.csv"
+    for g in (uniform, uniform, graded, uniform):
+        write_snapshot(path, g, RadialField(np.ones(g.N), g), RadialField(np.zeros(g.N), g))
+        assert np.array_equal(read_snapshot(path).r, g.centers)
+
+
 # a version-1 snapshot as the r,u,v,w,f,g writer left it: the relaxed bump
 # (baseline 1, amplitude 0.5, width 0.3) on the 4-cell n=5 unit ball
 VERSION_1_BYTES = (
