@@ -48,7 +48,6 @@ from .snapshots import (
     write_table,
 )
 from . import verify as verify_mod
-from . import sweep as sweep_mod
 
 __all__ = ["main", "simulate_run"]
 
@@ -233,6 +232,10 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, config_path: str, overrides) -> int:
+    # imported here: the process pool it loads (multiprocessing, socket,
+    # logging) costs every other verb's start-up ~20 ms and ~2 MB
+    from . import sweep as sweep_mod
+
     outdir = resolve_output_dir(cfg) / "sweep"
     columns, rows = sweep_mod.run_sweep(
         config_path, overrides, cfg.sweep_axes, outdir, cfg.workers

@@ -195,22 +195,20 @@ def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
 def _stable_dt(grid: Grid, vel: np.ndarray) -> float:
     """Largest dt keeping the explicit upwind update positivity-preserving.
 
-    min(min_faces spacing / |v_r|, min_i V_i / outflow_i) for the face
-    velocity vel = v_r; near the origin the per-cell outflow bound is the
-    binding one because face areas outgrow volumes.  A zero |v_r| or
-    outflow contributes +inf, so v_r = 0 everywhere gives +inf.
+    1 / max(max_faces |v_r| / spacing, max_i outflow_i / V_i) for the face
+    velocity vel = v_r: the reciprocal of the fastest transit or per-cell
+    outflow rate.  Near the origin the per-cell outflow rate is the
+    binding one because face areas outgrow volumes.  v_r = 0 everywhere
+    gives +inf.
     """
-    speed = np.abs(vel)
+    transit = np.abs(vel)
+    transit /= grid.spacing
     area_vel = grid.face_areas * vel
     outflow = np.maximum(area_vel[1:], 0.0)
     outflow -= np.minimum(area_vel[:-1], 0.0, out=area_vel[:-1])
-    # outflow >= 0, but a face term of -0.0 can leave -0.0 there, and
-    # V / -0.0 would be -inf; abs keeps it +inf
-    np.abs(outflow, out=outflow)
-    with np.errstate(divide="ignore"):
-        transit = np.divide(grid.spacing, speed, out=speed).min()
-        per_cell = np.divide(grid.volumes, outflow, out=outflow).min()
-    return min(float(transit), float(per_cell))
+    outflow /= grid.volumes
+    rate = max(float(transit.max()), float(outflow.max()))
+    return math.inf if rate == 0.0 else 1.0 / rate
 
 
 # The dt ladder: rungs 2^(k/16), k an integer.  _RUNG_MANTISSAS holds the

@@ -269,23 +269,30 @@ def flux_divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
     return div
 
 
+def _add_flux_divergence(out: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Add to out_i the net face flux F_{i+1/2} - F_{i-1/2} of the cell values.
+
+    F = weights * (f_{i+1} - f_i) at the N-1 interior faces and zero at
+    r = 0 and r = R, so the additions telescope to zero.  With weights
+    A / spacing (Grid.coupling) this is V_i (Lf)_i: the one face-flux
+    kernel of the flux-form Laplacian, of (I - L) in the energy, and of
+    the solves' refinement, which passes beta A / spacing.
+    """
+    flux = np.subtract(values[1:], values[:-1])
+    flux *= weights
+    out[:-1] += flux
+    out[1:] -= flux
+    return out
+
+
 def laplacian(field: RadialField) -> RadialField:
     """Flux-form radial Laplacian with zero-flux ends.
 
     (Lf)_i = [A_{i+1/2} g_{i+1/2} - A_{i-1/2} g_{i-1/2}] / V_i with g the
     face gradients.  Annihilates constants and has zero discrete mean for
-    every field (fluxes telescope).  The solves call it in every
-    refinement pass, so it computes the face gradients and their
-    divergence inline, in the same order as gradient_faces and
-    flux_divergence.
+    every field (fluxes telescope).
     """
     grid = field.grid
-    f = field.values
-    flux = np.zeros(grid.N + 1)
-    inner = flux[1:-1]
-    np.subtract(f[1:], f[:-1], out=inner)
-    inner /= grid.spacing[1:-1]
-    inner *= grid.face_areas[1:-1]  # the end fluxes stay exactly zero
-    div = np.subtract(flux[1:], flux[:-1])
+    div = _add_flux_divergence(np.zeros(grid.N), field.values, grid.coupling)
     div /= grid.volumes
     return _adopt(div, grid)

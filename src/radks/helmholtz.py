@@ -8,8 +8,12 @@ LAPACK factors it as L D L^T (``dpttrf``) and solves with ``dpttrs``.
 :func:`build_solver`; the stepper's dt-dependent systems take the same
 path through :func:`shifted_solve`, which keeps the factors of the last
 two (alpha, beta) pairs on the solver, so they are reused while dt
-repeats.  The K rows sum to zero, so
-alpha sum x_i V_i = sum rhs_i V_i: the discrete mass identity of u and w.
+repeats.  Every solve makes one refinement pass, whose defect is V times
+the flux-form one, b - alpha V x + beta (F+ - F-), formed directly from
+the face fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with
+the weights alpha V and beta A / spacing cached beside the factors.  The
+K rows sum to zero, so alpha sum x_i V_i = sum rhs_i V_i: the discrete
+mass identity of u and w.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import Grid, RadialField, _adopt, laplacian
+from .grid import Grid, RadialField, _add_flux_divergence, _adopt
 
 __all__ = [
     "HelmholtzSolver",
@@ -76,29 +80,36 @@ def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     return diag, -coupling
 
 
-def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """L D L^T factors of alpha*diag(V) + beta*K."""
+def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """L D L^T factors of alpha*diag(V) + beta*K, and the weights of its defect.
+
+    Returns (d, e, alpha V, beta A / spacing): the factors, then the cell
+    and face weights with which _solve's refinement applies the operator.
+    """
     d, e, info = dpttrf(*_assemble(grid, alpha, beta), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ConfigurationError(
             f"alpha I - beta L with alpha={alpha!r}, beta={beta!r} is not positive "
             f"definite (LAPACK dpttrf info={info}); need alpha > 0 and beta >= 0"
         )
-    return d, e
+    return d, e, alpha * grid.volumes, beta * grid.coupling
 
 
 def _solve(grid: Grid, alpha: float, beta: float, factor, rhs: np.ndarray) -> np.ndarray:
-    """x with (alpha I - beta L)x = rhs, from the factors of that operator.
+    """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator.
 
-    One refinement pass against the flux-form L (which divides by V_i
-    where the factored system weights by it) solves that L to round-off.
+    One refinement pass against the flux-form L solves that L to
+    round-off.  It forms V times the flux-form defect directly,
+    V (rhs - (alpha I - beta L)x) = b - alpha V x + beta (F+ - F-), with
+    b = V rhs the first dpttrs input and F the face fluxes
+    A (x_{i+1} - x_i) / spacing, from the weights cached in factor; the
+    fluxes telescope, so the defect sums to sum b - alpha sum V x.
     """
-    d, e = factor
-    x = dpttrs(d, e, grid.volumes * rhs, overwrite_b=True)[0]
-    residual = alpha * x
-    residual -= beta * laplacian(_adopt(x, grid)).values
-    defect = np.subtract(rhs, residual, out=residual)
-    defect *= grid.volumes
+    d, e, volumes, coupling = factor
+    b = grid.volumes * rhs
+    x = dpttrs(d, e, b)[0]
+    b -= volumes * x
+    defect = _add_flux_divergence(b, x, coupling)
     correction = dpttrs(d, e, defect, overwrite_b=True)[0]
     correction += x
     return correction
@@ -113,7 +124,7 @@ class HelmholtzSolver:
     """
 
     grid: Grid
-    _factor: tuple[np.ndarray, np.ndarray]
+    _factor: tuple[np.ndarray, ...]
     _shifted: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -140,7 +151,10 @@ def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
     """Values of (I - L)v, using the same flux-form L as the solve."""
     if not v.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
-    return v.values - laplacian(v).values
+    grid = v.grid
+    lap = _add_flux_divergence(np.zeros(grid.N), v.values, grid.coupling)
+    lap /= grid.volumes
+    return v.values - lap
 
 
 def shifted_solve(

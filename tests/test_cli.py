@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radks.cli
 from radks.cli import main
 from radks.config import load_config
 from radks.dynamics import run
@@ -256,6 +261,21 @@ def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path):
     assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv")]) == 0
     (row,) = _probe_rows(out / "probe_report.csv", "fd_ratio")
     assert f"max_C_fd={row['implied_C']}\n" in (out / "summary.txt").read_text()
+
+
+def test_import_leaves_the_sweep_pool_unimported():
+    # only the sweep verb loads radks.sweep and its process pool
+    # (multiprocessing, socket, logging); every other verb starts without them
+    src = str(Path(radks.cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radks.cli; print([m for m in ('radks.sweep', 'multiprocessing') if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_single_point_matches_simulate(config_path, tmp_path):

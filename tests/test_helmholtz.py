@@ -224,6 +224,21 @@ def test_graded_shifted_solve_mass_identity(graded, graded_solver):
         assert abs(gap) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("h_min", [None, 1e-12])
+def test_shifted_solve_mass_identity_at_large_n(h_min):
+    # what the refinement pass buys at the blowup size: alpha int x = int rhs
+    # to a few ulps, where one dpttrs alone leaves gaps up to ~1e-10 of int |rhs|
+    big = make_grid(5, 1.0, 8192, h_min=h_min)
+    solver = build_solver(big)
+    rng = np.random.default_rng(29)
+    for alpha, beta in ((1.0, 1.0), (1.0, 1e-2), (1.0 + 3e-4, 3e-4)):
+        rhs = rng.random(big.N) * 3
+        x = shifted_solve(solver, alpha, beta, rhs)
+        scale = math.fsum(np.abs(rhs) * big.volumes)
+        gap = alpha * math.fsum(big.volumes * x) - math.fsum(big.volumes * rhs)
+        assert abs(gap) <= 1e-15 * scale, (alpha, beta, gap / scale)
+
+
 def test_graded_shifted_solve_constant_mode(graded, graded_solver):
     for alpha, beta, c in ((2.5, 0.7, 5.0), (1.0 + 1e-3, 1e-3, 1.0), (4.0, 0.0, -3.0)):
         x = shifted_solve(graded_solver, alpha, beta, np.full(graded.N, c))
