@@ -23,8 +23,8 @@ import numpy as np
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
 from .energy import compute_energy
-from .errors import RadksError
-from .grid import RadialField, integrate
+from .errors import ConfigurationError, RadksError
+from .grid import integrate
 from .helmholtz import build_solver
 from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
 from .probes import (
@@ -54,34 +54,24 @@ __all__ = ["main", "simulate_run"]
 
 def _build_problem(cfg: RunConfig):
     solver = build_solver(cfg.grid)
-    params = {k: v for k, v in cfg.base_params.items() if v not in (None, "")}
-    u0, v0 = base_data(cfg.base_kind, cfg.grid, solver, **params)
+    u0, v0 = base_data(cfg.base_kind, cfg.grid, solver, **cfg.base_params)
     return solver, u0, v0
-
-
-def resolve_etas(cfg: RunConfig, u0: RadialField) -> list[float]:
-    if cfg.eta_spec != "auto":
-        return [float(x) for x in cfg.eta_spec.split(",") if x.strip()]
-    grid = cfg.grid
-    iota = float(np.min(u0.values))
-    star = eta_star(iota, cfg.gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
-    return [star / (4 * 2**k) for k in range(cfg.eta_count)]
 
 
 def _initial_pair(cfg: RunConfig):
     """(solver, u0, v0) of the run cfg describes.
 
-    An explicit single-valued family.eta perturbs the base pair with the
-    concentrated bump at that scale (this is how eta sweeps work); the
-    default "auto" leaves the base pair untouched.
+    An explicit family.eta, which must then be a single scale, perturbs
+    the base pair with the concentrated bump at that scale (this is how
+    eta sweeps work); the default "auto" leaves the base pair untouched.
     """
+    if len(cfg.etas) > 1:
+        raise ConfigurationError(f"family.eta: a run starts from one scale, got {list(cfg.etas)}")
     solver, u0, v0 = _build_problem(cfg)
-    if cfg.eta_spec != "auto":
-        etas = resolve_etas(cfg, u0)
-        if len(etas) == 1:
-            u0, v0 = build_family(
-                FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=etas[0]), cfg.grid
-            )
+    if cfg.etas:
+        u0, v0 = build_family(
+            FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=cfg.etas[0]), cfg.grid
+        )
     return solver, u0, v0
 
 
@@ -164,9 +154,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_family(cfg: RunConfig) -> int:
     grid = cfg.grid
     solver, u0, v0 = _build_problem(cfg)
-    etas = resolve_etas(cfg, u0)
-    if not etas:
-        raise RadksError("family requires a nonempty eta list")
+    etas = cfg.etas
+    if not etas:  # "auto": eta_count scales halving down from eta_star/4
+        iota = float(np.min(u0.values))
+        star = eta_star(iota, cfg.gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
+        etas = [star / (4 * 2**k) for k in range(cfg.eta_count)]
     rows = family_energy_scan(u0, v0, cfg.gamma, etas, grid, solver)
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)

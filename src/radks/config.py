@@ -4,8 +4,9 @@ INI-style sections mirror the module names ([grid], [base], [family],
 [stepper], [probe], [run], [sweep]).  Loading validates by building the
 domain objects once: the Grid (make_grid), the StepperConfig
 (default_stepper_config, which resolves the auto dt values on that grid)
-and the ProbeConfig.  Their checks, keyed by parameter name, and the few
-that no object makes (base kind, value, width and path, the family keys,
+and the ProbeConfig; the [base] and [family] values pass initial_data's
+own checks (check_base on that grid, check_family).  Their checks, keyed
+by parameter name, and the few that no object makes (family.eta_count,
 stepper.max_steps, probe.rho in (0, R), the run keys, the sweep axes)
 are all reported at once as `section.key: message`.  A value that
 already failed, by not parsing or by being rejected, adds no follow-on
@@ -23,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .dynamics import StepperConfig, default_stepper_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RadksError
 from .grid import Grid, make_grid
-from .initial_data import bump_density
+from .initial_data import check_base, check_family
 from .probes import ProbeConfig
 
 __all__ = ["RunConfig", "load_config", "parse_overrides", "resolve_output_dir"]
@@ -63,7 +64,7 @@ class RunConfig:
     base_kind: str
     base_params: dict
     gamma: float
-    eta_spec: str            # "auto" or a comma list of scales
+    etas: tuple              # the family.eta scales, empty for "auto"
     eta_count: int
     stepper: StepperConfig
     max_steps: int
@@ -123,7 +124,7 @@ def load_config(path, overrides=()) -> RunConfig:
         """make(*args, **kwargs), or None once its problems are reported."""
         try:
             return make(*args, **kwargs)
-        except ConfigurationError as exc:
+        except RadksError as exc:
             if not exc.problems:
                 raise
             for name, message in exc.problems.items():
@@ -181,42 +182,20 @@ def load_config(path, overrides=()) -> RunConfig:
     base_params = {key: get_number("base", key)
                    for key in ("value", "baseline", "amplitude", "width")}
     base_params.update(v_mode=get("base", "v_mode"), path=get("base", "path"))
-    check("base.kind", base_kind in ("constant", "bump", "custom"),
-          f"must be constant|bump|custom, got {base_kind!r}")
-    check("base.v_mode", base_params["v_mode"] in ("flat", "relaxed"),
-          f"must be flat or relaxed, got {base_params['v_mode']!r}")
-    if base_kind == "constant":
-        value = base_params["value"]
-        check("base.value", value > 0.0, f"must be positive when base.kind=constant, got {value}")
-    if base_kind == "bump":
-        width = base_params["width"]
-        check("base.width", width > 0.0, f"must be positive when base.kind=bump, got {width}")
-        if grid is not None and not failed & {"base.baseline", "base.amplitude", "base.width"}:
-            baseline, amplitude = base_params["baseline"], base_params["amplitude"]
-            # the profile is monotone in r, so its minimum over the cell
-            # centers is at the first or the last one
-            ends = (float(grid.centers[0]), float(grid.centers[-1]))
-            low = float(min(bump_density(r, baseline, amplitude, width) for r in ends))
-            check("base.amplitude", low > 0.0,
-                  f"the bump density (baseline={baseline}, amplitude={amplitude}) must be "
-                  f"positive at every cell center, got a minimum of {low}")
-    if base_kind == "custom":
-        p = base_params["path"]
-        check("base.path", bool(p), "required when base.kind=custom")
-        check("base.path", Path(p).is_file(), f"{p!r} is not a readable file")
+    build("base", check_base, base_kind, grid, **base_params)
 
     gamma = get_number("family", "gamma")
-    eta_spec = get("family", "eta")
-    eta_count = get_number("family", "eta_count", int)
-    check("family.gamma", gamma > 1.0, f"must exceed 1, got {gamma}")
-    if eta_spec != "auto":
+    eta_raw = get("family", "eta")
+    etas: tuple = ()
+    if eta_raw != "auto":
         try:
-            etas = [float(x) for x in eta_spec.split(",") if x.strip()]
-            check("family.eta", bool(etas), "must be 'auto' or a nonempty comma list")
-            check("family.eta", all(0.0 < e < 1.0 for e in etas),
-                  f"entries must lie in (0, 1), got {etas}")
+            etas = tuple(float(x) for x in eta_raw.split(",") if x.strip())
         except ValueError:
-            report("family.eta", f"must be 'auto' or numbers, got {eta_spec!r}")
+            pass
+        check("family.eta", bool(etas),
+              f"must be 'auto' or a nonempty comma list of numbers, got {eta_raw!r}")
+    build("family", check_family, gamma, etas)
+    eta_count = get_number("family", "eta_count", int)
     check("family.eta_count", eta_count >= 1, f"must be >= 1, got {eta_count}")
 
     stepper_values = {key: get_number("stepper", key, allow_auto=key.startswith("dt_"))
@@ -275,7 +254,7 @@ def load_config(path, overrides=()) -> RunConfig:
     return RunConfig(
         n=n, R=R, N=N, grid=grid,
         base_kind=base_kind, base_params=base_params,
-        gamma=gamma, eta_spec=eta_spec, eta_count=eta_count,
+        gamma=gamma, etas=etas, eta_count=eta_count,
         stepper=stepper, max_steps=max_steps, probe=probe,
         outdir=outdir, snapshot_every=snapshot_every, workers=workers,
         sweep_axes=sweep_axes, warnings=warnings,

@@ -82,10 +82,6 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0.0, u * np.log(np.maximum(u, DENSITY_FLOOR)), 0.0)
 
 
-def _face_weights(grid) -> np.ndarray:
-    return grid.face_areas * grid.spacing
-
-
 def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
     """Evaluate every term of F and D at the state (u, v), with w, f and g."""
     grid = u.grid
@@ -99,7 +95,7 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
     mixed = float(np.sum(u.values * v.values * grid.volumes))
     quad = 0.5 * float(np.sum(opv * opv * grid.volumes))
 
-    weights = _face_weights(grid)
+    weights = grid.face_weights
     fr = gradient_faces(f)
     grad_f = float(np.sum(fr * fr * weights))
     f_sq = float(np.sum(f.values * f.values * grid.volumes))

@@ -2,20 +2,20 @@
 
 
 class RadksError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class ConfigurationError(RadksError):
-    """Invalid parameters, config files, or precondition violations.
-
-    A constructor that checks several parameters raises it with
-    `problems`, a map from each rejected parameter's name to its message;
-    the error text is then those messages joined by "; ".
+    A check of several parameters raises it with `problems`, a map from
+    each rejected parameter's name to its message; given no message, the
+    error text is those messages joined by "; ".
     """
 
     def __init__(self, message: str = "", problems: dict | None = None):
         self.problems = dict(problems or {})
         super().__init__(message or "; ".join(self.problems.values()))
+
+
+class ConfigurationError(RadksError):
+    """Invalid parameters, config files, or precondition violations."""
 
 
 class GridMismatchError(RadksError):

@@ -59,7 +59,7 @@ class Grid:
     face i: the distance between the neighbouring centers at interior
     faces, and the half-cell distance to the nearest center at r = 0 and
     r = R.  Face gradients divide by it and face quadratures weight by
-    face_areas * spacing.
+    face_weights = face_areas * spacing.
 
     Immutable after construction; safe to share between threads.
     """
@@ -75,6 +75,7 @@ class Grid:
     volumes: np.ndarray      # V_i = omega_n (r_{i+1/2}^n - r_{i-1/2}^n)/n
     face_areas: np.ndarray   # A_{i+1/2} = omega_n r_{i+1/2}^{n-1}
     coupling: np.ndarray     # A / spacing at the interior faces, length N-1
+    face_weights: np.ndarray # A * spacing, the face quadrature weights, length N+1
     omega_n: float
     ball_volume: float       # omega_n R^n / n
 
@@ -186,6 +187,7 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
         volumes=_readonly(volumes),
         face_areas=_readonly(face_areas),
         coupling=_readonly(face_areas[1:-1] / spacing[1:-1]),
+        face_weights=_readonly(face_areas * spacing),
         omega_n=omega,
         ball_volume=float(cumulative[-1]),
     )

@@ -13,7 +13,8 @@ the flux-form one, b - alpha V x + beta (F+ - F-), formed directly from
 the face fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with
 the weights alpha V and beta A / spacing cached beside the factors.  The
 K rows sum to zero, so alpha sum x_i V_i = sum rhs_i V_i: the discrete
-mass identity of u and w.
+mass identity of u and w, which the refinement pass alone holds to
+round-off (:func:`solve` is shifted_solve with alpha = beta = 1).
 """
 
 from __future__ import annotations
@@ -134,17 +135,10 @@ def build_solver(grid: Grid) -> HelmholtzSolver:
 
 
 def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
-    """w = (I - L)^{-1} u; preserves the discrete integral of u to round-off."""
+    """w = (I - L)^{-1} u; its refinement pass keeps int w = int u to round-off."""
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
-    grid = solver.grid
-    x = _solve(grid, 1.0, 1.0, solver._factor, u.values)
-    # Mass projection: telescoping makes sum w V = sum u V an identity of
-    # the scheme, and the constant shift (well below discretization error)
-    # pins it down to the round-off of the two sums in floating point.
-    gap = float((grid.volumes * u.values).sum() - (grid.volumes * x).sum())
-    x += gap / grid.ball_volume
-    return _adopt(x, grid)
+    return _adopt(_solve(solver.grid, 1.0, 1.0, solver._factor, u.values), solver.grid)
 
 
 def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:

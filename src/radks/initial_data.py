@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -25,11 +26,14 @@ from .errors import AdmissibilityError, ConfigurationError, ResolutionError
 from .grid import Grid, RadialField, constant_field, integrate, laplacian
 from .helmholtz import HelmholtzSolver, build_solver, solve
 from .energy import EnergyReport, compute_energy
+from .snapshots import read_snapshot
 
 __all__ = [
     "MollifierSpec",
     "FamilyParams",
     "FamilyRow",
+    "check_family",
+    "check_base",
     "mollifier_spec",
     "eta_star",
     "bump_cell_fractions",
@@ -86,6 +90,23 @@ def _psi(eta: float, n: int, gamma: float) -> float:
     return math.exp((0.5 * n - 2.0) * math.log(eta) + 2.0 * gamma * math.log(s))
 
 
+def _raise(error: type, problems: dict) -> None:
+    """Raise error with problems, its text `param: message` for each, if any."""
+    if problems:
+        raise error("; ".join(f"{k}: {m}" for k, m in problems.items()), problems=problems)
+
+
+def check_family(gamma: float, etas=()) -> None:
+    """Raise ConfigurationError keyed gamma and eta unless gamma > 1 and every
+    scale eta lies in (0, 1); eta < eta_star needs u0 and is build_family's."""
+    problems = {}
+    if not gamma > 1.0:
+        problems["gamma"] = f"must exceed 1, got {gamma}"
+    if not all(0.0 < eta < 1.0 for eta in etas):
+        problems["eta"] = f"entries must lie in (0, 1), got {list(etas)}"
+    _raise(ConfigurationError, problems)
+
+
 def eta_star(
     iota: float, gamma: float, n: int, volume: float, cap: float = 1.0
 ) -> float:
@@ -95,17 +116,15 @@ def eta_star(
     running supremum over (0, x) equals psi(x) on the increasing branch;
     the threshold is found by bisection in s = ln(1/eta).
     """
-    problems = []
+    check_family(gamma)
+    problems = {}
     if n < 5:
-        problems.append(f"family construction needs n >= 5, got {n}")
-    if not gamma > 1.0:
-        problems.append(f"gamma must exceed 1, got {gamma}")
+        problems["n"] = f"must be >= 5 for the family construction, got {n}"
     if not iota > 0.0:
-        problems.append(f"minimum density iota must be positive, got {iota}")
+        problems["iota"] = f"the minimum density must be positive, got {iota}"
     if not volume > 0.0:
-        problems.append(f"volume must be positive, got {volume}")
-    if problems:
-        raise ConfigurationError("; ".join(problems))
+        problems["volume"] = f"must be positive, got {volume}"
+    _raise(ConfigurationError, problems)
     cap = min(cap, 1.0 - 1e-12)
 
     bound = min(volume * iota, 0.5)
@@ -148,17 +167,13 @@ class FamilyParams:
         return float(np.min(self.u0.values))
 
     def __post_init__(self):
-        problems = []
-        if not self.gamma > 1.0:
-            problems.append(f"gamma must exceed 1, got {self.gamma}")
-        if not 0.0 < self.eta < 1.0:
-            problems.append(f"eta must lie in (0, 1), got {self.eta}")
+        check_family(self.gamma, (self.eta,))
+        problems = {}
         if float(np.min(self.u0.values)) <= 0.0:
-            problems.append("base density u0 must be strictly positive")
+            problems["u0"] = "the base density must be strictly positive"
         if float(np.min(self.v0.values)) < 0.0:
-            problems.append("base signal v0 must be nonnegative")
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+            problems["v0"] = "the base signal must be nonnegative"
+        _raise(ConfigurationError, problems)
 
 
 def bump_cell_fractions(grid: Grid, eta: float) -> np.ndarray:
@@ -205,8 +220,6 @@ def build_family(
         raise AdmissibilityError(
             f"eta={eta:g} is not admissible: needs eta < eta_star={star:.6g}"
         )
-    if eta >= grid.R:
-        raise AdmissibilityError(f"bump scale eta={eta:g} must be interior to R={grid.R:g}")
     cells_inside = int(np.count_nonzero(grid.centers < eta))
     if strict_resolution and cells_inside < 8:
         raise ResolutionError(
@@ -275,50 +288,72 @@ def bump_density(r, baseline: float, amplitude: float, width: float):
     return baseline + amplitude * np.exp(-((r / width) ** 2))
 
 
+def check_base(kind: str, grid: Grid | None, **params) -> dict:
+    """params of a base pair of this kind, defaults filled in, once they
+    pass every rule that needs no field built, no solve and no snapshot
+    read; raises AdmissibilityError keyed by parameter otherwise.  With
+    grid None the bump width must be given and its density goes unchecked.
+    """
+    p = {"value": 1.0, "baseline": 1.0, "amplitude": 0.0, "v_mode": "flat", "path": "", **params}
+    if "width" not in p and grid is not None:
+        p["width"] = 0.25 * grid.R
+    problems = {}
+    if kind == "constant":
+        if not p["value"] > 0.0:
+            problems["value"] = f"must be positive when kind=constant, got {p['value']}"
+    elif kind == "bump":
+        baseline, amplitude, width = p["baseline"], p["amplitude"], p["width"]
+        if not width > 0.0:
+            problems["width"] = f"must be positive when kind=bump, got {width}"
+        elif grid is not None:
+            # the profile is monotone in r, so its minimum over the cell
+            # centers is at the first or the last one; a NaN input, which
+            # a config loader has already reported unparsable, adds nothing
+            ends = (float(grid.centers[0]), float(grid.centers[-1]))
+            low = float(min(bump_density(r, baseline, amplitude, width) for r in ends))
+            if low <= 0.0:
+                problems["amplitude"] = (
+                    f"the bump density (baseline={baseline}, amplitude={amplitude}) must be "
+                    f"positive at every cell center, got a minimum of {low}"
+                )
+    elif kind == "custom":
+        if not p["path"]:
+            problems["path"] = "required when kind=custom"
+        elif not Path(p["path"]).is_file():
+            problems["path"] = f"{p['path']!r} is not a readable file"
+    else:
+        problems["kind"] = f"must be constant|bump|custom, got {kind!r}"
+    if p["v_mode"] not in ("flat", "relaxed"):
+        problems["v_mode"] = f"must be flat or relaxed, got {p['v_mode']!r}"
+    _raise(AdmissibilityError, problems)
+    return p
+
+
 def base_data(
     kind: str, grid: Grid, solver: HelmholtzSolver | None = None, **params
 ) -> tuple[RadialField, RadialField]:
     """Positive radial base pairs: constant, bump, or a snapshot file read
     onto grid (Snapshot.fields checks its mesh).
 
-    solver, a HelmholtzSolver on grid, serves the relaxed bump's solves;
-    one is built when it is not given.
+    params pass check_base before anything is built.  solver, a
+    HelmholtzSolver on grid, serves the relaxed bump's solves; one is
+    built when it is not given.
     """
+    p = check_base(kind, grid, **params)
     if kind == "constant":
-        value = float(params.get("value", 1.0))
-        if value <= 0.0:
-            raise AdmissibilityError(f"constant base value must be positive, got {value}")
-        return constant_field(grid, value), constant_field(grid, value)
+        return constant_field(grid, p["value"]), constant_field(grid, p["value"])
     if kind == "bump":
-        baseline = float(params.get("baseline", 1.0))
-        amplitude = float(params.get("amplitude", 0.0))
-        width = float(params.get("width", 0.25 * grid.R))
-        v_mode = str(params.get("v_mode", "flat"))
-        if width <= 0.0:
-            raise ConfigurationError(f"bump width must be positive, got {width}")
-        u = bump_density(grid.centers, baseline, amplitude, width)
-        if float(np.min(u)) <= 0.0:
-            raise AdmissibilityError("bump base density is not strictly positive")
-        u_field = RadialField(u, grid)
-        if v_mode == "flat":
-            return u_field, constant_field(grid, baseline)
-        if v_mode == "relaxed":
-            # signal in quasi-steady balance with the density
-            if solver is None:
-                solver = build_solver(grid)
-            return u_field, solve(solver, solve(solver, u_field))
-        raise ConfigurationError(f"bump v_mode must be flat or relaxed, got {v_mode!r}")
-    if kind == "custom":
-        from .snapshots import read_snapshot
-
-        path = params.get("path")
-        if not path:
-            raise ConfigurationError("custom base data requires a path")
-        u, v = read_snapshot(path).fields(grid)
-        if float(np.min(u.values)) <= 0.0:
-            raise AdmissibilityError("snapshot density is not strictly positive")
-        return u, v
-    raise ConfigurationError(f"unknown base-data kind {kind!r}")
+        u = RadialField(bump_density(grid.centers, p["baseline"], p["amplitude"], p["width"]), grid)
+        if p["v_mode"] == "flat":
+            return u, constant_field(grid, p["baseline"])
+        # signal in quasi-steady balance with the density
+        if solver is None:
+            solver = build_solver(grid)
+        return u, solve(solver, solve(solver, u))
+    u, v = read_snapshot(p["path"]).fields(grid)
+    if float(np.min(u.values)) <= 0.0:
+        raise AdmissibilityError("snapshot density is not strictly positive")
+    return u, v
 
 
 def w22_norm(field: RadialField) -> float:
@@ -328,7 +363,7 @@ def w22_norm(field: RadialField) -> float:
     grid = field.grid
     l2 = math.fsum(field.values**2 * grid.volumes)
     fr = gradient_faces(field)
-    grad = math.fsum(fr**2 * grid.face_areas * grid.spacing)
+    grad = math.fsum(fr**2 * grid.face_weights)
     lap = laplacian(field)
     second = math.fsum(lap.values**2 * grid.volumes)
     return math.sqrt(l2 + grad + second)

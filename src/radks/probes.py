@@ -344,7 +344,7 @@ def probe_local_inequalities(
     M = max(integrate(v), _weighted_sup(w, grid.n - 1))
     B = max(float(np.sum(np.abs(f.values) * grid.volumes)), _weighted_sup(v, kappa - 1))
 
-    weights = grid.face_areas * grid.spacing
+    weights = grid.face_weights
     fr_all = float(np.sum(fr**2 * weights))
     g_all = math.sqrt(float(np.sum(g**2 * weights)))
 

@@ -375,6 +375,13 @@ def test_simulate_bad_value_fails_before_any_output(config_path, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_rejects_several_etas_before_any_output(config_path, tmp_path, capsys):
+    # a run starts from one scale; a list is the family verb's
+    assert main(["-c", str(config_path), "--set", "family.eta=1e-12,2e-12", "simulate"]) == 1
+    assert "family.eta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_error(capsys):
     assert main(["simulate"]) == 1
     assert "config" in capsys.readouterr().err

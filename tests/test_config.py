@@ -1,7 +1,9 @@
 import pytest
 
 from radks.config import OUTPUT_ROOT_ENV, load_config, parse_overrides, resolve_output_dir
-from radks.errors import ConfigurationError
+from radks.errors import AdmissibilityError, ConfigurationError
+from radks.grid import make_grid
+from radks.initial_data import FamilyParams, base_data, eta_star
 
 MINIMAL = """\
 # format_version=1
@@ -161,11 +163,51 @@ def test_domain_object_checks_reject_at_load(tmp_path, override, key):
     (["base.kind=bump", "base.width=0"], "base.width"),
     (["base.kind=constant", "base.value=0"], "base.value"),
     (["base.kind=constant", "base.value=-2.5"], "base.value"),
+    (["base.kind=cone"], "base.kind"),
+    (["base.v_mode=frozen"], "base.v_mode"),
+    (["base.kind=custom", "base.path=/nonexistent/snap.csv"], "base.path"),
+    (["family.gamma=1"], "family.gamma"),
+    (["family.eta=0"], "family.eta"),
+    (["family.eta=1.5"], "family.eta"),
+    (["family.eta=tiny"], "family.eta"),
 ])
 def test_base_checks_reject_at_load(tmp_path, overrides, key):
     with pytest.raises(ConfigurationError) as err:
         load_config(write(tmp_path, MINIMAL), overrides)
-    assert f"1 violation(s):\n  - {key}: must be positive" in str(err.value)
+    start = "must be positive" if key in ("base.width", "base.value") else ""
+    assert f"1 violation(s):\n  - {key}: {start}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("constant", {"value": 0.0}, "value"),
+    ("bump", {"width": -1.0}, "width"),
+    ("bump", {"amplitude": -2.0, "width": 0.3}, "amplitude"),
+])
+def test_base_data_and_load_config_give_one_message(tmp_path, kind, params, key):
+    # the [base] rules are initial_data's: base_data and load_config word
+    # a bad value the same way
+    overrides = [f"base.kind={kind}"] + [f"base.{k}={v}" for k, v in params.items()]
+    with pytest.raises(ConfigurationError) as loaded:
+        load_config(write(tmp_path, MINIMAL), overrides)
+    with pytest.raises(AdmissibilityError) as built:
+        base_data(kind, make_grid(5, 1.0, 128), **params)
+    assert built.value.problems == {key: loaded.value.problems[f"base.{key}"]}
+    assert f"1 violation(s):\n  - base.{built.value}" in str(loaded.value)
+
+
+def test_family_objects_and_load_config_give_one_message(tmp_path):
+    with pytest.raises(ConfigurationError) as loaded:
+        load_config(write(tmp_path, MINIMAL), ["family.gamma=0.5", "family.eta=2"])
+    grid = make_grid(5, 1.0, 128)
+    u0, v0 = base_data("constant", grid)
+    with pytest.raises(ConfigurationError) as params:
+        FamilyParams(u0=u0, v0=v0, gamma=0.5, eta=2.0)
+    with pytest.raises(ConfigurationError) as star:
+        eta_star(1.0, 0.5, 5, grid.ball_volume)
+    assert params.value.problems == {"gamma": "must exceed 1, got 0.5",
+                                     "eta": "entries must lie in (0, 1), got [2.0]"}
+    assert loaded.value.problems == {f"family.{k}": m for k, m in params.value.problems.items()}
+    assert star.value.problems == {"gamma": params.value.problems["gamma"]}
 
 
 def test_bump_density_checked_at_load(tmp_path):
