@@ -1,18 +1,19 @@
 """Sectioned key-value run configuration.
 
 INI-style sections mirror the module names ([grid], [base], [family],
-[stepper], [probe], [run], [sweep]).  Loading validates by building the
-domain objects once: the Grid (make_grid), the StepperConfig
-(default_stepper_config, which resolves the auto dt values on that grid)
-and the ProbeConfig; the [base] and [family] values pass initial_data's
-own checks (check_base on that grid, check_family).  Their checks, keyed
-by parameter name, and the few that no object makes (family.eta_count,
-stepper.max_steps, probe.rho in (0, R), the run keys, the sweep axes)
-are all reported at once as `section.key: message`.  A value that
-already failed, by not parsing or by being rejected, adds no follow-on
-message.  Sub-blowup-regime dimensions (2 <= n < 5), unknown keys and
-sweep axes naming no known key only warn.  Dotted overrides (--set
-section.key=value) are applied before validation.
+[stepper], [probe], [run], [sweep]).  load_config parses and the domain
+objects validate: make_grid, check_base on that grid, check_family,
+default_stepper_config (which resolves the dt bounds on the grid) and
+ProbeConfig (rho relative to the grid's R).  [base], [stepper] and
+[probe] pass on only the keys the file sets, an `auto` or empty value
+counting as unset, so their defaults are their owners'; _DEFAULTS holds
+the few that no object holds.  The objects' checks, keyed by parameter
+name, and the few that no object makes (family.eta_count,
+stepper.max_steps, the run keys, the sweep axes) are reported at once as
+`section.key: message`; a value that already failed, by not parsing or
+by being rejected, adds no follow-on message.  Dimensions 2 <= n < 5,
+unknown keys and sweep axes naming no known key only warn.  Dotted
+overrides (--set section.key=value) are applied before validation.
 """
 
 from __future__ import annotations
@@ -33,19 +34,35 @@ __all__ = ["RunConfig", "load_config", "parse_overrides", "resolve_output_dir"]
 
 OUTPUT_ROOT_ENV = "RADKS_OUTPUT_ROOT"
 
-_DEFAULTS = {
-    "base": {"kind": "constant", "value": "1.0", "baseline": "1.0",
-             "amplitude": "0.0", "width": "0.25", "v_mode": "flat", "path": ""},
-    "family": {"gamma": "1.5", "eta": "auto", "eta_count": "4"},
-    "stepper": {"cfl": "0.9", "dt_init": "auto", "dt_min": "auto", "dt_max": "1e-2",
-                "t_end": "1.0", "blowup_factor": "1e6", "output_every": "10",
-                "max_steps": "5000000"},
-    "probe": {"kappa": "auto", "beta": "auto", "rho": "0.25,0.5,0.75"},
-    "run": {"outdir": "out", "snapshot_every": "0", "workers": "1"},
+
+def _numbers(raw: str) -> tuple:
+    values = tuple(float(x) for x in raw.split(",") if x.strip())
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+# every key load_config reads, with its parser
+_KEYS = {
+    "grid": {"n": int, "R": float, "N": int},
+    "base": {"kind": str, "value": float, "baseline": float, "amplitude": float,
+             "width": float, "v_mode": str, "path": str},
+    "family": {"gamma": float, "eta": _numbers, "eta_count": int},
+    "stepper": {"cfl": float, "dt_init": float, "dt_min": float, "dt_max": float,
+                "t_end": float, "blowup_factor": float, "output_every": int,
+                "max_steps": int},
+    "probe": {"kappa": float, "beta": float, "rho": _numbers},
+    "run": {"outdir": str, "snapshot_every": int, "workers": int},
 }
-# every key load_config reads: the [grid] keys (no default) and the defaulted ones
-_KNOWN_KEYS = {("grid", "n"), ("grid", "R"), ("grid", "N")}.union(
-    (section, key) for section, keys in _DEFAULTS.items() for key in keys)
+_WHAT = {int: "an integer", float: "a number",
+         _numbers: "'auto' or a nonempty comma list of numbers"}
+# the defaults no domain object holds; [grid] has none
+_DEFAULTS = {
+    "base": {"kind": "constant"},
+    "family": {"gamma": 1.5, "eta": (), "eta_count": 4},  # eta () is auto
+    "stepper": {"t_end": 1.0, "max_steps": 5_000_000},
+    "run": {"outdir": "out", "snapshot_every": 0, "workers": 1},
+}
 
 
 @dataclass
@@ -54,7 +71,8 @@ class RunConfig:
 
     grid, stepper and probe are the objects load_config built to validate
     the [grid], [stepper] and [probe] sections; the stepper carries the
-    resolved auto dt values.  n, R and N repeat the grid's inputs.
+    resolved dt bounds.  base_params are the [base] values as check_base
+    resolved them.  n, R and N repeat the grid's inputs.
     """
 
     n: int
@@ -146,90 +164,73 @@ def load_config(path, overrides=()) -> RunConfig:
     warnings.extend(
         f"unknown key {section}.{key} is ignored"
         for section in parser.sections() if section != "sweep"
-        for key in parser.options(section) if (section, key) not in _KNOWN_KEYS
+        for key in parser.options(section) if key not in _KEYS.get(section, ())
     )
 
-    def get(section: str, key: str) -> str:
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        if section in _DEFAULTS and key in _DEFAULTS[section]:
-            return _DEFAULTS[section][key]
-        report(f"{section}.{key}", "missing required key")
-        return ""
-
-    def get_number(section: str, key: str, kind=float, allow_auto: bool = False):
-        """The value as kind, "auto" if allowed, or nan once reported as bad."""
-        raw = get(section, key)
-        if allow_auto and raw == "auto":
-            return "auto"
+    def parse(section: str, key: str, raw: str):
+        """raw parsed as the key's type, or nan once reported as bad (the
+        owner's own check of a nan adds nothing: the key has failed)."""
+        kind = _KEYS[section][key]
         try:
             return kind(raw)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            check(f"{section}.{key}", False, f"must be {what}, got {raw!r}")
-            return math.nan
+            report(f"{section}.{key}", f"must be {_WHAT[kind]}, got {raw!r}")
+            return (math.nan,) if kind is _numbers else math.nan
+
+    def get(section: str, key: str):
+        """A value load_config owns: the file's, else its _DEFAULTS entry."""
+        if parser.has_option(section, key):
+            return parse(section, key, parser.get(section, key).strip())
+        if key in _DEFAULTS.get(section, ()):
+            return _DEFAULTS[section][key]
+        report(f"{section}.{key}", "missing required key")
+        return math.nan
+
+    def given(section: str) -> dict:
+        """The keys without a _DEFAULTS entry that the file sets, parsed
+        for their owner; an `auto` or empty value counts as unset."""
+        raws = ((key, parser.get(section, key, fallback="").strip()) for key in _KEYS[section]
+                if key not in _DEFAULTS.get(section, ()))
+        return {key: parse(section, key, raw) for key, raw in raws if raw not in ("", "auto")}
 
     if not parser.has_section("grid"):
         problems.append("missing required section [grid]")
-    n = get_number("grid", "n", int)
-    R = get_number("grid", "R")
-    N = get_number("grid", "N", int)
+    n, R, N = (get("grid", key) for key in ("n", "R", "N"))
     grid = build("grid", make_grid, n, R, N)
     if "grid.n" not in failed and n < 5:
-        warnings.append(f"grid.n={n} is below the n >= 5 blowup regime; run is fine for testing")
+        warnings.append(f"grid.n={n} is outside the paper's n >= 5 blowup regime; "
+                        "lower dimensions are supported as comparison studies")
 
     base_kind = get("base", "kind")
-    base_params = {key: get_number("base", key)
-                   for key in ("value", "baseline", "amplitude", "width")}
-    base_params.update(v_mode=get("base", "v_mode"), path=get("base", "path"))
-    build("base", check_base, base_kind, grid, **base_params)
+    base_params = build("base", check_base, base_kind, grid, **given("base"))
 
-    gamma = get_number("family", "gamma")
-    eta_raw = get("family", "eta")
-    etas: tuple = ()
-    if eta_raw != "auto":
-        try:
-            etas = tuple(float(x) for x in eta_raw.split(",") if x.strip())
-        except ValueError:
-            pass
-        check("family.eta", bool(etas),
-              f"must be 'auto' or a nonempty comma list of numbers, got {eta_raw!r}")
+    gamma = get("family", "gamma")
+    auto = parser.get("family", "eta", fallback="").strip() == "auto"
+    etas = () if auto else get("family", "eta")
     build("family", check_family, gamma, etas)
-    eta_count = get_number("family", "eta_count", int)
+    eta_count = get("family", "eta_count")
     check("family.eta_count", eta_count >= 1, f"must be >= 1, got {eta_count}")
 
-    stepper_values = {key: get_number("stepper", key, allow_auto=key.startswith("dt_"))
-                      for key in ("cfl", "dt_init", "dt_min", "dt_max", "t_end", "blowup_factor")}
-    stepper_values["output_every"] = get_number("stepper", "output_every", int)
-    explicit = {key: v for key, v in stepper_values.items() if v != "auto"}
+    stepper_values = given("stepper")
+    t_end = get("stepper", "t_end")
     if grid is not None:
-        stepper = build("stepper", default_stepper_config, grid, **explicit)
+        stepper = build("stepper", default_stepper_config, grid, t_end, **stepper_values)
     else:
-        # the auto step bounds come from the grid: check only the other keys
-        failed.update(f"stepper.{key}" for key in stepper_values.keys() - explicit.keys())
-        stepper = build("stepper", StepperConfig,
-                        **{**dict.fromkeys(stepper_values, math.nan), **explicit})
-    max_steps = get_number("stepper", "max_steps", int)
+        # the dt bounds default on the grid: check only the values given
+        unset = {"cfl", "dt_init", "dt_min", "dt_max"} - stepper_values.keys()
+        failed.update(f"stepper.{key}" for key in unset)
+        stepper = build("stepper", StepperConfig, t_end=t_end,
+                        **dict.fromkeys(unset, math.nan), **stepper_values)
+    max_steps = get("stepper", "max_steps")
     check("stepper.max_steps", max_steps >= 1, f"must be >= 1, got {max_steps}")
 
-    rho: tuple = ()
-    rho_raw = get("probe", "rho")
-    try:
-        rho = tuple(float(x) for x in rho_raw.split(",") if x.strip())
-    except ValueError:
-        report("probe.rho", f"must be a comma list of numbers, got {rho_raw!r}")
-    check("probe.rho", "grid.R" in failed or all(0.0 < x < R for x in rho),
-          f"entries must lie in (0, R={R}), got {list(rho)}")
-    probe_values = {key: get_number("probe", key, allow_auto=True)
-                    for key in ("kappa", "beta")}
     probe = None
-    if "grid.n" not in failed:  # every probe check is relative to n
-        probe = build("probe", ProbeConfig, n=n, rho=rho or (0.5 * R,),
-                      **{key: v for key, v in probe_values.items() if v != "auto"})
+    if grid is not None:  # the probe checks are relative to n and R
+        probe = build("probe", ProbeConfig, n=grid.n, R=grid.R, **given("probe"))
 
     outdir = get("run", "outdir")
-    snapshot_every = get_number("run", "snapshot_every", int)
-    workers = get_number("run", "workers", int)
+    snapshot_every = get("run", "snapshot_every")
+    workers = get("run", "workers")
     check("run.workers", workers >= 1, f"must be >= 1, got {workers}")
     check("run.snapshot_every", snapshot_every >= 0, f"must be >= 0, got {snapshot_every}")
 
@@ -239,9 +240,10 @@ def load_config(path, overrides=()) -> RunConfig:
             values = [x.strip() for x in raw.split(",") if x.strip()]
             if not values:
                 problems.append(f"sweep.{key}: has no values")
-            if "." not in key:
+            section, dot, name = key.partition(".")
+            if not dot:
                 problems.append(f"sweep.{key}: axis must be a dotted section.key name")
-            elif tuple(key.split(".", 1)) not in _KNOWN_KEYS:
+            elif name not in _KEYS.get(section, ()):
                 warnings.append(f"sweep axis {key} names no known key; its values change nothing")
             sweep_axes[key] = values
 

@@ -147,7 +147,8 @@ class StepperConfig:
 
 
 def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConfig:
-    """Config with the documented defaults: dt_min and blowup factor 1e6.
+    """Config with the documented defaults: cfl 0.9, dt_max 1e-2 and the
+    dt_min and dt_init of this grid; StepperConfig's own for the rest.
 
     dt_min = (R 1e-8/N) (h_min/h)^2: on a uniform mesh that is R 1e-8/N;
     on a graded one the floor shrinks with the squared ratio of the
@@ -159,15 +160,7 @@ def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConf
     them is rejected.
     """
     dt_min = grid.R * 1e-8 / grid.N * (grid.h_min / grid.h) ** 2
-    values = dict(
-        cfl=0.9,
-        dt_min=dt_min,
-        dt_max=1e-2,
-        t_end=t_end,
-        blowup_factor=1e6,
-        output_every=10,
-    )
-    values.update(overrides)
+    values = {"cfl": 0.9, "dt_min": dt_min, "dt_max": 1e-2, "t_end": t_end, **overrides}
     if "dt_init" not in values:
         values["dt_init"] = min(max(dt_min, 1e-6, values["dt_min"]), values["dt_max"])
     return StepperConfig(**values)

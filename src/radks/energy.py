@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import RadialField, _adopt, gradient_faces
+from .grid import RadialField, _adopt, face_means, gradient_faces
 from .helmholtz import HelmholtzSolver, apply_operator, solve
 
 __all__ = [
@@ -57,10 +57,6 @@ class EnergyReport:
     g: np.ndarray = field(compare=False, repr=False)
 
 
-def _face_means(u: RadialField) -> np.ndarray:
-    return 0.5 * (u.values[:-1] + u.values[1:])
-
-
 def compute_g(u: RadialField, v: RadialField) -> np.ndarray:
     """Face-sampled g = u_r/sqrt(ubar) - sqrt(ubar) v_r, zero at the ends.
 
@@ -70,7 +66,7 @@ def compute_g(u: RadialField, v: RadialField) -> np.ndarray:
     if not u.grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     g = np.zeros(u.grid.N + 1)
-    ubar = np.maximum(_face_means(u), DENSITY_FLOOR)
+    ubar = np.maximum(face_means(u), DENSITY_FLOOR)
     root = np.sqrt(ubar)
     ur = gradient_faces(u)[1:-1]
     vr = gradient_faces(v)[1:-1]
@@ -101,7 +97,7 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
     f_sq = float(np.sum(f.values * f.values * grid.volumes))
     g = compute_g(u, v)
     g_sq = float(np.sum(g * g * weights))
-    regularized = int(np.count_nonzero(_face_means(u) <= DENSITY_FLOOR))
+    regularized = int(np.count_nonzero(face_means(u) <= DENSITY_FLOOR))
 
     return EnergyReport(
         F=entropy - mixed + quad,

@@ -30,6 +30,7 @@ __all__ = [
     "field_from_function",
     "integrate",
     "sup_norm",
+    "face_means",
     "gradient_faces",
     "laplacian",
     "flux_divergence",
@@ -242,6 +243,11 @@ def integrate(field: RadialField) -> float:
 
 def sup_norm(field: RadialField) -> float:
     return float(np.abs(field.values).max())
+
+
+def face_means(field: RadialField) -> np.ndarray:
+    """Arithmetic mean of the two neighbouring cells at each interior face."""
+    return 0.5 * (field.values[:-1] + field.values[1:])
 
 
 def gradient_faces(field: RadialField) -> np.ndarray:

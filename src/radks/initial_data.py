@@ -292,7 +292,7 @@ def check_base(kind: str, grid: Grid | None, **params) -> dict:
     """params of a base pair of this kind, defaults filled in, once they
     pass every rule that needs no field built, no solve and no snapshot
     read; raises AdmissibilityError keyed by parameter otherwise.  With
-    grid None the bump width must be given and its density goes unchecked.
+    grid None an unset bump width stays unset and the density goes unchecked.
     """
     p = {"value": 1.0, "baseline": 1.0, "amplitude": 0.0, "v_mode": "flat", "path": "", **params}
     if "width" not in p and grid is not None:
@@ -302,8 +302,8 @@ def check_base(kind: str, grid: Grid | None, **params) -> dict:
         if not p["value"] > 0.0:
             problems["value"] = f"must be positive when kind=constant, got {p['value']}"
     elif kind == "bump":
-        baseline, amplitude, width = p["baseline"], p["amplitude"], p["width"]
-        if not width > 0.0:
+        baseline, amplitude, width = p["baseline"], p["amplitude"], p.get("width")
+        if width is not None and not width > 0.0:
             problems["width"] = f"must be positive when kind=bump, got {width}"
         elif grid is not None:
             # the profile is monotone in r, so its minimum over the cell

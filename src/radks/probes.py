@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, InsufficientDataError
-from .grid import RadialField, gradient_faces, integrate, laplacian
+from .grid import RadialField, face_means, gradient_faces, integrate, laplacian
 from .energy import EnergyReport
 
 __all__ = [
@@ -43,8 +43,8 @@ def theta_exponent(kappa: float, n: int) -> float:
     n/(n+2) on the low-weight branch kappa in (n-2, n); otherwise
     1 - 2n/((n+2)(2 kappa - n)).
     """
-    if kappa <= n - 2:
-        raise ConfigurationError(f"kappa must exceed n-2={n - 2}, got {kappa}")
+    if not kappa > n - 2:
+        raise ConfigurationError(problems={"kappa": f"kappa must exceed n-2={n - 2}, got {kappa}"})
     if kappa < n:
         return n / (n + 2)
     return 1.0 - 2.0 * n / ((n + 2) * (2.0 * kappa - n))
@@ -52,29 +52,39 @@ def theta_exponent(kappa: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Exponents and radii shared by the probes; theta is derived from
-    kappa (theta_exponent)."""
+    """Exponents and radii shared by the probes on the ball of radius R.
+
+    kappa defaults to n - 1/2, beta to kappa and the radii rho, each in
+    (0, R), to R/4, R/2 and 3R/4; theta is derived from kappa
+    (theta_exponent).
+    """
 
     n: int
+    R: float
     kappa: float = None  # type: ignore[assignment]
     beta: float = None   # type: ignore[assignment]
-    rho: tuple = ()
+    rho: tuple = None    # type: ignore[assignment]
     theta: float = field(init=False)
 
     def __post_init__(self):
         if self.kappa is None:
             object.__setattr__(self, "kappa", self.n - 0.5)
+        rho = tuple(f * self.R for f in (0.25, 0.5, 0.75)) if self.rho is None else tuple(self.rho)
+        object.__setattr__(self, "rho", rho)
         problems = {}
-        if not self.kappa > self.n - 2:
-            problems["kappa"] = f"kappa must exceed n-2={self.n - 2}, got {self.kappa}"
+        try:
+            object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
+        except ConfigurationError as exc:
+            problems.update(exc.problems)
         # the default follows kappa, so only an explicit beta can add a problem
         if self.beta is None:
             object.__setattr__(self, "beta", self.kappa)
         elif not self.beta > self.n - 2:
             problems["beta"] = f"beta must exceed n-2={self.n - 2}, got {self.beta}"
+        if not (rho and all(0.0 < x < self.R for x in rho)):
+            problems["rho"] = f"rho must be one or more radii in (0, R={self.R}), got {list(rho)}"
         if problems:
             raise ConfigurationError(problems=problems)
-        object.__setattr__(self, "theta", theta_exponent(self.kappa, self.n))
 
 
 @dataclass(frozen=True)
@@ -105,17 +115,13 @@ def probe_entropy_floor(report: EnergyReport) -> ProbeResult:
     )
 
 
-def _face_average(values: np.ndarray) -> np.ndarray:
-    return 0.5 * (values[:-1] + values[1:])
-
-
 def probe_pointwise_w(w: RadialField, m: float) -> ProbeResult:
     """Implied constant of the weighted bound r^{n-2} (w + r |w_r|) <= C m."""
     if not m > 0.0:
         raise ConfigurationError(f"mass must be positive, got {m}")
     grid = w.grid
     r = grid.faces[1:-1]
-    wbar = _face_average(w.values)
+    wbar = face_means(w)
     wr = gradient_faces(w)[1:-1]
     implied = float(np.max(r ** (grid.n - 2) * (wbar + r * np.abs(wr)))) / m
     return ProbeResult(
@@ -132,7 +138,7 @@ def probe_pointwise_v(
     """Implied constant of r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}})."""
     grid = v.grid
     r = grid.faces[1:-1]
-    vbar = _face_average(v.values)
+    vbar = face_means(v)
     vr = gradient_faces(v)[1:-1]
     scale = m + v0_norm
     implied = float(np.max(r**config.beta * (vbar / r**2 + np.abs(vr) / r))) / scale
@@ -327,11 +333,8 @@ def probe_local_inequalities(
     grid = u.grid
     if not (grid.same_as(v.grid) and grid.same_as(report.w.grid)):
         raise GridMismatchError("u, v and the energy report live on different grids")
-    if not config.rho:
-        raise ConfigurationError("probe config has an empty rho list")
-    for rho in config.rho:
-        if not 0.0 < rho < grid.R:
-            raise ConfigurationError(f"rho must lie in (0, R), got {rho}")
+    if config.R != grid.R:
+        raise GridMismatchError(f"probe config is for R={config.R}, the fields live on R={grid.R}")
 
     kappa = config.kappa
     m = integrate(u)

@@ -105,25 +105,24 @@ def blowup_runs(family_2048):
         u0b = constant_field(grid, 1.0)
         v0b = constant_field(grid, 1.0)
         v0_norm = w22_norm(v0b)
-        pconf = ProbeConfig(n=5, rho=(0.5,))
+        pconf = ProbeConfig(n=5, R=1.0, rho=(0.5,))
         for eta in (star / 16, star / 32):
             u0, v0 = build_family(
                 FamilyParams(u0=u0b, v0=v0b, gamma=1.5, eta=eta), grid, strict_resolution=True
             )
             pw, pv = [], []
 
-            def sink(state, sample, solver=solver, pw=pw, pv=pv, v0_norm=v0_norm):
+            def sink(state, sample, pw=pw, pv=pv, v0_norm=v0_norm):
                 ENTROPY_FLOOR_RESULTS.append(
                     bool(probe_entropy_floor(state.report).hard_pass)
                 )
-                w = solve(solver, state.u)
-                pw.append((state.t, probe_pointwise_w(w, sample.mass).implied_c))
+                pw.append((state.t, probe_pointwise_w(state.report.w, sample.mass).implied_c))
                 pv.append(
                     (
                         state.t,
                         probe_pointwise_v(
                             state.v,
-                            ProbeConfig(n=5, beta=4.5, kappa=4.5, rho=(0.5,)),
+                            ProbeConfig(n=5, R=1.0, beta=4.5, kappa=4.5, rho=(0.5,)),
                             sample.mass,
                             v0_norm,
                         ).implied_c,

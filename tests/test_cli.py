@@ -13,7 +13,7 @@ from radks.config import load_config
 from radks.dynamics import run
 from radks.grid import integrate, make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
-from radks.initial_data import base_data, w22_norm
+from radks.initial_data import base_data, check_base, w22_norm
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
 BASE = """\
@@ -382,6 +382,18 @@ def test_simulate_rejects_several_etas_before_any_output(config_path, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_bump_without_width_runs_the_api_default(tmp_path):
+    # the width default is check_base's, 0.25 R, for the CLI as for base_data
+    path = tmp_path / "run.ini"
+    text = BASE.format(outdir=tmp_path / "out")
+    path.write_text(text.replace("R = 1.0", "R = 2.0").replace("width = 0.3\n", ""))
+    grid = make_grid(5, 2.0, 96)
+    assert load_config(path).base_params["width"] == check_base("bump", grid)["width"] == 0.5
+    assert main(["-c", str(path), "--set", "stepper.t_end=1e-3", "simulate"]) == 0
+    u0, _ = base_data("bump", grid, baseline=1.0, amplitude=0.5)
+    assert np.array_equal(read_snapshot(tmp_path / "out" / "snapshot_00000000.csv").u, u0.values)
+
+
 def test_missing_config_is_error(capsys):
     assert main(["simulate"]) == 1
     assert "config" in capsys.readouterr().err
@@ -389,7 +401,7 @@ def test_missing_config_is_error(capsys):
 
 def write_graded_snapshot(path):
     from radks.grid import integrate, make_grid
-    from radks.initial_data import base_data, w22_norm
+    from radks.initial_data import base_data, check_base, w22_norm
     from radks.snapshots import write_snapshot
 
     g = make_grid(5, 1.0, 64, h_min=1e-6)

@@ -1,9 +1,11 @@
 import pytest
 
 from radks.config import OUTPUT_ROOT_ENV, load_config, parse_overrides, resolve_output_dir
+from radks.dynamics import default_stepper_config
 from radks.errors import AdmissibilityError, ConfigurationError
 from radks.grid import make_grid
-from radks.initial_data import FamilyParams, base_data, eta_star
+from radks.initial_data import FamilyParams, base_data, check_base, eta_star
+from radks.probes import ProbeConfig
 
 MINIMAL = """\
 # format_version=1
@@ -137,6 +139,26 @@ def test_rho_must_fit_in_ball(tmp_path):
     text = MINIMAL + "[probe]\nrho = 0.5, 1.5\n"
     with pytest.raises(ConfigurationError, match="probe.rho"):
         load_config(write(tmp_path, text))
+
+
+def test_probe_radii_default_to_fractions_of_R(tmp_path):
+    # rho's default and range are ProbeConfig's, both relative to the ball
+    cfg = load_config(write(tmp_path, MINIMAL.replace("R = 1.0", "R = 0.5")))
+    assert cfg.probe.rho == (0.125, 0.25, 0.375)
+    assert cfg.warnings == []
+
+
+@pytest.mark.parametrize("value", ["", "auto"])
+def test_unset_probe_rho_is_the_default(tmp_path, value):
+    path = write(tmp_path, MINIMAL)
+    assert load_config(path, [f"probe.rho={value}"]).probe.rho == load_config(path).probe.rho
+
+
+def test_each_section_takes_its_owners_defaults(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL))
+    assert cfg.stepper == default_stepper_config(cfg.grid, t_end=1.0)
+    assert cfg.probe == ProbeConfig(n=5, R=1.0)
+    assert cfg.base_params == check_base("constant", cfg.grid)
 
 
 def test_inline_comments_allowed(tmp_path):

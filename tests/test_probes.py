@@ -56,7 +56,7 @@ def test_theta_branches():
 
 
 def test_probe_config_defaults():
-    cfg = ProbeConfig(n=5, rho=(0.5,))
+    cfg = ProbeConfig(n=5, R=1.0, rho=(0.5,))
     assert cfg.kappa == 4.5
     assert cfg.beta == 4.5
     assert cfg.theta == pytest.approx(5.0 / 7.0)
@@ -128,7 +128,7 @@ def test_pointwise_w_concentrated_grid_stability():
 
 
 def test_pointwise_v_smooth_and_stability(grid, solver):
-    cfg = ProbeConfig(n=5, rho=(0.5,))
+    cfg = ProbeConfig(n=5, R=1.0, rho=(0.5,))
     v = constant_field(grid, 1.0)
     res = probe_pointwise_v(v, cfg, 1.0, w22_norm(v))
     assert math.isfinite(res.implied_c) and res.implied_c > 0
@@ -144,15 +144,15 @@ def test_pointwise_v_smooth_and_stability(grid, solver):
 def test_fd_ratio_equilibrium_constant(grid, solver):
     # D = 0 at the homogeneous state: ratio is (-F)_+ / 1 = |Omega|/2
     samples = [FakeSample(t, F=-0.5 * BALL_VOLUME, D=0.0) for t in (0.0, 0.5, 1.0)]
-    res = probe_fd_ratio(samples, ProbeConfig(n=5, rho=(0.5,)))
+    res = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, rho=(0.5,)))
     assert res.implied_c == pytest.approx(0.5 * BALL_VOLUME, rel=1e-12)
 
 
 def test_fd_ratio_monotone_in_theta():
     # raising theta toward 1 shrinks the ratio once D >= 1
     samples = [FakeSample(t, F=-10.0 - t, D=5.0 + t) for t in range(10)]
-    lo = probe_fd_ratio(samples, ProbeConfig(n=5, kappa=4.5, rho=(0.5,)))
-    hi = probe_fd_ratio(samples, ProbeConfig(n=5, kappa=6.0, rho=(0.5,)))
+    lo = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, kappa=4.5, rho=(0.5,)))
+    hi = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, kappa=6.0, rho=(0.5,)))
     assert theta_exponent(6.0, 5) > theta_exponent(4.5, 5)
     assert hi.implied_c < lo.implied_c
 
@@ -242,7 +242,7 @@ def test_mass_identities_need_samples():
 
 
 def test_local_inequalities_homogeneous(grid, solver):
-    cfg = ProbeConfig(n=5, rho=(0.25, 0.5, 0.75))
+    cfg = ProbeConfig(n=5, R=1.0, rho=(0.25, 0.5, 0.75))
     one = constant_field(grid, 1.0)
     results = probe_local_inequalities(one, one, compute_energy(one, one, solver), cfg)
     assert len(results) == 9  # three inequalities per radius
@@ -259,7 +259,7 @@ def test_local_norms_nested_in_rho(grid, solver):
     rng = np.random.default_rng(9)
     u = RadialField(rng.random(grid.N) + 0.5, grid)
     v = RadialField(rng.random(grid.N) + 0.5, grid)
-    cfg = ProbeConfig(n=5, rho=(0.25, 0.5, 0.75))
+    cfg = ProbeConfig(n=5, R=1.0, rho=(0.25, 0.5, 0.75))
     results = probe_local_inequalities(u, v, compute_energy(u, v, solver), cfg)
     mixed = [r for r in results if r.name == "local_mixed_term"]
     # rhs_free aggregates ball-restricted norms, monotone in rho
@@ -271,7 +271,7 @@ def test_local_norms_nested_in_rho(grid, solver):
 
 def test_local_inequalities_graded_snap_to_nearest_face():
     g = make_grid(5, 1.0, 64, h_min=1e-9)
-    cfg = ProbeConfig(n=5, rho=(0.01, 0.25, 0.5))
+    cfg = ProbeConfig(n=5, R=1.0, rho=(0.01, 0.25, 0.5))
     one = constant_field(g, 1.0)
     results = probe_local_inequalities(one, one, compute_energy(one, one, build_solver(g)), cfg)
     snapped = sorted({r.param for r in results})
@@ -284,10 +284,10 @@ def test_local_inequalities_graded_snap_to_nearest_face():
 
 
 def test_local_inequalities_rejects_bad_rho(grid, solver):
-    cfg = ProbeConfig(n=5, rho=(1.5,))
-    one = constant_field(grid, 1.0)
-    with pytest.raises(ConfigurationError):
-        probe_local_inequalities(one, one, compute_energy(one, one, solver), cfg)
+    # the rho rule is ProbeConfig's, so a radius outside (0, R) never reaches the probe
+    with pytest.raises(ConfigurationError) as err:
+        ProbeConfig(n=5, R=1.0, rho=(1.5,))
+    assert set(err.value.problems) == {"rho"}
 
 
 def test_local_inequalities_reject_a_report_of_another_grid(grid, solver):
@@ -296,11 +296,18 @@ def test_local_inequalities_reject_a_report_of_another_grid(grid, solver):
     other = constant_field(coarse, 1.0)
     rep = compute_energy(other, other, build_solver(coarse))
     with pytest.raises(GridMismatchError):
-        probe_local_inequalities(one, one, rep, ProbeConfig(n=5, rho=(0.5,)))
+        probe_local_inequalities(one, one, rep, ProbeConfig(n=5, R=1.0, rho=(0.5,)))
+
+
+def test_local_inequalities_reject_a_config_of_another_ball(grid, solver):
+    one = constant_field(grid, 1.0)
+    with pytest.raises(GridMismatchError, match="R=2.0"):
+        probe_local_inequalities(one, one, compute_energy(one, one, solver),
+                                 ProbeConfig(n=5, R=2.0, rho=(0.5,)))
 
 
 def test_local_implied_constants_stable_under_refinement():
-    cfgp = ProbeConfig(n=5, rho=(0.5,))
+    cfgp = ProbeConfig(n=5, R=1.0, rho=(0.5,))
     vals = {}
     for N in (128, 256, 512):
         g = make_grid(5, 1.0, N)
@@ -344,7 +351,7 @@ def test_odi_superlinear_slope_on_collapse(collapse_trajectory):
 
 def test_fd_ratio_bounded_while_energy_diverges(collapse_trajectory):
     samples, _ = collapse_trajectory
-    res = probe_fd_ratio(samples, ProbeConfig(n=5, rho=(0.5,)))
+    res = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, rho=(0.5,)))
     peak_negF = max(-s.F for s in samples)
     assert peak_negF > 1e4  # the energy genuinely diverges
     assert math.isfinite(res.implied_c)
@@ -365,12 +372,12 @@ def test_fd_ratio_reproducible_bitwise(grid, solver):
     cfg = default_stepper_config(grid, t_end=0.2, dt_max=2e-3, output_every=5)
     _, _, s1 = run(u0, v0, cfg, solver=solver)
     _, _, s2 = run(u0, v0, cfg, solver=solver)
-    pc = ProbeConfig(n=5, rho=(0.5,))
+    pc = ProbeConfig(n=5, R=1.0, rho=(0.5,))
     assert probe_fd_ratio(s1, pc).implied_c == probe_fd_ratio(s2, pc).implied_c
 
 
 
 def test_probe_config_theta_is_derived_from_kappa():
-    assert ProbeConfig(n=5, kappa=6.0, rho=(0.5,)).theta == theta_exponent(6.0, 5)
+    assert ProbeConfig(n=5, R=1.0, kappa=6.0, rho=(0.5,)).theta == theta_exponent(6.0, 5)
     with pytest.raises(TypeError):
-        ProbeConfig(n=5, theta=0.9, rho=(0.5,))
+        ProbeConfig(n=5, R=1.0, theta=0.9, rho=(0.5,))
