@@ -18,15 +18,13 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from .config import RunConfig, load_config, resolve_output_dir
 from .dynamics import SimStatus, run
 from .energy import compute_energy
 from .errors import ConfigurationError, RadksError
 from .grid import integrate
 from .helmholtz import build_solver
-from .initial_data import base_data, build_family, eta_star, family_energy_scan, FamilyParams, w22_norm
+from .initial_data import base_data, build_family, family_energy_scan, family_eta_star, FamilyParams, w22_norm
 from .probes import (
     ProbeResult,
     probe_entropy_floor,
@@ -156,8 +154,7 @@ def cmd_family(cfg: RunConfig) -> int:
     solver, u0, v0 = _build_problem(cfg)
     etas = cfg.etas
     if not etas:  # "auto": eta_count scales halving down from eta_star/4
-        iota = float(np.min(u0.values))
-        star = eta_star(iota, cfg.gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
+        star = family_eta_star(u0, cfg.gamma)
         etas = [star / (4 * 2**k) for k in range(cfg.eta_count)]
     rows = family_energy_scan(u0, v0, cfg.gamma, etas, grid, solver)
     outdir = resolve_output_dir(cfg)

@@ -3,15 +3,14 @@
 INI-style sections mirror the module names ([grid], [base], [family],
 [stepper], [probe], [run], [sweep]).  load_config parses and the domain
 objects validate: make_grid, check_base on that grid, check_family,
-default_stepper_config (which resolves the dt bounds on the grid) and
-ProbeConfig (rho relative to the grid's R).  [base], [stepper] and
-[probe] pass on only the keys the file sets, an `auto` or empty value
-counting as unset, so their defaults are their owners'; _DEFAULTS holds
-the few that no object holds.  The objects' checks, keyed by parameter
-name, and the few that no object makes (family.eta_count,
-stepper.max_steps, the run keys, the sweep axes) are reported at once as
-`section.key: message`; a value that already failed, by not parsing or
-by being rejected, adds no follow-on message.  Dimensions 2 <= n < 5,
+default_stepper_config and ProbeConfig (rho relative to the grid's R).
+[base], [stepper] and [probe] pass on only the keys the file sets, an
+`auto` or empty value counting as unset, so their defaults are their
+owners'; _DEFAULTS holds the few that no object holds.  The objects'
+checks, keyed by parameter name, and the few that no object makes
+(family.eta_count, stepper.max_steps, the run keys, the sweep axes) are
+reported at once as `section.key: message`; a value that already
+failed, by not parsing or by being rejected, adds no follow-on message.  Dimensions 2 <= n < 5,
 unknown keys and sweep axes naming no known key only warn.  Dotted
 overrides (--set section.key=value) are applied before validation.
 """
@@ -48,9 +47,8 @@ _KEYS = {
     "base": {"kind": str, "value": float, "baseline": float, "amplitude": float,
              "width": float, "v_mode": str, "path": str},
     "family": {"gamma": float, "eta": _numbers, "eta_count": int},
-    "stepper": {"cfl": float, "dt_init": float, "dt_min": float, "dt_max": float,
-                "t_end": float, "blowup_factor": float, "output_every": int,
-                "max_steps": int},
+    "stepper": {"cfl": float, "dt_init": float, "dt_max": float, "t_end": float,
+                "blowup_factor": float, "output_every": int, "max_steps": int},
     "probe": {"kappa": float, "beta": float, "rho": _numbers},
     "run": {"outdir": str, "snapshot_every": int, "workers": int},
 }
@@ -70,8 +68,8 @@ class RunConfig:
     """Validated run parameters plus any non-fatal warnings.
 
     grid, stepper and probe are the objects load_config built to validate
-    the [grid], [stepper] and [probe] sections; the stepper carries the
-    resolved dt bounds.  base_params are the [base] values as check_base
+    the [grid], [stepper] and [probe] sections, with their defaults
+    filled in.  base_params are the [base] values as check_base
     resolved them.  n, R and N repeat the grid's inputs.
     """
 
@@ -211,16 +209,10 @@ def load_config(path, overrides=()) -> RunConfig:
     eta_count = get("family", "eta_count")
     check("family.eta_count", eta_count >= 1, f"must be >= 1, got {eta_count}")
 
+    # no stepper default depends on the grid, so a bad grid skips no check
     stepper_values = given("stepper")
-    t_end = get("stepper", "t_end")
-    if grid is not None:
-        stepper = build("stepper", default_stepper_config, grid, t_end, **stepper_values)
-    else:
-        # the dt bounds default on the grid: check only the values given
-        unset = {"cfl", "dt_init", "dt_min", "dt_max"} - stepper_values.keys()
-        failed.update(f"stepper.{key}" for key in unset)
-        stepper = build("stepper", StepperConfig, t_end=t_end,
-                        **dict.fromkeys(unset, math.nan), **stepper_values)
+    stepper = build("stepper", default_stepper_config, grid, get("stepper", "t_end"),
+                    **stepper_values)
     max_steps = get("stepper", "max_steps")
     check("stepper.max_steps", max_steps >= 1, f"must be >= 1, got {max_steps}")
 

@@ -10,6 +10,12 @@ One step does, in order:
 Both flux sums telescope, so the integral of u is conserved exactly;
 upwinding plus the M-matrix solves keep u nonnegative whenever dt
 respects the advective stability bound, which depends on v alone.
+adapt_dt never takes a step above that bound: there is no step floor.
+
+run has one rule per outcome.  It blows up when sup u reaches
+blowup_factor * sup0, and reports t_blowup as the time of that step.  It
+stalls when a step gives a non-finite field or leaves t where it was
+(a dt too small to change t in floating point).  It completes at t_end.
 
 Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -87,7 +92,6 @@ class State:
     v: RadialField
     dt: float
     status: SimStatus = SimStatus.RUNNING
-    t_blowup: Optional[float] = None
     report: Optional[EnergyReport] = None
 
     @cached_property
@@ -112,7 +116,6 @@ def _evolve(state: State, **changes) -> State:
 class StepperConfig:
     cfl: float
     dt_init: float
-    dt_min: float
     dt_max: float
     t_end: float
     blowup_factor: float = 1e6
@@ -124,17 +127,10 @@ class StepperConfig:
             problems["cfl"] = f"cfl must lie in (0, 1], got {self.cfl}"
         if not self.dt_max > 0.0:
             problems["dt_max"] = f"dt_max must be positive, got {self.dt_max}"
-        if not self.dt_min > 0.0:
-            problems["dt_min"] = f"dt_min must be positive, got {self.dt_min}"
-        elif "dt_max" not in problems and not self.dt_min <= self.dt_max:
-            problems["dt_min"] = f"dt_min must not exceed dt_max={self.dt_max}, got {self.dt_min}"
-        # dt_init is compared only with bounds that passed their own checks
-        if {"dt_min", "dt_max"}.isdisjoint(problems) and not (
-            self.dt_min <= self.dt_init <= self.dt_max
-        ):
+        # dt_init is compared only with a dt_max that passed its own check
+        elif not 0.0 < self.dt_init <= self.dt_max:
             problems["dt_init"] = (
-                f"dt_init must lie in [dt_min, dt_max] = [{self.dt_min}, {self.dt_max}], "
-                f"got {self.dt_init}"
+                f"dt_init must lie in (0, dt_max] = (0, {self.dt_max}], got {self.dt_init}"
             )
         if not self.t_end > 0.0:
             problems["t_end"] = f"t_end must be positive, got {self.t_end}"
@@ -146,23 +142,17 @@ class StepperConfig:
             raise ConfigurationError(problems=problems)
 
 
-def default_stepper_config(grid: Grid, t_end: float, **overrides) -> StepperConfig:
-    """Config with the documented defaults: cfl 0.9, dt_max 1e-2 and the
-    dt_min and dt_init of this grid; StepperConfig's own for the rest.
+def default_stepper_config(grid: Optional[Grid], t_end: float, **overrides) -> StepperConfig:
+    """Config with the documented defaults: cfl 0.9, dt_max 1e-2 and
+    dt_init min(1e-6, dt_max); StepperConfig's own for the rest.
 
-    dt_min = (R 1e-8/N) (h_min/h)^2: on a uniform mesh that is R 1e-8/N;
-    on a graded one the floor shrinks with the squared ratio of the
-    smallest to the largest cell width, so it stays far below the steps
-    the smallest cells need.  dt_init steers nothing: run puts it only on
-    the t = 0 state, whose diagnostics row shows it, and every step,
-    the first included, takes its dt from adapt_dt.  The default,
-    1e-6, is clamped into [dt_min, dt_max]; an explicit dt_init outside
-    them is rejected.
+    No default depends on grid, which may be None.  dt_init steers
+    nothing: run puts it only on the t = 0 state, whose diagnostics row
+    shows it, and every step, the first included, takes its dt from
+    adapt_dt.  An explicit dt_init outside (0, dt_max] is rejected.
     """
-    dt_min = grid.R * 1e-8 / grid.N * (grid.h_min / grid.h) ** 2
-    values = {"cfl": 0.9, "dt_min": dt_min, "dt_max": 1e-2, "t_end": t_end, **overrides}
-    if "dt_init" not in values:
-        values["dt_init"] = min(max(dt_min, 1e-6, values["dt_min"]), values["dt_max"])
+    values = {"cfl": 0.9, "dt_max": 1e-2, "t_end": t_end, **overrides}
+    values.setdefault("dt_init", min(1e-6, values["dt_max"]))
     return StepperConfig(**values)
 
 
@@ -215,7 +205,7 @@ def _rung_below(dt: float) -> float:
     """The largest rung of the dt ladder that does not exceed dt.
 
     A dt that is not positive and finite (+inf when v_r vanishes) passes
-    through unchanged, for adapt_dt's clamps to handle.
+    through unchanged, for adapt_dt's dt_max clamp to handle.
     """
     if not 0.0 < dt < math.inf:
         return dt
@@ -225,19 +215,18 @@ def _rung_below(dt: float) -> float:
 
 
 def adapt_dt(state: State, cfg: StepperConfig) -> float:
-    """clamp(rung below cfl * stable dt, dt_min, dt_max), then capped by t_end - t.
+    """min(rung below cfl * stable dt, dt_max), then capped by t_end - t.
 
     The stable dt depends on v alone, through the state's face velocity.
     cfl times it is rounded down to the ladder 2^(k/16) (16 rungs per
-    octave, k an integer) before the clamps, so dt stays at or below the
+    octave, k an integer) before the clamp, so dt stays at or below the
     CFL step and changes only when that step moves to another rung: while
     it does not, step reuses both factorizations, at the price of a mean
     step about 2% below the CFL step.
     """
-    dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, state.face_velocity))
-    dt = min(max(dt, cfg.dt_min), cfg.dt_max)
     remaining = cfg.t_end - state.t
-    dt = min(dt, remaining)
+    dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, state.face_velocity))
+    dt = min(dt, cfg.dt_max, remaining)
     # absorb a round-off sliver into the final step instead of leaving a
     # dt ~ eps step whose diagnostics are pure noise
     if remaining - dt < 1e-12 * max(cfg.t_end, 1.0):
@@ -246,7 +235,11 @@ def adapt_dt(state: State, cfg: StepperConfig) -> float:
 
 
 def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
-    """Advance one IMEX step of size state.dt."""
+    """Advance one IMEX step of size state.dt.
+
+    The new state is STALLED when a field is not finite or when dt is too
+    small to change t (t + dt == t).
+    """
     if state.status is not SimStatus.RUNNING:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
     grid = state.u.grid
@@ -262,9 +255,10 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     rhs *= dt
     np.subtract(state.u.values, rhs, out=rhs)
     u_new = shifted_solve(solver, 1.0, dt, rhs)
-    ok = np.isfinite(u_new).all() and np.isfinite(v_new).all()
+    t = state.t + dt
+    ok = t != state.t and np.isfinite(u_new).all() and np.isfinite(v_new).all()
     new = State(
-        t=state.t + dt,
+        t=t,
         step=state.step + 1,
         u=_adopt(u_new, grid),
         v=v_plus,
@@ -278,32 +272,22 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
 
 
 def detect_blowup(
-    state: State,
-    cfg: StepperConfig,
-    sup0: float,
-    history=None,
-    sup: Optional[float] = None,
-) -> tuple[SimStatus, Optional[float]]:
+    state: State, cfg: StepperConfig, sup0: float, sup: Optional[float] = None
+) -> SimStatus:
     """Classify the current state.
 
-    Blowup is declared when the sup norm passes blowup_factor * sup0, or
-    when dt sits at its floor and the sup norm doubled within the last
-    10 * dt_min of simulated time (history holds recent (t, sup) pairs).
-    sup, when given, is sup_norm(state.u), already taken by the caller.
+    BLOWN_UP when the sup norm reaches blowup_factor * sup0, STALLED when
+    it is not finite, COMPLETED at t_end, RUNNING otherwise.  sup, when
+    given, is sup_norm(state.u), already taken by the caller.
     """
     s = sup_norm(state.u) if sup is None else sup
     if not math.isfinite(s):
-        return SimStatus.STALLED, None
+        return SimStatus.STALLED
     if s >= cfg.blowup_factor * sup0:
-        return SimStatus.BLOWN_UP, state.t
-    if history and state.dt <= cfg.dt_min:
-        window = 10.0 * cfg.dt_min
-        recent = [sv for tv, sv in history if state.t - tv <= window]
-        if recent and s >= 2.0 * min(recent):
-            return SimStatus.BLOWN_UP, state.t
+        return SimStatus.BLOWN_UP
     if state.t >= cfg.t_end * (1.0 - 1e-14):
-        return SimStatus.COMPLETED, None
-    return SimStatus.RUNNING, None
+        return SimStatus.COMPLETED
+    return SimStatus.RUNNING
 
 
 @dataclass(frozen=True)
@@ -330,7 +314,7 @@ class RunSummary:
     status: SimStatus
     t_final: float
     peak_sup: float
-    t_blowup: Optional[float]
+    t_blowup: Optional[float]  # t_final when BLOWN_UP, else None
     steps: int
     F0: float
     min_F: float
@@ -385,7 +369,6 @@ def run(
     state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
     sup0 = sup_norm(u0)
     peak = sup0
-    history: deque = deque()
 
     samples: list[TrajectorySample] = []
 
@@ -407,13 +390,10 @@ def run(
         state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
         s = sup_norm(state.u)
         peak = max(peak, s)
-        history.append((state.t, s))
-        while history and state.t - history[0][0] > 20.0 * cfg.dt_min:
-            history.popleft()
         if state.status is SimStatus.RUNNING:
-            status, t_b = detect_blowup(state, cfg, sup0, history, sup=s)
+            status = detect_blowup(state, cfg, sup0, sup=s)
             if status is not state.status:
-                state = _evolve(state, status=status, t_blowup=t_b)
+                state = _evolve(state, status=status)
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:
             state = emit(state)
             last_emitted = state.step
@@ -426,7 +406,7 @@ def run(
         status=state.status,
         t_final=state.t,
         peak_sup=peak,
-        t_blowup=state.t_blowup,
+        t_blowup=state.t if state.status is SimStatus.BLOWN_UP else None,
         steps=state.step,
         F0=f0,
         min_F=min_f,

@@ -36,6 +36,7 @@ __all__ = [
     "check_base",
     "mollifier_spec",
     "eta_star",
+    "family_eta_star",
     "bump_cell_fractions",
     "build_family",
     "family_energy_scan",
@@ -153,6 +154,14 @@ def eta_star(
     return min(math.exp(-hi), cap)
 
 
+def family_eta_star(u0: RadialField, gamma: float) -> float:
+    """The admissible bound of the family on the base density u0: eta_star
+    of u0's minimum and its grid's ball, capped at min(1, R)."""
+    grid = u0.grid
+    iota = float(np.min(u0.values))
+    return eta_star(iota, gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Base pair plus the exponent and scale of the added bump."""
@@ -161,10 +170,6 @@ class FamilyParams:
     v0: RadialField
     gamma: float
     eta: float
-
-    @property
-    def iota(self) -> float:
-        return float(np.min(self.u0.values))
 
     def __post_init__(self):
         check_family(self.gamma, (self.eta,))
@@ -215,7 +220,7 @@ def build_family(
     if not params.u0.grid.same_as(grid):
         raise ConfigurationError("base fields do not live on the target grid")
     n, gamma, eta = grid.n, params.gamma, params.eta
-    star = eta_star(params.iota, gamma, n, grid.ball_volume, cap=min(1.0, grid.R))
+    star = family_eta_star(params.u0, gamma)
     if eta >= star:
         raise AdmissibilityError(
             f"eta={eta:g} is not admissible: needs eta < eta_star={star:.6g}"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from radks.dynamics import SimStatus, default_stepper_config, run
-from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
+from radks.grid import RadialField, constant_field, integrate, make_grid
 from radks.helmholtz import build_solver, solve
 from radks.initial_data import (
     FamilyParams,
@@ -38,6 +38,7 @@ from radks.probes import (
     probe_pointwise_v,
     probe_pointwise_w,
 )
+from radks.verify import check_manufactured
 
 BALL_VOLUME = 8 * math.pi**2 / 15
 THETA = 5.0 / 7.0
@@ -150,25 +151,10 @@ def blowup_runs(family_2048):
 
 def test_criterion_01_helmholtz_manufactured():
     t0 = time.perf_counter()
-
-    def err(N):
-        g = make_grid(5, 1.0, N)
-        s = build_solver(g)
-        k = math.pi / g.R
-        wstar = field_from_function(g, lambda r: math.cos(k * r))
-        ustar = field_from_function(
-            g,
-            lambda r: k * k * math.cos(k * r)
-            + (g.n - 1) / r * k * math.sin(k * r)
-            + math.cos(k * r),
-        )
-        return float(np.max(np.abs(solve(s, ustar).values - wstar.values)))
-
-    ratio = err(200) / err(400)
+    in_bounds, detail = check_manufactured(200, 400, 3.5, 4.5)
     elapsed = time.perf_counter() - t0
-    ok = 3.5 <= ratio <= 4.5 and elapsed < 1.0
-    report(1, ok, f"error ratio {ratio:.3f} in [3.5, 4.5]; {elapsed:.2f}s < 1s")
-    assert 3.5 <= ratio <= 4.5
+    report(1, in_bounds and elapsed < 1.0, f"{detail}; {elapsed:.2f}s < 1s")
+    assert in_bounds, detail
     assert elapsed < 1.0
 
 

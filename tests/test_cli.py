@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,14 @@ from radks.config import load_config
 from radks.dynamics import run
 from radks.grid import integrate, make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
-from radks.initial_data import base_data, check_base, w22_norm
+from radks.initial_data import (
+    FamilyParams,
+    base_data,
+    build_family,
+    check_base,
+    family_eta_star,
+    w22_norm,
+)
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
 
 BASE = """\
@@ -129,7 +137,29 @@ def test_simulate_blowup_exit_code(tmp_path):
     assert code == 2
     summary = (tmp_path / "blowout" / "summary.txt").read_text()
     assert "status=blown_up" in summary
-    assert "t_blowup=" in summary
+    # the one blowup rule: the run ends at the step whose sup norm crossed
+    keys = dict(line.split("=", 1) for line in summary.splitlines()[1:])
+    assert keys["t_blowup"] == keys["t_final"] != ""
+
+
+def test_simulate_stall_exit_code(tmp_path, monkeypatch):
+    # the first step sees no velocity and takes dt_max to t = 1; from then
+    # on the CFL bound is 1e-22, that of a slope-1e20 signal, too small to
+    # move t: the run stalls (exit 1) instead of stepping on
+    from radks import dynamics
+
+    bounds = iter([math.inf])
+    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel: next(bounds, 1e-22))
+    path = tmp_path / "stall.ini"
+    path.write_text(
+        "# format_version=1\n"
+        "[grid]\nn = 5\nR = 1.0\nN = 96\n"
+        "[stepper]\nt_end = 2.0\ndt_max = 1.0\nmax_steps = 10\n"
+        f"[run]\noutdir = {tmp_path / 'out'}\n"
+    )
+    assert main(["-c", str(path), "simulate"]) == 1
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "status=stalled\nt_final=1.0\nt_blowup=\nsteps=2\n" in summary
 
 
 def test_simulate_corrupt_custom_snapshot_exit_one(tmp_path):
@@ -152,6 +182,21 @@ def test_family_row_count_and_snapshots(config_path, tmp_path):
     assert len(rows) == 4  # default eta_count
     for idx in range(4):
         assert (tmp_path / "out" / f"snapshot_eta_{idx:02d}.csv").exists()
+
+
+def test_family_auto_scales_of_a_non_unit_base_pass_build_family(config_path, tmp_path):
+    # cmd_family picks the auto scales from the bound build_family checks
+    overrides = ["grid.R=0.5", "base.baseline=0.5", "base.width=0.1"]
+    argv = ["-c", str(config_path)] + [arg for o in overrides for arg in ("--set", o)]
+    assert main(argv + ["family"]) == 0
+    cfg = load_config(config_path, overrides)
+    u0, v0 = base_data(cfg.base_kind, cfg.grid, **cfg.base_params)
+    star = family_eta_star(u0, cfg.gamma)
+    _, rows = read_table(tmp_path / "out" / "family.csv")
+    etas = [float(row[0]) for row in rows]
+    assert etas == [star / (4 * 2**k) for k in range(cfg.eta_count)]
+    for eta in etas:
+        build_family(FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=eta), cfg.grid)
 
 
 def test_family_solves_once_per_scale(config_path, tmp_path, monkeypatch):
@@ -368,7 +413,7 @@ def test_low_dimension_warning_printed(tmp_path, capsys):
     assert "blowup regime" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["probe.kappa=2", "stepper.dt_min=1", "grid.R=inf"])
+@pytest.mark.parametrize("override", ["probe.kappa=2", "stepper.dt_init=1", "grid.R=inf"])
 def test_simulate_bad_value_fails_before_any_output(config_path, tmp_path, capsys, override):
     assert main(["-c", str(config_path), "--set", override, "simulate"]) == 1
     assert override.partition("=")[0] in capsys.readouterr().err

@@ -44,22 +44,18 @@ def smooth_pair(grid, seed=0, amp=0.2):
 
 def test_stepper_config_validation():
     with pytest.raises(ConfigurationError):
-        StepperConfig(cfl=0.0, dt_init=1e-3, dt_min=1e-4, dt_max=1e-2, t_end=1.0)
+        StepperConfig(cfl=0.0, dt_init=1e-3, dt_max=1e-2, t_end=1.0)
     with pytest.raises(ConfigurationError):
-        StepperConfig(cfl=0.5, dt_init=1e-5, dt_min=1e-4, dt_max=1e-2, t_end=1.0)
+        StepperConfig(cfl=0.5, dt_init=0.0, dt_max=1e-2, t_end=1.0)
     with pytest.raises(ConfigurationError):
-        StepperConfig(cfl=0.5, dt_init=1e-3, dt_min=1e-4, dt_max=1e-2, t_end=1.0,
-                      blowup_factor=0.5)
-
-
-def test_default_config_dt_min_rule(grid):
-    cfg = default_stepper_config(grid, t_end=1.0)
-    assert cfg.dt_min == pytest.approx(grid.R * 1e-8 / grid.N)
-    assert cfg.blowup_factor == 1e6
+        StepperConfig(cfl=0.5, dt_init=1e-3, dt_max=1e-2, t_end=1.0, blowup_factor=0.5)
 
 
 def test_default_config_rejects_explicit_dt_init_outside_bounds(grid):
-    # the default dt_init is clamped into [dt_min, dt_max]; an explicit one is not
+    # the default dt_init is min(1e-6, dt_max); an explicit one outside
+    # (0, dt_max] is rejected, not clamped
+    cfg = default_stepper_config(grid, t_end=1.0)
+    assert cfg.dt_init == 1e-6 and cfg.blowup_factor == 1e6
     assert default_stepper_config(grid, t_end=1.0, dt_max=1e-7).dt_init == 1e-7
     for dt_init in (-1.0, 0.0, 2e-2):
         with pytest.raises(ConfigurationError) as err:
@@ -69,21 +65,9 @@ def test_default_config_rejects_explicit_dt_init_outside_bounds(grid):
 
 def test_stepper_config_problems_are_keyed_without_follow_ons():
     with pytest.raises(ConfigurationError) as err:
-        StepperConfig(cfl=3.0, dt_init=1e-3, dt_min=1e-4, dt_max=-1.0, t_end=-1.0)
-    # dt_init and dt_min are not compared with the rejected dt_max
+        StepperConfig(cfl=3.0, dt_init=1e-3, dt_max=-1.0, t_end=-1.0)
+    # dt_init is not compared with the rejected dt_max
     assert set(err.value.problems) == {"cfl", "dt_max", "t_end"}
-
-
-def test_default_config_dt_min_graded_stays_below_cfl_step():
-    # a signal concentrated at r ~ 1e-8: its CFL step lies far below the
-    # uniform floor R 1e-8/N, and the graded floor must not clamp it
-    g = make_grid(5, 1.0, 128, h_min=1e-9)
-    cfg = default_stepper_config(g, t_end=1.0)
-    assert cfg.dt_min == g.R * 1e-8 / g.N * (g.h_min / g.h) ** 2
-    v = RadialField(np.exp(-((g.centers / 1e-8) ** 2)), g)
-    st = State(0.0, 0, constant_field(g, 1.0), v, cfg.dt_init)
-    dt = adapt_dt(st, cfg)
-    assert cfg.dt_min < dt < g.R * 1e-8 / g.N
 
 
 def test_step_mass_conserved_graded():
@@ -174,21 +158,48 @@ def test_adapt_dt_clamps_and_horizon_act_after_the_ladder():
     # a CFL step far above dt_max gives dt_max itself, though 1e-3 is no rung
     cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1e-3)
     assert adapt_dt(ramp_state(g, 1e-3), cfg) == 1e-3
-    # a CFL step 1% above dt_min rounds to a rung below it: dt_min is taken
-    bound = 0.5 * g.h / 10.0
-    cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1.0, dt_min=bound / 1.01)
-    assert adapt_dt(ramp_state(g, 10.0), cfg) == cfg.dt_min
     # a remaining horizon below the rung is taken as it is
     cfg = default_stepper_config(g, t_end=1.0, cfl=0.5, dt_max=1.0)
     st = ramp_state(g, 10.0, t=1.0 - 3e-4)
     assert adapt_dt(st, cfg) == 1.0 - st.t
 
 
-def test_adapt_dt_hits_floor(grid):
+def test_adapt_dt_follows_a_steep_signal_and_keeps_u_nonnegative(grid, solver):
+    # no step floor: however small the CFL step, dt does not exceed it, so
+    # the upwind step keeps u nonnegative
     cfg = default_stepper_config(grid, t_end=1e9)
-    v = RadialField(-1e12 * grid.centers, grid)
-    st = State(0.0, 0, constant_field(grid, 1.0), v, 1e-3)
-    assert adapt_dt(st, cfg) == cfg.dt_min
+    st = ramp_state(grid, 1e12)
+    dt = adapt_dt(st, cfg)
+    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, st.face_velocity)
+    new = step(replace(st, dt=dt), cfg, solver)
+    assert new.status is SimStatus.RUNNING
+    assert float(new.u.values.min()) >= 0.0
+
+
+def test_step_below_half_an_ulp_of_t_stalls(grid, solver):
+    # at t = 1 the CFL step of a slope-1e20 signal (~1e-22) cannot move t
+    cfg = default_stepper_config(grid, t_end=2.0)
+    st = ramp_state(grid, 1e20, t=1.0)
+    dt = adapt_dt(st, cfg)
+    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, st.face_velocity)
+    assert 1.0 + dt == 1.0
+    new = step(replace(st, dt=dt), cfg, solver)
+    assert new.status is SimStatus.STALLED and new.t == 1.0
+
+
+def test_run_ends_stalled_when_a_step_leaves_t_in_place(grid, solver, monkeypatch):
+    # the first step sees no velocity and takes dt_max to t = 1; from then
+    # on the CFL bound is 1e-22, that of a slope-1e20 signal, too small to
+    # move t
+    bounds = iter([math.inf])
+    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel: next(bounds, 1e-22))
+    cfg = default_stepper_config(grid, t_end=2.0, dt_max=1.0)
+    u = constant_field(grid, 1.0)
+    state, summary, samples = run(u, u, cfg, solver=solver, max_steps=10)
+    assert summary.status is state.status is SimStatus.STALLED
+    assert summary.steps == 2 and summary.t_final == 1.0
+    assert summary.t_blowup is None
+    assert [smp.t for smp in samples] == [0.0, 1.0]
 
 
 def test_step_equilibrium_fixed_point(grid, solver):
@@ -253,16 +264,15 @@ def test_detect_blowup_threshold(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     big = constant_field(grid, 2e6)
     st = State(0.5, 10, big, constant_field(grid, 1.0), 1e-3)
-    status, t_b = detect_blowup(st, cfg, sup0=1.0)
-    assert status is SimStatus.BLOWN_UP and t_b == 0.5
+    assert detect_blowup(st, cfg, sup0=1.0) is SimStatus.BLOWN_UP
 
 
 def test_detect_blowup_completed_and_running(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     u = constant_field(grid, 1.0)
     v = constant_field(grid, 1.0)
-    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0)[0] is SimStatus.COMPLETED
-    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0)[0] is SimStatus.RUNNING
+    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.COMPLETED
+    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.RUNNING
 
 
 def test_detect_blowup_nan_is_stalled(grid):
@@ -270,16 +280,7 @@ def test_detect_blowup_nan_is_stalled(grid):
     vals = np.ones(grid.N)
     vals[3] = math.nan
     st = State(0.2, 9, RadialField(vals, grid), constant_field(grid, 1.0), 1e-3)
-    assert detect_blowup(st, cfg, 1.0)[0] is SimStatus.STALLED
-
-
-def test_detect_blowup_floor_doubling(grid):
-    cfg = default_stepper_config(grid, t_end=1.0)
-    u = constant_field(grid, 4.0)
-    st = State(0.2, 9, u, constant_field(grid, 1.0), cfg.dt_min)
-    history = [(0.2 - 5 * cfg.dt_min, 1.5), (0.2 - 2 * cfg.dt_min, 3.9)]
-    status, t_b = detect_blowup(st, cfg, sup0=1.0, history=history)
-    assert status is SimStatus.BLOWN_UP
+    assert detect_blowup(st, cfg, 1.0) is SimStatus.STALLED
 
 
 def test_run_homogeneous_completes(grid, solver):
@@ -353,7 +354,7 @@ def test_blowup_from_supercritical_concentration():
     cfg = default_stepper_config(g, t_end=0.5, output_every=10)
     state, summary, samples = run(u0, v0, cfg, solver=s, max_steps=5000)
     assert summary.status is SimStatus.BLOWN_UP
-    assert summary.t_blowup is not None and summary.t_blowup < 0.5
+    assert summary.t_blowup == state.t == summary.t_final < 0.5
     assert summary.peak_sup >= 1e6 * samples[0].sup_u
     assert summary.F0 < 0 and summary.min_F < summary.F0
 
