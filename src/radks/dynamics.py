@@ -380,8 +380,6 @@ def run(
         return st
 
     state = emit(state)
-    f0 = samples[0].F
-    min_f = f0
     last_emitted = 0
 
     while state.status is SimStatus.RUNNING:
@@ -397,18 +395,16 @@ def run(
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:
             state = emit(state)
             last_emitted = state.step
-            min_f = min(min_f, samples[-1].F)
 
     if state.step != last_emitted:
         state = emit(state)
-        min_f = min(min_f, samples[-1].F)
     summary = RunSummary(
         status=state.status,
         t_final=state.t,
         peak_sup=peak,
         t_blowup=state.t if state.status is SimStatus.BLOWN_UP else None,
         steps=state.step,
-        F0=f0,
-        min_F=min_f,
+        F0=samples[0].F,
+        min_F=min(s.F for s in samples),
     )
     return state, summary, samples

@@ -56,16 +56,22 @@ class MollifierSpec:
     normalization: float  # c_n with omega_n int_0^1 phi r^{n-1} dr = 1
 
 
-def _gauss_panels(a: float, b: float, panels: int = 8, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_panels(a: float, b: float, panels: int):
+    """Composite 16-point Gauss-Legendre nodes/weights on [a, b]."""
+    x, w = _gauss_rule()
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _profile(rho: np.ndarray) -> np.ndarray:
@@ -80,7 +86,7 @@ def mollifier_spec(n: int) -> MollifierSpec:
     """Normalize exp(-1/(1-r^2)) on the unit ball of R^n to unit integral."""
     from .grid import unit_sphere_area
 
-    nodes, weights = _gauss_panels(0.0, 1.0, panels=32, order=16)
+    nodes, weights = _gauss_panels(0.0, 1.0, panels=32)
     raw = float(np.sum(weights * _profile(nodes) * nodes ** (n - 1)))
     return MollifierSpec(n=n, normalization=1.0 / (unit_sphere_area(n) * raw))
 
@@ -197,7 +203,7 @@ def bump_cell_fractions(grid: Grid, eta: float) -> np.ndarray:
         # panel count grows with the covered reference span, so a single
         # cell swallowing the whole bump is still integrated to round-off
         panels = max(4, min(64, int(64 * (hi - lo)) + 4))
-        nodes, weights = _gauss_panels(lo, hi, panels=panels, order=16)
+        nodes, weights = _gauss_panels(lo, hi, panels=panels)
         fractions[i] = (
             grid.omega_n
             * spec.normalization

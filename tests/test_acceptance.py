@@ -5,8 +5,8 @@ admissible scale lies below eta_star ~ 5.19e-9, about 1e-5 of a cell of
 a uniform mesh with N = 2048, where the signal bump rounds away and the
 sup norm is capped at mass/V_1.  The family therefore lives on
 geometrically graded meshes with the same cell counts whose smallest
-cell is FAMILY_H_MIN = 1e-12, so each bump covers 92-244 cells.  Measured
-there: W^{2,2} distances 0.320 -> 0.275, F from -22.4 down to -45.1; all
+cell is verify.FAMILY_H_MIN = 1e-12, so each bump covers 92-244 cells.
+Measured there: W^{2,2} distances 0.320 -> 0.275, F from -22.4 down to -45.1; all
 four trajectories exit blown_up after 35-66 steps with 1.1e6-2.5e6x sup
 growth at t_b ~ 8.2e-24 (eta_star/16) and ~1.66e-24 (eta_star/32),
 within 1.4% across N = 1024 and 2048; ODI tail slopes 1.63-1.78.
@@ -15,21 +15,12 @@ within 1.4% across N = 1024 and 2048; ODI tail slopes 1.63-1.78.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from radks.dynamics import SimStatus, default_stepper_config, run
-from radks.grid import RadialField, constant_field, integrate, make_grid
-from radks.helmholtz import build_solver, solve
-from radks.initial_data import (
-    FamilyParams,
-    build_family,
-    eta_star,
-    family_energy_scan,
-    l1_distance,
-    w22_distance,
-    w22_norm,
-)
+from radks.grid import constant_field, make_grid
+from radks.helmholtz import build_solver
+from radks.initial_data import FamilyParams, build_family, eta_star, family_energy_scan, w22_norm
 from radks.probes import (
     ProbeConfig,
     probe_entropy_floor,
@@ -38,12 +29,16 @@ from radks.probes import (
     probe_pointwise_v,
     probe_pointwise_w,
 )
-from radks.verify import check_manufactured
+from radks.verify import (
+    FAMILY_H_MIN,
+    _smooth_pair,
+    check_energy_identity,
+    check_equilibrium,
+    check_family,
+    check_manufactured,
+)
 
-BALL_VOLUME = 8 * math.pi**2 / 15
 THETA = 5.0 / 7.0
-# smallest cell width of the graded meshes that carry the admissible family
-FAMILY_H_MIN = 1e-12
 
 # entropy-floor outcomes collected from every trajectory this module runs
 ENTROPY_FLOOR_RESULTS: list[bool] = []
@@ -54,25 +49,15 @@ def report(num: int, passed: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {mark}  {detail}")
 
 
-def smooth_positive_pair(grid, seed=2024, amp=0.25):
-    rng = np.random.default_rng(seed)
-    a = amp * (2 * rng.random(4) - 1)
-    b = amp * (2 * rng.random(4) - 1)
-    u = 1.0 + sum(a[k] * np.cos((k + 1) * math.pi * grid.centers / grid.R) for k in range(4))
-    v = 1.0 + sum(b[k] * np.cos((k + 1) * math.pi * grid.centers / grid.R) for k in range(4))
-    return RadialField(u, grid), RadialField(v, grid)
-
-
-def entropy_sink():
-    def sink(state, sample):
-        res = probe_entropy_floor(state.report)
-        ENTROPY_FLOOR_RESULTS.append(bool(res.hard_pass))
-
-    return sink
+def entropy_sink(state, sample):
+    ENTROPY_FLOOR_RESULTS.append(bool(probe_entropy_floor(state.report).hard_pass))
 
 
 @pytest.fixture(scope="module")
 def family_2048():
+    """eta_star of the family on the graded N = 2048 mesh, once every scale
+    of the scan has passed a strict-resolution build and recorded its
+    entropy floor."""
     grid = make_grid(5, 1.0, 2048, h_min=FAMILY_H_MIN)
     solver = build_solver(grid)
     u0 = constant_field(grid, 1.0)
@@ -83,22 +68,15 @@ def family_2048():
         build_family(
             FamilyParams(u0=u0, v0=v0, gamma=1.5, eta=eta), grid, strict_resolution=True
         )
-    t0 = time.perf_counter()
-    rows = family_energy_scan(u0, v0, 1.5, etas, grid, solver)
-    elapsed = time.perf_counter() - t0
-    for row in rows:
-        res = probe_entropy_floor(row.report)
-        ENTROPY_FLOOR_RESULTS.append(bool(res.hard_pass))
-    return {
-        "grid": grid, "solver": solver, "u0": u0, "v0": v0,
-        "star": star, "etas": etas, "rows": rows, "seconds": elapsed,
-    }
+    for row in family_energy_scan(u0, v0, 1.5, etas, grid, solver):
+        ENTROPY_FLOOR_RESULTS.append(bool(probe_entropy_floor(row.report).hard_pass))
+    return star
 
 
 @pytest.fixture(scope="module")
 def blowup_runs(family_2048):
     """The four family trajectories: two scales at two resolutions."""
-    star = family_2048["star"]
+    star = family_2048
     out = {}
     for N in (1024, 2048):
         grid = make_grid(5, 1.0, N, h_min=FAMILY_H_MIN)
@@ -114,9 +92,7 @@ def blowup_runs(family_2048):
             pw, pv = [], []
 
             def sink(state, sample, pw=pw, pv=pv, v0_norm=v0_norm):
-                ENTROPY_FLOOR_RESULTS.append(
-                    bool(probe_entropy_floor(state.report).hard_pass)
-                )
+                entropy_sink(state, sample)
                 pw.append((state.t, probe_pointwise_w(state.report.w, sample.mass).implied_c))
                 pv.append(
                     (
@@ -161,16 +137,14 @@ def test_criterion_01_helmholtz_manufactured():
 def test_criterion_02_conservation():
     grid = make_grid(5, 1.0, 400)
     solver = build_solver(grid)
-    u0, v0 = smooth_positive_pair(grid)
+    u0, v0 = _smooth_pair(grid, seed=2024, amp=0.25)
     cfg = default_stepper_config(grid, t_end=1e9, dt_max=2e-3, output_every=1)
     every_tenth = [0]
 
     def sink(state, sample):
         every_tenth[0] += 1
         if every_tenth[0] % 10 == 0:
-            ENTROPY_FLOOR_RESULTS.append(
-                bool(probe_entropy_floor(state.report).hard_pass)
-            )
+            entropy_sink(state, sample)
 
     _, _, samples = run(u0, v0, cfg, solver=solver, sink=sink, max_steps=10_000)
     m0 = samples[0].mass
@@ -187,109 +161,47 @@ def test_criterion_02_conservation():
 
 
 def test_criterion_03_equilibrium():
-    grid = make_grid(5, 1.0, 256)
-    solver = build_solver(grid)
-    cfg = default_stepper_config(grid, t_end=0.25, dt_max=5e-3, dt_init=5e-3, output_every=1)
-    u0 = constant_field(grid, 1.0)
-    v0 = constant_field(grid, 1.0)
-    prev = {"u": u0.values, "v": v0.values}
-    worst = {"delta": 0.0, "D": 0.0}
-
-    def sink(state, sample):
-        worst["delta"] = max(
-            worst["delta"],
-            float(np.max(np.abs(state.u.values - prev["u"]))),
-            float(np.max(np.abs(state.v.values - prev["v"]))),
-        )
-        worst["D"] = max(worst["D"], sample.D)
-        prev["u"] = state.u.values
-        prev["v"] = state.v.values
-        ENTROPY_FLOOR_RESULTS.append(
-            bool(probe_entropy_floor(state.report).hard_pass)
-        )
-
-    _, _, samples = run(u0, v0, cfg, solver=solver, sink=sink)
-    f_err = abs(samples[-1].F + 0.5 * BALL_VOLUME)
-    ok = worst["delta"] <= 1e-12 and worst["D"] <= 1e-12 and f_err <= 1e-9
-    report(
-        3, ok,
-        f"per-step change {worst['delta']:.2e} <= 1e-12; D {worst['D']:.2e} <= 1e-12; "
-        f"|F - (-|B|/2)| = {f_err:.2e} <= 1e-9",
-    )
-    assert worst["delta"] <= 1e-12
-    assert worst["D"] <= 1e-12
-    assert f_err <= 1e-9
+    ok, detail = check_equilibrium(256, sink=entropy_sink)
+    report(3, ok, detail)
+    assert ok, detail
 
 
 def test_criterion_04_energy_identity_dt_refinement():
+    run_dts = []  # the step sizes of each of the two runs
+
+    def sink(state, sample):
+        entropy_sink(state, sample)
+        if sample.t == 0.0:  # a run starts
+            run_dts.append([])
+        else:
+            run_dts[-1].append(sample.dt)
+
     t0 = time.perf_counter()
-    grid = make_grid(5, 1.0, 400)
-    solver = build_solver(grid)
-    u0 = RadialField(1.0 + 0.5 * np.cos(math.pi * grid.centers), grid)
-    v0 = solve(solver, solve(solver, u0))
-
-    def max_residual(dt):
-        cfg = default_stepper_config(
-            grid, t_end=0.5, dt_max=dt, dt_init=dt, output_every=10
-        )
-        _, _, samples = run(u0, v0, cfg, solver=solver, sink=entropy_sink())
-        # fixed-step study (the final step may absorb a round-off sliver)
-        assert all(abs(s.dt - dt) <= 1e-9 * dt for s in samples[1:])
-        return max(s.identity_residual for s in samples[1:])
-
-    ratio = max_residual(4e-3) / max_residual(2e-3)
+    in_bounds, detail = check_energy_identity(400, 4e-3, 0.5, sink=sink)
     elapsed = time.perf_counter() - t0
-    ok = 1.6 <= ratio <= 2.4 and elapsed < 120.0
-    report(4, ok, f"residual ratio {ratio:.3f} in [1.6, 2.4]; {elapsed:.1f}s < 120s")
-    assert 1.6 <= ratio <= 2.4
+    report(4, in_bounds and elapsed < 120.0, f"{detail}; {elapsed:.1f}s < 120s")
+    # fixed-step study (the final step may absorb a round-off sliver)
+    assert len(run_dts) == 2
+    for dt, dts in zip((4e-3, 2e-3), run_dts):
+        assert all(abs(x - dt) <= 1e-9 * dt for x in dts)
+    assert in_bounds, detail
     assert elapsed < 120.0
 
 
-def test_criterion_06_family_diagnostics(family_2048):
-    fam = family_2048
-    rows, u0, v0 = fam["rows"], fam["u0"], fam["v0"]
-    m0 = integrate(u0)
-    mass_err = max(abs(r.mass - m0) for r in rows) / m0
-    min_u = min(r.min_u for r in rows)
-    F = [r.F for r in rows]
-    f_decreasing = all(b < a for a, b in zip(F, F[1:]))
-    f_gap = F[0] - F[-1]
-    w22 = [w22_distance(r.v, v0) for r in rows]
-    w22_decreasing = all(b < a for a, b in zip(w22, w22[1:]))
-    l1 = [l1_distance(r.u, u0) for r in rows]
-    l1_decreasing = all(b < a for a, b in zip(l1, l1[1:]))
-    ok = (
-        mass_err <= 1e-12
-        and min_u > 0.0
-        and f_decreasing
-        and f_gap > 1.0
-        and w22_decreasing
-        and l1_decreasing
-        and fam["seconds"] < 60.0
-    )
-    report(
-        6, ok,
-        f"mass err {mass_err:.1e} <= 1e-12; min u {min_u:.4f} > 0; "
-        f"F decreasing={f_decreasing} gap={f_gap:.2f} > 1; "
-        f"W22 {['%.1e' % x for x in w22]} strictly decreasing={w22_decreasing}; "
-        f"L1 strictly decreasing={l1_decreasing}; {fam['seconds']:.1f}s < 60s",
-    )
-    assert mass_err <= 1e-12
-    assert min_u > 0.0
-    assert f_decreasing and f_gap > 1.0
-    assert l1_decreasing
-    assert fam["seconds"] < 60.0
-    # an unresolved bump leaves the signal perturbation below float64
-    # resolution (on a uniform N = 2048 mesh these distances are all zero)
-    assert w22_decreasing, (
-        f"W22 distances are {w22}: the admissible scales (eta < "
-        f"{fam['star']:.2e}) are ~1e-5 of a uniform cell at N = 2048, where "
-        "the v-bump cell average is ~1e-27 and is absorbed by v0 = 1"
-    )
+def test_criterion_06_family_diagnostics():
+    t0 = time.perf_counter()
+    ok, detail = check_family(2048)
+    elapsed = time.perf_counter() - t0
+    report(6, ok and elapsed < 60.0, f"{detail}; {elapsed:.1f}s < 60s")
+    # on a uniform N = 2048 mesh the admissible scales are ~1e-5 of a cell:
+    # the v-bump cell average is ~1e-27, v0 = 1 absorbs it and every W22
+    # distance is zero, so the distances cannot decrease
+    assert ok, detail
+    assert elapsed < 60.0
 
 
 def test_criterion_07_blowup_reproduction(family_2048, blowup_runs):
-    star = family_2048["star"]
+    star = family_2048
     lines = []
     all_blown = True
     growth_ok = True

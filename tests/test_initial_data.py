@@ -194,6 +194,24 @@ def test_family_strict_resolution_flag(fine_grid):
         )
 
 
+def test_gauss_panels_match_the_per_panel_loop_bit_for_bit():
+    def reference(a, b, panels):
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(a, b, panels + 1)
+        nodes, weights = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes.append(mid + half * x)
+            weights.append(half * w)
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    for a, b, panels in ((0.0, 1.0, 32), (0.0, 1.0, 8), (0.37, 0.912, 4), (1e-3, 1.0, 67)):
+        nodes, weights = initial_data._gauss_panels(a, b, panels)
+        ref_nodes, ref_weights = reference(a, b, panels)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+
 def test_bump_fractions_unit_mass_any_scale():
     from radks.initial_data import bump_cell_fractions
 

@@ -1,8 +1,17 @@
 import pytest
 
 import radks.helmholtz
-from radks.grid import _add_flux_divergence as true_flux_divergence
-from radks.verify import run_checks, scorecard
+import radks.verify
+from radks.grid import _add_flux_divergence as true_flux_divergence, make_grid
+from radks.verify import (
+    check_conservation,
+    check_energy_identity,
+    check_equilibrium,
+    check_family,
+    check_manufactured,
+    run_checks,
+    scorecard,
+)
 
 
 def test_fast_checks_all_pass():
@@ -24,8 +33,9 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
     Flipping the sign of the flux-form operator leaves telescoping (and so
     mass conservation) intact but corrupts every non-constant solve: the
     manufactured-solution and energy-identity checks catch it.  Constant
-    states sit in the kernel of any stiffness tamper, so the equilibrium
-    check is insensitive to this particular defect by design.
+    states sit in the kernel of any stiffness tamper, but their round-off
+    does not: over the equilibrium check's 50 steps at N=256 it grows to
+    ~3e-11, past the 1e-12 bound on the per-step change.
     """
 
     def flipped(out, values, weights):
@@ -34,8 +44,6 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
     # the face-flux kernel as helmholtz binds it: every refinement pass
     # and apply_operator go through it
     monkeypatch.setattr(radks.helmholtz, "_add_flux_divergence", flipped)
-
-    from radks.verify import check_conservation, check_energy_identity, check_equilibrium, check_manufactured
 
     ok_cons, _ = check_conservation(128, 300)
     assert ok_cons  # conservation still holds: fluxes telescope regardless
@@ -46,5 +54,25 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
     ok_energy, detail = check_energy_identity(128, 8e-3, 0.1)
     assert not ok_energy, detail
 
-    ok_eq, _ = check_equilibrium(64)
-    assert ok_eq  # homogeneous states are fixed points of the tampered operator too
+    ok_eq, detail = check_equilibrium()
+    assert not ok_eq, detail
+
+
+def test_equilibrium_check_hands_every_sample_to_its_sink():
+    calls = []
+    ok, detail = check_equilibrium(64, sink=lambda state, sample: calls.append(sample.t))
+    assert ok, detail
+    assert len(calls) == 51  # t = 0 and each of the 50 steps
+    assert calls[0] == 0.0
+
+
+def test_family_check_fails_on_a_uniform_mesh(monkeypatch):
+    """Without the graded mesh every admissible scale is sub-cell: the
+    signal bump rounds away, so the W22 distances read zero and cannot
+    decrease."""
+    monkeypatch.setattr(
+        radks.verify, "make_grid", lambda n, R, N, h_min=None: make_grid(n, R, N)
+    )
+    ok, detail = check_family(512)
+    assert not ok
+    assert "0.00e+00" in detail
