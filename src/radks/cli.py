@@ -24,7 +24,7 @@ from .energy import compute_energy
 from .errors import ConfigurationError, RadksError
 from .grid import integrate
 from .helmholtz import build_solver
-from .initial_data import base_data, build_family, family_energy_scan, family_eta_star, FamilyParams, w22_norm
+from .initial_data import base_data, build_family, family_energy_scan, family_scales, w22_norm
 from .probes import (
     ProbeResult,
     probe_entropy_floor,
@@ -67,9 +67,7 @@ def _initial_pair(cfg: RunConfig):
         raise ConfigurationError(f"family.eta: a run starts from one scale, got {list(cfg.etas)}")
     solver, u0, v0 = _build_problem(cfg)
     if cfg.etas:
-        u0, v0 = build_family(
-            FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=cfg.etas[0]), cfg.grid
-        )
+        u0, v0 = build_family(u0, v0, cfg.gamma, cfg.etas[0])
     return solver, u0, v0
 
 
@@ -150,13 +148,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_family(cfg: RunConfig) -> int:
-    grid = cfg.grid
     solver, u0, v0 = _build_problem(cfg)
-    etas = cfg.etas
-    if not etas:  # "auto": eta_count scales halving down from eta_star/4
-        star = family_eta_star(u0, cfg.gamma)
-        etas = [star / (4 * 2**k) for k in range(cfg.eta_count)]
-    rows = family_energy_scan(u0, v0, cfg.gamma, etas, grid, solver)
+    etas = cfg.etas or family_scales(u0, cfg.gamma, cfg.eta_count)
+    rows = family_energy_scan(u0, v0, cfg.gamma, etas, solver)
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     write_table(
@@ -165,7 +159,7 @@ def cmd_family(cfg: RunConfig) -> int:
         [[r.eta, r.F, r.mass, r.min_u] for r in rows],
     )
     for idx, r in enumerate(rows):
-        write_snapshot(outdir / f"snapshot_eta_{idx:02d}.csv", grid, r.u, r.v)
+        write_snapshot(outdir / f"snapshot_eta_{idx:02d}.csv", cfg.grid, r.u, r.v)
     print(f"{len(rows)} rows in {outdir / 'family.csv'}")
     return 0
 
@@ -175,7 +169,13 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
     if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
-    snaps = sorted(Path(snapshot_dir).glob("snapshot_*.csv")) if snapshot_dir else []
+    snaps = []
+    if snapshot_dir:
+        # the states simulate wrote, in step order, then its final one; the
+        # family verb's snapshot_eta_NN.csv in the same directory are not read
+        folder = Path(snapshot_dir)
+        snaps = sorted(folder.glob("snapshot_" + "[0-9]" * 8 + ".csv"))
+        snaps += folder.glob("snapshot_final.csv")
     pconf = cfg.probe
     solver, _, v0 = _initial_pair(cfg)
     v0_norm = w22_norm(v0)

@@ -26,10 +26,6 @@ class AdmissibilityError(RadksError):
     """Constructed initial data violates an admissibility condition."""
 
 
-class ResolutionError(AdmissibilityError):
-    """The mesh is too coarse to resolve a requested feature."""
-
-
 class InsufficientDataError(RadksError):
     """A trajectory probe was given too few samples."""
 

@@ -96,7 +96,7 @@ def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     return d, e, alpha * grid.volumes, beta * grid.coupling
 
 
-def _solve(grid: Grid, alpha: float, beta: float, factor, rhs: np.ndarray) -> np.ndarray:
+def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
     """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator.
 
     One refinement pass against the flux-form L solves that L to
@@ -138,7 +138,7 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     """w = (I - L)^{-1} u; its refinement pass keeps int w = int u to round-off."""
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
-    return _adopt(_solve(solver.grid, 1.0, 1.0, solver._factor, u.values), solver.grid)
+    return _adopt(_solve(solver.grid, solver._factor, u.values), solver.grid)
 
 
 def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
@@ -172,4 +172,4 @@ def shifted_solve(
         del recent[1:]  # keep two pairs alive at most, the new one included
         factor = _factor(solver.grid, alpha, beta)
         recent.insert(0, (key, factor))
-    return _solve(solver.grid, alpha, beta, factor, rhs)
+    return _solve(solver.grid, factor, rhs)

@@ -7,6 +7,13 @@ scale eta, with amplitudes chosen so the energy of the pair diverges to
 two smallness conditions on psi(eta) = eta^{n/2-2} (ln 1/eta)^{2 gamma};
 they guarantee the perturbed density stays positive.
 
+build_family(u0, v0, gamma, eta) is the one constructor of a family
+member, on u0's grid.  Each rule has one owner: eta_star checks gamma > 1,
+n >= 5, a positive minimum density and the volume; build_family checks
+0 < eta < eta_star, v0 >= 0 and that v0 shares u0's grid; check_family
+holds the scalar rules a config can be checked against before any field
+exists.  family_scales is the automatic scan eta_star/4, eta_star/8, ...
+
 The bump is deposited by exact per-cell integration rather than point
 sampling, and the flat compensating constant is replaced by the exact
 discrete-mass corrector, so the integral of u is preserved exactly on
@@ -22,21 +29,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigurationError, ResolutionError
-from .grid import Grid, RadialField, constant_field, integrate, laplacian
+from .errors import AdmissibilityError, ConfigurationError, GridMismatchError
+from .grid import (
+    Grid,
+    RadialField,
+    constant_field,
+    gradient_faces,
+    integrate,
+    laplacian,
+    unit_sphere_area,
+)
 from .helmholtz import HelmholtzSolver, build_solver, solve
 from .energy import EnergyReport, compute_energy
 from .snapshots import read_snapshot
 
 __all__ = [
-    "MollifierSpec",
-    "FamilyParams",
     "FamilyRow",
     "check_family",
     "check_base",
-    "mollifier_spec",
+    "mollifier_normalization",
     "eta_star",
     "family_eta_star",
+    "family_scales",
     "bump_cell_fractions",
     "build_family",
     "family_energy_scan",
@@ -46,14 +60,6 @@ __all__ = [
     "w22_distance",
     "l1_distance",
 ]
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Radially nonincreasing unit-mass bump supported in the unit ball."""
-
-    n: int
-    normalization: float  # c_n with omega_n int_0^1 phi r^{n-1} dr = 1
 
 
 @lru_cache(maxsize=None)
@@ -82,13 +88,13 @@ def _profile(rho: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mollifier_spec(n: int) -> MollifierSpec:
-    """Normalize exp(-1/(1-r^2)) on the unit ball of R^n to unit integral."""
-    from .grid import unit_sphere_area
-
+def mollifier_normalization(n: int) -> float:
+    """c_n with omega_n int_0^1 c_n exp(-1/(1-r^2)) r^{n-1} dr = 1: the
+    factor that makes the radially nonincreasing bump on the unit ball of
+    R^n a unit-mass mollifier."""
     nodes, weights = _gauss_panels(0.0, 1.0, panels=32)
     raw = float(np.sum(weights * _profile(nodes) * nodes ** (n - 1)))
-    return MollifierSpec(n=n, normalization=1.0 / (unit_sphere_area(n) * raw))
+    return 1.0 / (unit_sphere_area(n) * raw)
 
 
 def _psi(eta: float, n: int, gamma: float) -> float:
@@ -168,23 +174,11 @@ def family_eta_star(u0: RadialField, gamma: float) -> float:
     return eta_star(iota, gamma, grid.n, grid.ball_volume, cap=min(1.0, grid.R))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Base pair plus the exponent and scale of the added bump."""
-
-    u0: RadialField
-    v0: RadialField
-    gamma: float
-    eta: float
-
-    def __post_init__(self):
-        check_family(self.gamma, (self.eta,))
-        problems = {}
-        if float(np.min(self.u0.values)) <= 0.0:
-            problems["u0"] = "the base density must be strictly positive"
-        if float(np.min(self.v0.values)) < 0.0:
-            problems["v0"] = "the base signal must be nonnegative"
-        _raise(ConfigurationError, problems)
+def family_scales(u0: RadialField, gamma: float, count: int) -> list[float]:
+    """The automatic scan on the base density u0: count scales halving
+    down from eta_star/4, so eta_star/4, eta_star/8, ..."""
+    star = family_eta_star(u0, gamma)
+    return [star / (4 * 2**k) for k in range(count)]
 
 
 def bump_cell_fractions(grid: Grid, eta: float) -> np.ndarray:
@@ -193,7 +187,7 @@ def bump_cell_fractions(grid: Grid, eta: float) -> np.ndarray:
     Works on the reference scale rho = r/eta, so scales far below h are
     integrated as accurately as resolved ones.
     """
-    spec = mollifier_spec(grid.n)
+    normalization = mollifier_normalization(grid.n)
     fractions = np.zeros(grid.N)
     for i in range(grid.N):
         lo = grid.faces[i] / eta
@@ -206,38 +200,37 @@ def bump_cell_fractions(grid: Grid, eta: float) -> np.ndarray:
         nodes, weights = _gauss_panels(lo, hi, panels=panels)
         fractions[i] = (
             grid.omega_n
-            * spec.normalization
+            * normalization
             * float(np.sum(weights * _profile(nodes) * nodes ** (grid.n - 1)))
         )
     return fractions
 
 
 def build_family(
-    params: FamilyParams, grid: Grid, strict_resolution: bool = False
+    u0: RadialField, v0: RadialField, gamma: float, eta: float
 ) -> tuple[RadialField, RadialField]:
-    """Construct the perturbed pair (u_eta, v_eta) on the given grid.
+    """The family member (u_eta, v_eta) over the base pair (u0, v0), on u0's grid.
 
-    The density bump carries total mass psi(eta); the matching flat
-    subtraction is the exact discrete-mass corrector, so
-    integrate(u_eta) == integrate(u0) to round-off.  With
-    strict_resolution the bump must cover at least 8 cell centers;
-    otherwise coarse grids receive the cell-averaged bump.
+    family_eta_star checks gamma and u0 (keys gamma, n, iota, volume);
+    this adds 0 < eta < eta_star (key eta) and v0 >= 0 (key v0), raising
+    AdmissibilityError, and raises GridMismatchError when v0 lives on
+    another grid.  The density bump carries total mass psi(eta); the
+    matching flat subtraction is the exact discrete-mass corrector, so
+    integrate(u_eta) == integrate(u0) to round-off.  A grid coarser than
+    eta receives the cell-averaged bump.
     """
-    if not params.u0.grid.same_as(grid):
-        raise ConfigurationError("base fields do not live on the target grid")
-    n, gamma, eta = grid.n, params.gamma, params.eta
-    star = family_eta_star(params.u0, gamma)
-    if eta >= star:
-        raise AdmissibilityError(
-            f"eta={eta:g} is not admissible: needs eta < eta_star={star:.6g}"
-        )
-    cells_inside = int(np.count_nonzero(grid.centers < eta))
-    if strict_resolution and cells_inside < 8:
-        raise ResolutionError(
-            f"bump at eta={eta:g} covers {cells_inside} cell centers; "
-            "at least 8 are required to resolve it"
-        )
+    grid = u0.grid
+    if not v0.grid.same_as(grid):
+        raise GridMismatchError("v0 does not live on the grid of u0")
+    star = family_eta_star(u0, gamma)
+    problems = {}
+    if not 0.0 < eta < star:
+        problems["eta"] = f"must lie in (0, eta_star={star:.6g}), got {eta}"
+    if float(np.min(v0.values)) < 0.0:
+        problems["v0"] = "the base signal must be nonnegative"
+    _raise(AdmissibilityError, problems)
 
+    n = grid.n
     fractions = bump_cell_fractions(grid, eta)
     s = -math.log(eta)
     u_amp = _psi(eta, n, gamma)  # total bump mass in u
@@ -246,12 +239,12 @@ def build_family(
     v_bump = v_amp * fractions / grid.volumes
 
     corrector = math.fsum(u_bump * grid.volumes) / math.fsum(grid.volumes)
-    u_eta = params.u0.values + u_bump - corrector
+    u_eta = u0.values + u_bump - corrector
     if float(np.min(u_eta)) <= 0.0:
         raise AdmissibilityError(
             f"perturbed density is not positive (eta={eta:g} too large for this grid)"
         )
-    v_eta = params.v0.values + v_bump
+    v_eta = v0.values + v_bump
     return RadialField(u_eta, grid), RadialField(v_eta, grid)
 
 
@@ -271,14 +264,12 @@ def family_energy_scan(
     v0: RadialField,
     gamma: float,
     etas,
-    grid: Grid,
     solver: HelmholtzSolver,
 ) -> list[FamilyRow]:
     """One energy row per requested scale, in the given order."""
     rows = []
     for eta in etas:
-        params = FamilyParams(u0=u0, v0=v0, gamma=gamma, eta=float(eta))
-        u_eta, v_eta = build_family(params, grid)
+        u_eta, v_eta = build_family(u0, v0, gamma, float(eta))
         rep = compute_energy(u_eta, v_eta, solver)
         rows.append(
             FamilyRow(
@@ -369,8 +360,6 @@ def base_data(
 
 def w22_norm(field: RadialField) -> float:
     """Discrete W^{2,2} norm: L2 of the field, its face gradient, and L f."""
-    from .grid import gradient_faces
-
     grid = field.grid
     l2 = math.fsum(field.values**2 * grid.volumes)
     fr = gradient_faces(field)

@@ -24,7 +24,7 @@ import numpy as np
 from .grid import make_grid, constant_field, integrate, RadialField, field_from_function
 from .helmholtz import build_solver, solve
 from .dynamics import Sink, default_stepper_config, run
-from .initial_data import eta_star, family_energy_scan, w22_distance, l1_distance
+from .initial_data import family_energy_scan, family_scales, w22_distance, l1_distance
 from .probes import probe_entropy_floor
 
 __all__ = ["CheckResult", "FAMILY_H_MIN", "run_checks", "scorecard"]
@@ -174,9 +174,7 @@ def check_family(N: int) -> tuple[bool, str]:
     g = make_grid(5, 1.0, N, h_min=FAMILY_H_MIN)
     u0 = constant_field(g, 1.0)
     v0 = constant_field(g, 1.0)
-    star = eta_star(1.0, 1.5, 5, g.ball_volume)
-    etas = [star / 4, star / 8, star / 16, star / 32]
-    rows = family_energy_scan(u0, v0, 1.5, etas, g, build_solver(g))
+    rows = family_energy_scan(u0, v0, 1.5, family_scales(u0, 1.5, 4), build_solver(g))
     m0 = integrate(u0)
     mass_err = max(abs(r.mass - m0) for r in rows) / m0
     min_u = min(r.min_u for r in rows)

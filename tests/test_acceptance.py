@@ -20,7 +20,7 @@ import pytest
 from radks.dynamics import SimStatus, default_stepper_config, run
 from radks.grid import constant_field, make_grid
 from radks.helmholtz import build_solver
-from radks.initial_data import FamilyParams, build_family, eta_star, family_energy_scan, w22_norm
+from radks.initial_data import build_family, eta_star, family_energy_scan, w22_norm
 from radks.probes import (
     ProbeConfig,
     probe_entropy_floor,
@@ -56,7 +56,7 @@ def entropy_sink(state, sample):
 @pytest.fixture(scope="module")
 def family_2048():
     """eta_star of the family on the graded N = 2048 mesh, once every scale
-    of the scan has passed a strict-resolution build and recorded its
+    of the scan covers at least 8 cell centers and has recorded its
     entropy floor."""
     grid = make_grid(5, 1.0, 2048, h_min=FAMILY_H_MIN)
     solver = build_solver(grid)
@@ -64,11 +64,8 @@ def family_2048():
     v0 = constant_field(grid, 1.0)
     star = eta_star(1.0, 1.5, 5, grid.ball_volume)
     etas = [star / 4, star / 8, star / 16, star / 32]
-    for eta in etas:  # raises ResolutionError unless the mesh resolves the bump
-        build_family(
-            FamilyParams(u0=u0, v0=v0, gamma=1.5, eta=eta), grid, strict_resolution=True
-        )
-    for row in family_energy_scan(u0, v0, 1.5, etas, grid, solver):
+    for row in family_energy_scan(u0, v0, 1.5, etas, solver):
+        assert (grid.centers < row.eta).sum() >= 8  # the mesh resolves the bump
         ENTROPY_FLOOR_RESULTS.append(bool(probe_entropy_floor(row.report).hard_pass))
     return star
 
@@ -86,9 +83,8 @@ def blowup_runs(family_2048):
         v0_norm = w22_norm(v0b)
         pconf = ProbeConfig(n=5, R=1.0, rho=(0.5,))
         for eta in (star / 16, star / 32):
-            u0, v0 = build_family(
-                FamilyParams(u0=u0b, v0=v0b, gamma=1.5, eta=eta), grid, strict_resolution=True
-            )
+            assert (grid.centers < eta).sum() >= 8  # the mesh resolves the bump
+            u0, v0 = build_family(u0b, v0b, 1.5, eta)
             pw, pv = [], []
 
             def sink(state, sample, pw=pw, pv=pv, v0_norm=v0_norm):

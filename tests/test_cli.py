@@ -15,11 +15,11 @@ from radks.dynamics import run
 from radks.grid import integrate, make_grid
 from radks.helmholtz import apply_operator, build_solver, solve
 from radks.initial_data import (
-    FamilyParams,
     base_data,
     build_family,
     check_base,
     family_eta_star,
+    family_scales,
     w22_norm,
 )
 from radks.snapshots import read_diagnostics, read_snapshot, read_table
@@ -195,22 +195,23 @@ def test_family_auto_scales_of_a_non_unit_base_pass_build_family(config_path, tm
     _, rows = read_table(tmp_path / "out" / "family.csv")
     etas = [float(row[0]) for row in rows]
     assert etas == [star / (4 * 2**k) for k in range(cfg.eta_count)]
+    assert etas == family_scales(u0, cfg.gamma, cfg.eta_count)
     for eta in etas:
-        build_family(FamilyParams(u0=u0, v0=v0, gamma=cfg.gamma, eta=eta), cfg.grid)
+        build_family(u0, v0, cfg.gamma, eta)
 
 
 def test_family_solves_once_per_scale(config_path, tmp_path, monkeypatch):
     # each scale's w = (I - L)^{-1} u is solved once, by its energy report,
-    # and its snapshot stores (u, v) alone
+    # and its snapshot stores (u, v) alone; the flat base pair and the scan
+    # take no other solve
     from radks import helmholtz
 
     calls = []
     inner = helmholtz._solve
 
-    def counting(g, alpha, beta, factor, rhs):
-        if (alpha, beta) == (1.0, 1.0):
-            calls.append(alpha)
-        return inner(g, alpha, beta, factor, rhs)
+    def counting(g, factor, rhs):
+        calls.append(rhs)
+        return inner(g, factor, rhs)
 
     monkeypatch.setattr(helmholtz, "_solve", counting)
     assert main(["-c", str(config_path), "family"]) == 0
@@ -297,6 +298,20 @@ def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
     for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
         (row,) = _probe_rows(out / "probe_report.csv", name)
         assert row["hard_pass"] == "true", name
+
+
+def test_probe_reads_no_family_snapshot_in_a_shared_outdir(config_path, tmp_path):
+    # simulate, family and probe into one outdir, as the README runs them:
+    # the family's snapshot_eta_NN.csv are no states of the trajectory, so
+    # the report is the one probe gives after simulate alone
+    out = tmp_path / "out"
+    probe = ["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    assert main(probe) == 0
+    alone = (out / "probe_report.csv").read_bytes()
+    assert main(["-c", str(config_path), "family"]) == 0
+    assert main(probe) == 0
+    assert (out / "probe_report.csv").read_bytes() == alone
 
 
 def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path):
@@ -482,7 +497,7 @@ def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):
 def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
     assert main(["-c", str(config_path), "simulate"]) == 0
     out = tmp_path / "out"
-    write_graded_snapshot(out / "snapshot_zz_graded.csv")
+    write_graded_snapshot(out / "snapshot_99999999.csv")  # read after simulate's steps
     code = main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)])
     assert code == 1
     assert "mesh mismatch" in capsys.readouterr().err
@@ -501,11 +516,11 @@ def test_energy_and_probe_read_graded_snapshot_on_graded_config(config_path, tmp
     u, v = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
     snap_dir = tmp_path / "graded"
     snap_dir.mkdir()
-    write_snapshot(snap_dir / "snapshot_graded.csv", graded, u, v, t=0.05)
+    write_snapshot(snap_dir / "snapshot_final.csv", graded, u, v, t=0.05)
     rep = compute_energy(u, v, build_solver(graded))
     capsys.readouterr()
 
-    assert cmd_energy(cfg, str(snap_dir / "snapshot_graded.csv")) == 0
+    assert cmd_energy(cfg, str(snap_dir / "snapshot_final.csv")) == 0
     assert f"F={rep.F!r}\n" in capsys.readouterr().out
 
     assert cmd_probe(cfg, str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)) == 0
@@ -525,10 +540,10 @@ def test_snapshot_on_other_uniform_mesh_is_rejected(config_path, tmp_path, capsy
     u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
     snap_dir = tmp_path / "n64"
     snap_dir.mkdir()
-    write_snapshot(snap_dir / "snapshot_n64.csv", g, u, v, t=0.0)
+    write_snapshot(snap_dir / "snapshot_00000000.csv", g, u, v, t=0.0)
     capsys.readouterr()
     for verb in (["probe", str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)],
-                 ["energy", str(snap_dir / "snapshot_n64.csv")]):
+                 ["energy", str(snap_dir / "snapshot_00000000.csv")]):
         assert main(["-c", str(config_path), *verb]) == 1
         err = capsys.readouterr().err
         assert "mesh mismatch" in err and "N=96" in err

@@ -4,7 +4,7 @@ from radks.config import OUTPUT_ROOT_ENV, load_config, parse_overrides, resolve_
 from radks.dynamics import default_stepper_config
 from radks.errors import AdmissibilityError, ConfigurationError
 from radks.grid import make_grid
-from radks.initial_data import FamilyParams, base_data, check_base, eta_star
+from radks.initial_data import base_data, check_base, check_family, eta_star
 from radks.probes import ProbeConfig
 
 MINIMAL = """\
@@ -220,16 +220,14 @@ def test_base_data_and_load_config_give_one_message(tmp_path, kind, params, key)
 def test_family_objects_and_load_config_give_one_message(tmp_path):
     with pytest.raises(ConfigurationError) as loaded:
         load_config(write(tmp_path, MINIMAL), ["family.gamma=0.5", "family.eta=2"])
-    grid = make_grid(5, 1.0, 128)
-    u0, v0 = base_data("constant", grid)
-    with pytest.raises(ConfigurationError) as params:
-        FamilyParams(u0=u0, v0=v0, gamma=0.5, eta=2.0)
+    with pytest.raises(ConfigurationError) as checked:
+        check_family(0.5, (2.0,))
     with pytest.raises(ConfigurationError) as star:
-        eta_star(1.0, 0.5, 5, grid.ball_volume)
-    assert params.value.problems == {"gamma": "must exceed 1, got 0.5",
-                                     "eta": "entries must lie in (0, 1), got [2.0]"}
-    assert loaded.value.problems == {f"family.{k}": m for k, m in params.value.problems.items()}
-    assert star.value.problems == {"gamma": params.value.problems["gamma"]}
+        eta_star(1.0, 0.5, 5, make_grid(5, 1.0, 128).ball_volume)
+    assert checked.value.problems == {"gamma": "must exceed 1, got 0.5",
+                                      "eta": "entries must lie in (0, 1), got [2.0]"}
+    assert loaded.value.problems == {f"family.{k}": m for k, m in checked.value.problems.items()}
+    assert star.value.problems == {"gamma": checked.value.problems["gamma"]}
 
 
 def test_bump_density_checked_at_load(tmp_path):

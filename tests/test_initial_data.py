@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from radks import initial_data
-from radks.errors import AdmissibilityError, ConfigurationError, ResolutionError, SnapshotFormatError
+from radks.errors import AdmissibilityError, ConfigurationError, GridMismatchError, SnapshotFormatError
 from radks.grid import constant_field, integrate, make_grid
 from radks.helmholtz import build_solver
 from radks.initial_data import (
-    FamilyParams,
     base_data,
     build_family,
     eta_star,
     family_energy_scan,
     l1_distance,
-    mollifier_spec,
+    mollifier_normalization,
     w22_norm,
 )
 
@@ -39,18 +38,16 @@ BALL_VOLUME = 8 * math.pi**2 / 15
 
 
 def test_mollifier_normalization_frozen():
-    spec = mollifier_spec(5)
-    assert spec.normalization == pytest.approx(C5_NORMALIZATION, rel=1e-10)
+    assert mollifier_normalization(5) == pytest.approx(C5_NORMALIZATION, rel=1e-10)
 
 
 def test_mollifier_unit_integral_quadrature():
     # integrate phi over the unit ball with an independent midpoint rule;
     # the rule is O(h^2), so a fine mesh reaches the 1e-10 tolerance
-    spec = mollifier_spec(5)
     g = make_grid(5, 1.0, 262144)
     vals = np.where(
         g.centers < 1.0,
-        spec.normalization * np.exp(-1.0 / (1.0 - np.minimum(g.centers, 1 - 1e-9) ** 2)),
+        mollifier_normalization(5) * np.exp(-1.0 / (1.0 - np.minimum(g.centers, 1 - 1e-9) ** 2)),
         0.0,
     )
     assert math.fsum(vals * g.volumes) == pytest.approx(1.0, abs=1e-10)
@@ -118,7 +115,7 @@ def family_rows(fine_grid, fine_solver):
     v0 = constant_field(fine_grid, 1.0)
     star = eta_star(1.0, 1.5, 5, fine_grid.ball_volume)
     etas = [star / 4, star / 8, star / 16, star / 32]
-    return u0, v0, family_energy_scan(u0, v0, 1.5, etas, fine_grid, fine_solver)
+    return u0, v0, family_energy_scan(u0, v0, 1.5, etas, fine_solver)
 
 
 def test_family_exact_mass(family_rows, fine_grid):
@@ -179,19 +176,33 @@ def test_family_requires_admissible_scale(fine_grid):
     v0 = constant_field(fine_grid, 1.0)
     star = eta_star(1.0, 1.5, 5, fine_grid.ball_volume)
     with pytest.raises(AdmissibilityError):
-        build_family(FamilyParams(u0=u0, v0=v0, gamma=1.5, eta=2 * star), fine_grid)
+        build_family(u0, v0, 1.5, 2 * star)
+    with pytest.raises(AdmissibilityError) as err:
+        build_family(u0, v0, 1.5, 1e-3)
+    assert str(err.value) == "eta: must lie in (0, eta_star=5.1861e-09), got 0.001"
 
 
-def test_family_strict_resolution_flag(fine_grid):
-    u0 = constant_field(fine_grid, 1.0)
-    v0 = constant_field(fine_grid, 1.0)
-    star = eta_star(1.0, 1.5, 5, fine_grid.ball_volume)
-    with pytest.raises(ResolutionError):
-        build_family(
-            FamilyParams(u0=u0, v0=v0, gamma=1.5, eta=star / 4),
-            fine_grid,
-            strict_resolution=True,
-        )
+@pytest.mark.parametrize("u_value, v_value, gamma, eta, error, key", [
+    (1.0, 1.0, 1.5, 0.0, AdmissibilityError, "eta"),
+    (1.0, -1.0, 1.5, 1e-9, AdmissibilityError, "v0"),
+    (1.0, 1.0, 1.0, 1e-9, ConfigurationError, "gamma"),
+    (-1.0, 1.0, 1.5, 1e-9, ConfigurationError, "iota"),
+])
+def test_family_rule_has_one_key(u_value, v_value, gamma, eta, error, key):
+    # each family rule is checked once, by build_family or by the eta_star
+    # it calls, and names its one parameter
+    g = make_grid(5, 1.0, 64)
+    with pytest.raises(error) as err:
+        build_family(constant_field(g, u_value), constant_field(g, v_value), gamma, eta)
+    assert list(err.value.problems) == [key]
+
+
+@pytest.mark.parametrize("R, N", [(2.0, 64), (1.0, 128)])
+def test_family_rejects_v0_on_another_grid(R, N):
+    u0 = constant_field(make_grid(5, 1.0, 64), 1.0)
+    v0 = constant_field(make_grid(5, R, N), 1.0)
+    with pytest.raises(GridMismatchError):
+        build_family(u0, v0, 1.5, 1e-9)
 
 
 def test_gauss_panels_match_the_per_panel_loop_bit_for_bit():
@@ -237,11 +248,10 @@ def test_bump_fractions_match_pointwise_profile_when_resolved():
 
     g = make_grid(5, 1.0, 512)
     eta = 0.25
-    spec = mollifier_spec(5)
     fr = bump_cell_fractions(g, eta)
     inside = g.centers < 0.8 * eta
     expected = (
-        spec.normalization
+        mollifier_normalization(5)
         * initial_data._profile(g.centers[inside] / eta)
         * g.volumes[inside]
         / eta**g.n
