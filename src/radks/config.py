@@ -122,18 +122,16 @@ def load_config(path, overrides=()) -> RunConfig:
     if not path.is_file():
         raise ConfigurationError(f"config file {path} does not exist")
     problems: list[str] = []
-    keyed: dict[str, str] = {}  # section.key -> message, for the error's problems
+    keyed: dict[str, str] = {}  # section.key of every value already reported -> its message
     warnings: list[str] = []
-    failed: set[str] = set()  # section.key of every value already reported
     _check_version_line(path, problems)
 
     def report(key: str, message: str) -> None:
-        failed.add(key)
         keyed.setdefault(key, message)
         problems.append(f"{key}: {message}")
 
     def check(key: str, ok: bool, message: str) -> None:
-        if not ok and key not in failed:
+        if not ok and key not in keyed:
             report(key, message)
 
     def build(section: str, make, *args, **kwargs):
@@ -195,7 +193,7 @@ def load_config(path, overrides=()) -> RunConfig:
         problems.append("missing required section [grid]")
     n, R, N = (get("grid", key) for key in ("n", "R", "N"))
     grid = build("grid", make_grid, n, R, N)
-    if "grid.n" not in failed and n < 5:
+    if "grid.n" not in keyed and n < 5:
         warnings.append(f"grid.n={n} is outside the paper's n >= 5 blowup regime; "
                         "lower dimensions are supported as comparison studies")
 

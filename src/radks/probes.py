@@ -101,10 +101,10 @@ class ProbeResult:
 
 
 def probe_entropy_floor(report: EnergyReport) -> ProbeResult:
-    """Hard check -F - int uv <= omega_n R^n / e, from s ln s >= -1/e."""
+    """Hard check -F - int uv <= |Omega|/e, from s ln s >= -1/e."""
     grid = report.w.grid
     lhs = -report.F - report.mixed_term
-    rhs = grid.omega_n * grid.R**grid.n / math.e
+    rhs = grid.ball_volume / math.e
     slack = 1e-6 * (1.0 + abs(report.F))
     return ProbeResult(
         name="entropy_floor",
@@ -151,14 +151,21 @@ def probe_pointwise_v(
     )
 
 
-def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
-    """Max over samples of (-F)_+ / (D^theta + 1)."""
-    theta = config.theta
+def _fd_max(samples: Sequence, theta: float) -> tuple[float, Optional[float]]:
+    """(max over samples of (-F)_+ / (D_+^theta + 1), the time of its last
+    attaining sample); (0.0, None) when there are no samples."""
     best, best_t = 0.0, None
     for s in samples:
         ratio = max(-s.F, 0.0) / (max(s.D, 0.0) ** theta + 1.0)
         if ratio >= best:
             best, best_t = ratio, s.t
+    return best, best_t
+
+
+def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
+    """Max over samples of (-F)_+ / (D^theta + 1)."""
+    theta = config.theta
+    best, best_t = _fd_max(samples, theta)
     return ProbeResult(
         name="fd_ratio",
         lhs=best,
@@ -200,39 +207,21 @@ def probe_odi(samples: Sequence, theta: float) -> OdiFit:
     """Smallest c5 with D >= ((-F - c5)/c5)^{1/theta} at every sample,
     plus the log-log slope of D against -F over the final decade of -F.
 
-    c5 is always fitted.  The slope is not, and tail_slope is NaN with the
-    reason in tail_note, when -F is never positive, when fewer than 8 tail
-    samples have positive -F and D, or when positive -F spans less than a
-    factor ODI_TAIL_MIN_SPAN over the trajectory (the tail is not reached).
+    For theta > 0 a sample with -F > c5 satisfies the inequality exactly
+    when c5 >= -F/(D^theta + 1), so c5 is the fd-ratio constant
+    max (-F)_+/(D_+^theta + 1) (_fd_max), always reported.  The slope is
+    not, and tail_slope is NaN with the reason in tail_note, when -F is
+    never positive, when fewer than 8 tail samples have positive -F and D,
+    or when positive -F spans less than a factor ODI_TAIL_MIN_SPAN over
+    the trajectory (the tail is not reached).
     """
+    c5, _ = _fd_max(samples, theta)
     negF = np.array([-s.F for s in samples])
     D = np.array([max(s.D, 0.0) for s in samples])
     peak = float(np.max(negF)) if len(negF) else 0.0
     if peak <= 0.0:
-        # Energy never went negative; any c5 >= sup(-F)_+ = 0 works.
-        return OdiFit(c5=0.0, tail_slope=math.nan, tail_size=0,
+        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0,
                       tail_note="-F is never positive")
-
-    def feasible(c5: float) -> bool:
-        active = negF > c5
-        if not np.any(active):
-            return True
-        with np.errstate(over="ignore"):
-            rhs = ((negF[active] - c5) / c5) ** (1.0 / theta)
-        return bool(np.all(D[active] >= rhs))
-
-    lo, hi = 0.0, peak * (1.0 + 1e-12)
-    if feasible(1e-300):
-        hi = 1e-300
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    c5 = hi
 
     tail = (negF >= 0.1 * peak) & (negF > 0.0) & (D > 0.0)
     n_tail = int(np.count_nonzero(tail))
@@ -328,7 +317,8 @@ def probe_local_inequalities(
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
     basis and reported through the implied constant.  report is
-    compute_energy(u, v, solver); its w, f and g are read, not recomputed.
+    compute_energy(u, v, solver); its w, f and g and its whole-ball
+    integrals of |grad f|^2 and g^2 are read, not recomputed.
     """
     grid = u.grid
     if not (grid.same_as(v.grid) and grid.same_as(report.w.grid)):
@@ -348,8 +338,8 @@ def probe_local_inequalities(
     B = max(float(np.sum(np.abs(f.values) * grid.volumes)), _weighted_sup(v, kappa - 1))
 
     weights = grid.face_weights
-    fr_all = float(np.sum(fr**2 * weights))
-    g_all = math.sqrt(float(np.sum(g**2 * weights)))
+    fr_all = report.grad_f_term
+    g_all = math.sqrt(report.g_term)
 
     results: list[ProbeResult] = []
     uv = report.mixed_term

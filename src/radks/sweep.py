@@ -60,10 +60,9 @@ def _run_point(args):
     try:
         cfg = load_config(config_path, overrides)
         summary, extras = simulate_run(cfg)
-        t_out = summary.t_blowup if summary.t_blowup is not None else summary.t_final
         return point, [
             summary.status.value,
-            float(t_out),
+            float(summary.t_final),
             float(summary.peak_sup),
             float(summary.F0),
             float(summary.min_F),

@@ -22,7 +22,6 @@ from radks.probes import (
 )
 
 BALL_VOLUME = 8 * math.pi**2 / 15
-OMEGA5 = 8 * math.pi**2 / 3
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +63,12 @@ def test_probe_config_defaults():
 
 def test_entropy_floor_homogeneous_closed_form(grid, solver):
     # -F - int uv = -|Omega|/2 - ... for u = v = 1: lhs is negative, bound is
-    # omega_n R^n / e with full margin
+    # |Omega| / e with full margin
     res = probe_entropy_floor(
         compute_energy(constant_field(grid, 1.0), constant_field(grid, 1.0), solver)
     )
     assert res.hard_pass
-    assert res.rhs_free == pytest.approx(OMEGA5 / math.e, rel=1e-12)
+    assert res.rhs_free == pytest.approx(BALL_VOLUME / math.e, rel=1e-12)
     lhs_expected = 0.5 * BALL_VOLUME - BALL_VOLUME  # -F - int uv
     assert res.lhs == pytest.approx(lhs_expected, rel=1e-10)
 
@@ -83,15 +82,13 @@ def test_entropy_floor_zero_density(grid, solver):
 
 
 def test_entropy_floor_worst_constant_margin(grid, solver):
-    # over constants, -c log c peaks at c = 1/e; even there the margin is
-    # at least (1 - 1/n) of the bound
+    # over constants, -c log c peaks at c = 1/e, where the bound is attained:
+    # -F - int uv = |Omega|/e exactly
     res = probe_entropy_floor(
         compute_energy(constant_field(grid, 1.0 / math.e), constant_field(grid, 0.0), solver)
     )
     assert res.hard_pass
-    margin = res.rhs_free - res.lhs
-    assert margin >= (1.0 - 1.0 / grid.n) * OMEGA5 / math.e - 1e-9
-    # the entropy part alone is tight: -F = |Omega|/e exactly
+    assert res.rhs_free == pytest.approx(res.lhs, rel=1e-10)
     assert res.lhs == pytest.approx(BALL_VOLUME / math.e, rel=1e-10)
 
 
@@ -347,6 +344,13 @@ def test_odi_superlinear_slope_on_collapse(collapse_trajectory):
     fit = probe_odi(samples, theta)
     assert fit.tail_slope >= 1.0 / theta - 0.2
     assert fit.c5 > 0.0
+
+
+def test_odi_c5_is_the_fd_ratio_constant(collapse_trajectory):
+    # the ODI solved for c5 is the fd-ratio bound, so both report one number
+    samples, _ = collapse_trajectory
+    fit = probe_odi(samples, 5.0 / 7.0)
+    assert fit.c5 == probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0)).implied_c
 
 
 def test_fd_ratio_bounded_while_energy_diverges(collapse_trajectory):
