@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 from .config import RunConfig, load_config, resolve_output_dir
@@ -37,10 +36,14 @@ from .probes import (
 )
 from .snapshots import (
     DiagnosticsWriter,
+    FINAL_SNAPSHOT_NAME,
     FORMAT_VERSION,
+    family_snapshot_name,
     format_float,
     read_diagnostics,
     read_snapshot,
+    run_snapshot_name,
+    run_snapshots,
     write_probe_rows,
     write_snapshot,
     write_table,
@@ -82,6 +85,9 @@ def simulate_run(cfg: RunConfig):
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's states are not this run's: probe would read them
+    for stale in run_snapshots(outdir):
+        stale.unlink()
     pconf = cfg.probe
     v0_norm = w22_norm(v0)
     max_c = {"w": 0.0, "v": 0.0}
@@ -99,8 +105,7 @@ def simulate_run(cfg: RunConfig):
             )
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 write_snapshot(
-                    outdir / f"snapshot_{state.step:08d}.csv",
-                    grid, state.u, state.v, t=state.t,
+                    outdir / run_snapshot_name(state.step), grid, state.u, state.v, t=state.t
                 )
             sample_count += 1
 
@@ -109,7 +114,7 @@ def simulate_run(cfg: RunConfig):
         )
     max_c["fd"] = probe_fd_ratio(samples, pconf).implied_c
 
-    write_snapshot(outdir / "snapshot_final.csv", grid, state.u, state.v, t=state.t)
+    write_snapshot(outdir / FINAL_SNAPSHOT_NAME, grid, state.u, state.v, t=state.t)
     with (outdir / "summary.txt").open("w") as handle:
         handle.write(f"# format_version={FORMAT_VERSION}\n")
         for key, value in (
@@ -159,7 +164,7 @@ def cmd_family(cfg: RunConfig) -> int:
         [[r.eta, r.F, r.mass, r.min_u] for r in rows],
     )
     for idx, r in enumerate(rows):
-        write_snapshot(outdir / f"snapshot_eta_{idx:02d}.csv", cfg.grid, r.u, r.v)
+        write_snapshot(outdir / family_snapshot_name(idx), cfg.grid, r.u, r.v)
     print(f"{len(rows)} rows in {outdir / 'family.csv'}")
     return 0
 
@@ -169,13 +174,7 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
     if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
-    snaps = []
-    if snapshot_dir:
-        # the states simulate wrote, in step order, then its final one; the
-        # family verb's snapshot_eta_NN.csv in the same directory are not read
-        folder = Path(snapshot_dir)
-        snaps = sorted(folder.glob("snapshot_" + "[0-9]" * 8 + ".csv"))
-        snaps += folder.glob("snapshot_final.csv")
+    snaps = run_snapshots(snapshot_dir) if snapshot_dir else []
     pconf = cfg.probe
     solver, _, v0 = _initial_pair(cfg)
     v0_norm = w22_norm(v0)
@@ -270,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification scorecard")
     verify.add_argument("level", nargs="?", default="fast", choices=("fast", "full"))
     energy = sub.add_parser("energy", help="print the energy report of a snapshot")
-    energy.add_argument("snapshot", help="snapshot CSV path")
+    energy.add_argument("snapshot", help="snapshot path")
     return p
 
 

@@ -1,24 +1,30 @@
-"""File formats: snapshot, diagnostics, probe, and sweep CSVs.
+"""File formats: snapshot, diagnostics, probe, and sweep files.
 
 Every file starts with a `# format_version=N` line.  Snapshots are
-version 2 and hold the state alone: columns r,u,v, one row per cell
-center.  w, f and g are derived from (u, v) by compute_energy, so they
-are not stored; a version-1 snapshot (r,u,v,w,f,g) still reads, its
-last three columns parsed and dropped.  A snapshot carries no mesh
-header: Snapshot.fields reads it onto the grid the caller's config
-built, after checking that the r column holds that grid's cell centers,
-so graded and uniform meshes read back alike.  Every other file is
-version 1.  Floats are written with shortest round-trip decimal
-formatting (Python repr), so snapshots round-trip bit-exactly and
-identical runs produce byte-identical files.  Diagnostics rows are
-flushed as they are written; a killed run leaves a parseable prefix.
+version 3 and hold the state alone: a short text header (the version
+line, an optional `# t=<repr>` line, `# rows=<N>` and the column line
+`r,u,v`), then the r, u and v columns, N raw little-endian float64
+values each, in that order.  w, f and g are derived from (u, v) by
+compute_energy, so they are not stored.  The raw bytes round-trip
+bit-exactly, and identical runs produce byte-identical files.  The
+reader still takes the CSV snapshots of versions 2 (r,u,v) and 1
+(r,u,v,w,f,g; its last three columns parsed and dropped).  A snapshot
+carries no mesh header: Snapshot.fields reads it onto the grid the
+caller's config built, after checking that the r column holds that
+grid's cell centers, so graded and uniform meshes read back alike.
+This module also owns the snapshot file names: run_snapshot_name,
+FINAL_SNAPSHOT_NAME, family_snapshot_name and run_snapshots.
+
+Every other file is version-1 CSV text, its floats written with
+shortest round-trip decimal formatting (Python repr).  Diagnostics rows
+are flushed as they are written; a killed run leaves a parseable prefix.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -33,6 +39,10 @@ __all__ = [
     "Snapshot",
     "write_snapshot",
     "read_snapshot",
+    "run_snapshot_name",
+    "FINAL_SNAPSHOT_NAME",
+    "family_snapshot_name",
+    "run_snapshots",
     "DiagnosticsWriter",
     "DIAGNOSTICS_COLUMNS",
     "read_diagnostics",
@@ -42,15 +52,19 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 SNAPSHOT_COLUMNS = ["r", "u", "v"]
-# the column header under each readable snapshot version line; the reader
-# keeps r,u,v and drops version 1's w,f,g
-_SNAPSHOT_HEADERS = {
-    f"# format_version={SNAPSHOT_FORMAT_VERSION}": SNAPSHOT_COLUMNS,
+_SNAPSHOT_VERSION_LINE = f"# format_version={SNAPSHOT_FORMAT_VERSION}\n".encode()
+_SNAPSHOT_COLUMN_LINE = (",".join(SNAPSHOT_COLUMNS) + "\n").encode()
+_SNAPSHOT_DTYPE = np.dtype("<f8")
+# the column header under each readable CSV snapshot version line; the
+# reader keeps r,u,v and drops version 1's w,f,g
+_CSV_SNAPSHOT_HEADERS = {
+    "# format_version=2": SNAPSHOT_COLUMNS,
     "# format_version=1": ["r", "u", "v", "w", "f", "g"],
 }
-_SNAPSHOT_BLOCK_ROWS = 256
+_SNAPSHOT_SUFFIX = ".snap"
+FINAL_SNAPSHOT_NAME = "snapshot_final" + _SNAPSHOT_SUFFIX
 DIAGNOSTICS_COLUMNS = ["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]
 PROBE_COLUMNS = ["probe", "param", "sample", "lhs", "rhs_free", "implied_C", "hard_pass"]
 
@@ -99,64 +113,118 @@ class Snapshot:
         return RadialField(self.u, grid), RadialField(self.v, grid)
 
 
+def run_snapshot_name(step: int) -> str:
+    """File name of the state simulate writes after `step` steps."""
+    return f"snapshot_{step:08d}{_SNAPSHOT_SUFFIX}"
+
+
+def family_snapshot_name(index: int) -> str:
+    """File name of the family verb's `index`-th scan member."""
+    return f"snapshot_eta_{index:02d}{_SNAPSHOT_SUFFIX}"
+
+
+def run_snapshots(folder) -> list[Path]:
+    """The run snapshots simulate wrote into folder: the step states in
+    step order, then the final one.  Other files there, the family
+    verb's scan members among them, are not listed."""
+    folder = Path(folder)
+    paths = sorted(folder.glob("snapshot_" + "[0-9]" * 8 + _SNAPSHOT_SUFFIX))
+    final = folder / FINAL_SNAPSHOT_NAME
+    return paths + [final] if final.is_file() else paths
+
+
 def write_snapshot(
     path, grid: Grid, u: RadialField, v: RadialField, t: Optional[float] = None
 ) -> None:
-    """Write the state (u, v), one row per cell center."""
-    path = Path(path)
-    r_blocks = _rendered_centers(grid.centers.tobytes())
-    with path.open("w", newline="") as handle:
-        handle.write(f"# format_version={SNAPSHOT_FORMAT_VERSION}\n")
-        if t is not None:
-            handle.write(f"# t={format_float(t)}\n")
-        # blocks of repr'd values in csv's default CRLF dialect: memory stays flat in N
-        handle.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
-        for start, r_text in zip(range(0, grid.N, _SNAPSHOT_BLOCK_ROWS), r_blocks):
-            block = slice(start, start + _SNAPSHOT_BLOCK_ROWS)
-            cells = (map(repr, c[block].tolist()) for c in (u.values, v.values))
-            rows = zip(r_text.split(","), *cells)
-            handle.write("".join(",".join(row) + "\r\n" for row in rows))
+    """Write the state (u, v) on grid: the text header, then the r, u and
+    v columns as raw little-endian float64.
 
-
-@lru_cache(maxsize=1)
-def _rendered_centers(centers: bytes) -> tuple[str, ...]:
-    """The r column as text, given the float64 bytes of grid.centers: one
-    string per block of rows, the repr of each center joined by commas.
-
-    Every snapshot of a run repeats the same r column, so it is rendered
-    once per mesh; keyed by the column's bytes, the cached text is the
-    text a fresh rendering would give, and one string per block holds it
-    in a quarter of the memory of one string per value.
+    One writev call hands the header and each column's own buffer to the
+    kernel: a snapshot costs system calls and the file's creation, not
+    its bytes, so no buffer or copy stands between.
     """
-    r = np.frombuffer(centers).tolist()
-    return tuple(
-        ",".join(map(repr, r[start:start + _SNAPSHOT_BLOCK_ROWS]))
-        for start in range(0, len(r), _SNAPSHOT_BLOCK_ROWS)
-    )
+    header = _SNAPSHOT_VERSION_LINE
+    if t is not None:
+        header += f"# t={format_float(t)}\n".encode()
+    header += f"# rows={grid.N}\n".encode() + _SNAPSHOT_COLUMN_LINE
+    columns = [
+        np.ascontiguousarray(c, dtype=_SNAPSHOT_DTYPE) for c in (grid.centers, u.values, v.values)
+    ]
+    size = len(header) + sum(c.nbytes for c in columns)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.writev(fd, [header, *columns])
+    finally:
+        os.close(fd)
+    if written != size:
+        raise OSError(f"{path}: wrote {written} of {size} bytes")
 
 
 def read_snapshot(path) -> Snapshot:
-    """Read a version-2 (r,u,v) or version-1 (r,u,v,w,f,g) snapshot."""
+    """Read a version-3 (binary r,u,v) snapshot, or a version-2 (r,u,v)
+    or version-1 (r,u,v,w,f,g) CSV snapshot."""
     path = Path(path)
-    with path.open() as handle:
-        lines = handle.read().splitlines()
+    data = path.read_bytes()
+    if data.startswith(_SNAPSHOT_VERSION_LINE):
+        return _read_binary_snapshot(path, data)
+    return _read_csv_snapshot(path, data.decode(errors="replace").splitlines())
+
+
+def _header(path, lines: list[str]) -> tuple[Optional[float], dict[str, str]]:
+    """(t, {key: value}) of `# key=value` header lines; t is None when absent."""
+    fields = {}
+    for line in lines:
+        key, _, value = line[1:].strip().partition("=")
+        fields[key.strip()] = value.strip()
+    if "t" not in fields:
+        return None, fields
+    try:
+        return float(fields["t"]), fields
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: malformed t line '# t={fields['t']}'") from exc
+
+
+def _read_binary_snapshot(path: Path, data: bytes) -> Snapshot:
+    """The version-3 layout: header lines, then 3 * rows float64 values."""
+    end = data.find(b"\n" + _SNAPSHOT_COLUMN_LINE)
+    if end < 0:
+        raise SnapshotFormatError(f"{path}: no column line {SNAPSHOT_COLUMNS} after the header")
+    lines = data[len(_SNAPSHOT_VERSION_LINE):end + 1].decode(errors="replace").splitlines()
+    if not all(line.startswith("#") for line in lines):
+        raise SnapshotFormatError(f"{path}: header lines must start with '#', got {lines}")
+    t, fields = _header(path, lines)
+    try:
+        rows = int(fields["rows"])
+    except (KeyError, ValueError) as exc:
+        raise SnapshotFormatError(
+            f"{path}: expected a '# rows=<count>' header line, got {lines}"
+        ) from exc
+    if rows < 1:
+        raise SnapshotFormatError(f"{path}: snapshot has no data rows")
+    body = data[end + 1 + len(_SNAPSHOT_COLUMN_LINE):]
+    expected = len(SNAPSHOT_COLUMNS) * rows * _SNAPSHOT_DTYPE.itemsize
+    if len(body) != expected:
+        raise SnapshotFormatError(
+            f"{path}: body holds {len(body)} bytes, but {rows} rows of "
+            f"{SNAPSHOT_COLUMNS} as float64 take {expected}"
+        )
+    r, u, v = np.frombuffer(body, dtype=_SNAPSHOT_DTYPE).astype(float).reshape(3, rows)
+    return Snapshot(path=path, r=r, u=u, v=v, t=t)
+
+
+def _read_csv_snapshot(path: Path, lines: list[str]) -> Snapshot:
+    """The CSV layouts of versions 2 and 1."""
     first = lines[0].strip() if lines else ""
-    columns = _SNAPSHOT_HEADERS.get(first)
+    columns = _CSV_SNAPSHOT_HEADERS.get(first)
     if columns is None:
         raise SnapshotFormatError(
             f"{path}: expected '# format_version={SNAPSHOT_FORMAT_VERSION}' "
-            f"(or 1) on the first line, got {first!r}"
+            f"(or 2 or 1) on the first line, got {first!r}"
         )
-    t = None
     pos = 1
     while pos < len(lines) and lines[pos].startswith("#"):
-        key, _, value = lines[pos][1:].strip().partition("=")
-        if key.strip() == "t":
-            try:
-                t = float(value)
-            except ValueError as exc:
-                raise SnapshotFormatError(f"{path}: malformed t line {lines[pos]!r}") from exc
         pos += 1
+    t, _ = _header(path, lines[1:pos])
     header = lines[pos].split(",") if pos < len(lines) else None
     if header != columns:
         raise SnapshotFormatError(f"{path}: expected header {columns}, got {header}")

@@ -61,11 +61,11 @@ def test_simulate_completes_with_outputs(config_path, tmp_path):
     rows = read_diagnostics(out / "diagnostics.csv")
     assert rows[0]["t"] == 0.0
     assert rows[-1]["t"] == pytest.approx(0.1)
-    snap = read_snapshot(out / "snapshot_final.csv")
+    snap = read_snapshot(out / "snapshot_final.snap")
     assert len(snap.u) == 96
     summary = (out / "summary.txt").read_text()
     assert "status=completed" in summary
-    assert (out / "snapshot_00000000.csv").exists()
+    assert (out / "snapshot_00000000.snap").exists()
 
 
 def test_simulate_deterministic_outputs(config_path, tmp_path):
@@ -73,12 +73,12 @@ def test_simulate_deterministic_outputs(config_path, tmp_path):
     names = ["diagnostics.csv", "summary.txt"]
 
     def outputs():
-        snapshots = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.snap"))
         return {name: (out / name).read_bytes() for name in names + snapshots}
 
     assert main(["-c", str(config_path), "simulate"]) == 0
     first = outputs()
-    assert "snapshot_final.csv" in first and "snapshot_00000015.csv" in first
+    assert "snapshot_final.snap" in first and "snapshot_00000015.snap" in first
     for path in out.iterdir():
         path.unlink()
     assert main(["-c", str(config_path), "simulate"]) == 0
@@ -119,7 +119,7 @@ def test_sampled_w_and_f_belong_to_their_own_state(
                                     f"run.snapshot_every={snapshot_every}"])
     summary, _ = cli.simulate_run(cfg)
     assert len(checked) >= 4 and checked[-1] == summary.steps
-    assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) >= 4
+    assert len(list((tmp_path / "out").glob("snapshot_*.snap"))) >= 4
 
 
 def test_simulate_blowup_exit_code(tmp_path):
@@ -181,7 +181,7 @@ def test_family_row_count_and_snapshots(config_path, tmp_path):
     assert header == ["eta", "F", "mass", "min_u"]
     assert len(rows) == 4  # default eta_count
     for idx in range(4):
-        assert (tmp_path / "out" / f"snapshot_eta_{idx:02d}.csv").exists()
+        assert (tmp_path / "out" / f"snapshot_eta_{idx:02d}.snap").exists()
 
 
 def test_family_auto_scales_of_a_non_unit_base_pass_build_family(config_path, tmp_path):
@@ -274,9 +274,9 @@ def test_probe_pointwise_v_uses_initial_signal_norm(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]) == 0
     grid = make_grid(5, 1.0, 96)
-    _, v0 = read_snapshot(out / "snapshot_00000000.csv").fields(grid)
+    _, v0 = read_snapshot(out / "snapshot_00000000.snap").fields(grid)
     mass = {}
-    for snap_path in out.glob("snapshot_*.csv"):
+    for snap_path in out.glob("snapshot_*.snap"):
         snap = read_snapshot(snap_path)
         mass[snap.t] = integrate(snap.fields(grid)[0])
     rows = _probe_rows(out / "probe_report.csv", "pointwise_v")
@@ -302,7 +302,7 @@ def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
 
 def test_probe_reads_no_family_snapshot_in_a_shared_outdir(config_path, tmp_path):
     # simulate, family and probe into one outdir, as the README runs them:
-    # the family's snapshot_eta_NN.csv are no states of the trajectory, so
+    # the family's snapshot_eta_NN.snap are no states of the trajectory, so
     # the report is the one probe gives after simulate alone
     out = tmp_path / "out"
     probe = ["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]
@@ -312,6 +312,19 @@ def test_probe_reads_no_family_snapshot_in_a_shared_outdir(config_path, tmp_path
     assert main(["-c", str(config_path), "family"]) == 0
     assert main(probe) == 0
     assert (out / "probe_report.csv").read_bytes() == alone
+
+
+def test_probe_reads_no_snapshot_of_an_earlier_run(config_path, tmp_path):
+    # a shorter run into the outdir of a longer one: probe reads the states
+    # of the run whose diagnostics it is given, none left from the first
+    out = tmp_path / "out"
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    assert main(["-c", str(config_path), "--set", "stepper.t_end=0.02", "simulate"]) == 0
+    assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]) == 0
+    times = {row["t"] for row in read_diagnostics(out / "diagnostics.csv")}
+    rows = _probe_rows(out / "probe_report.csv", "pointwise_w")
+    samples = [float(row["sample"]) for row in rows]
+    assert samples and set(samples) <= times
 
 
 def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path):
@@ -411,7 +424,7 @@ def test_sweep_bad_base_value_fails_before_any_output(config_path, tmp_path, cap
 
 def test_energy_verb_prints_report(config_path, tmp_path, capsys):
     assert main(["-c", str(config_path), "simulate"]) == 0
-    code = main(["-c", str(config_path), "energy", str(tmp_path / "out" / "snapshot_final.csv")])
+    code = main(["-c", str(config_path), "energy", str(tmp_path / "out" / "snapshot_final.snap")])
     assert code == 0
     out = capsys.readouterr().out
     assert "F=" in out and "D=" in out and "entropy_term=" in out
@@ -451,7 +464,7 @@ def test_bump_without_width_runs_the_api_default(tmp_path):
     assert load_config(path).base_params["width"] == check_base("bump", grid)["width"] == 0.5
     assert main(["-c", str(path), "--set", "stepper.t_end=1e-3", "simulate"]) == 0
     u0, _ = base_data("bump", grid, baseline=1.0, amplitude=0.5)
-    assert np.array_equal(read_snapshot(tmp_path / "out" / "snapshot_00000000.csv").u, u0.values)
+    assert np.array_equal(read_snapshot(tmp_path / "out" / "snapshot_00000000.snap").u, u0.values)
 
 
 def test_missing_config_is_error(capsys):
@@ -470,7 +483,7 @@ def write_graded_snapshot(path):
 
 
 def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
-    snap = tmp_path / "graded.csv"
+    snap = tmp_path / "graded.snap"
     write_graded_snapshot(snap)
     assert main(["-c", str(config_path), "energy", str(snap)]) == 1
     captured = capsys.readouterr()
@@ -497,7 +510,7 @@ def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):
 def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
     assert main(["-c", str(config_path), "simulate"]) == 0
     out = tmp_path / "out"
-    write_graded_snapshot(out / "snapshot_99999999.csv")  # read after simulate's steps
+    write_graded_snapshot(out / "snapshot_99999999.snap")  # read after simulate's steps
     code = main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)])
     assert code == 1
     assert "mesh mismatch" in capsys.readouterr().err
@@ -516,11 +529,11 @@ def test_energy_and_probe_read_graded_snapshot_on_graded_config(config_path, tmp
     u, v = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
     snap_dir = tmp_path / "graded"
     snap_dir.mkdir()
-    write_snapshot(snap_dir / "snapshot_final.csv", graded, u, v, t=0.05)
+    write_snapshot(snap_dir / "snapshot_final.snap", graded, u, v, t=0.05)
     rep = compute_energy(u, v, build_solver(graded))
     capsys.readouterr()
 
-    assert cmd_energy(cfg, str(snap_dir / "snapshot_final.csv")) == 0
+    assert cmd_energy(cfg, str(snap_dir / "snapshot_final.snap")) == 0
     assert f"F={rep.F!r}\n" in capsys.readouterr().out
 
     assert cmd_probe(cfg, str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)) == 0
@@ -540,10 +553,10 @@ def test_snapshot_on_other_uniform_mesh_is_rejected(config_path, tmp_path, capsy
     u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
     snap_dir = tmp_path / "n64"
     snap_dir.mkdir()
-    write_snapshot(snap_dir / "snapshot_00000000.csv", g, u, v, t=0.0)
+    write_snapshot(snap_dir / "snapshot_00000000.snap", g, u, v, t=0.0)
     capsys.readouterr()
     for verb in (["probe", str(tmp_path / "out" / "diagnostics.csv"), str(snap_dir)],
-                 ["energy", str(snap_dir / "snapshot_00000000.csv")]):
+                 ["energy", str(snap_dir / "snapshot_00000000.snap")]):
         assert main(["-c", str(config_path), *verb]) == 1
         err = capsys.readouterr().err
         assert "mesh mismatch" in err and "N=96" in err

@@ -299,7 +299,7 @@ def test_base_data_custom_roundtrip(tmp_path):
 
     g = make_grid(5, 1.0, 64)
     u0, v0 = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
-    path = tmp_path / "snap.csv"
+    path = tmp_path / "snap.snap"
     write_snapshot(path, g, u0, v0, t=0.25)
     u1, v1 = base_data("custom", g, path=str(path))
     assert np.array_equal(u1.values, u0.values)
@@ -311,7 +311,7 @@ def test_base_data_custom_rejects_other_mesh(tmp_path):
 
     graded = make_grid(5, 1.0, 64, h_min=1e-6)
     u0, v0 = base_data("bump", graded, baseline=1.0, amplitude=0.5, width=0.3)
-    path = tmp_path / "snap.csv"
+    path = tmp_path / "snap.snap"
     write_snapshot(path, graded, u0, v0)
     # same row count, other mesh
     with pytest.raises(SnapshotFormatError, match="mesh mismatch.*N=64, h_min=0.015625"):
