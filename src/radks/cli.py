@@ -25,7 +25,6 @@ from .grid import integrate
 from .helmholtz import build_solver
 from .initial_data import base_data, build_family, family_energy_scan, family_scales, w22_norm
 from .probes import (
-    ProbeResult,
     probe_entropy_floor,
     probe_fd_ratio,
     probe_local_inequalities,
@@ -198,19 +197,11 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         )
 
     results.append(probe_fd_ratio(samples, pconf))
-    if records:
-        results.extend(probe_mass_identities(records))
-    odi = probe_odi(samples, pconf.theta)
-    results.append(
-        ProbeResult(name="odi_c5", lhs=odi.c5, rhs_free=1.0, implied_c=odi.c5,
-                    param=pconf.theta)
-    )
-    results.append(
-        ProbeResult(name="odi_tail_slope", lhs=odi.tail_slope, rhs_free=1.0 / pconf.theta,
-                    implied_c=odi.tail_slope, param=pconf.theta)
-    )
-    if odi.tail_note:
-        print(f"odi_tail_slope is nan: {odi.tail_note}")
+    results.extend(probe_mass_identities(records))
+    odi, note = probe_odi(samples, pconf.theta)
+    results.append(odi)
+    if note:
+        print(f"odi_tail_slope is nan: {note}")
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -26,9 +26,5 @@ class AdmissibilityError(RadksError):
     """Constructed initial data violates an admissibility condition."""
 
 
-class InsufficientDataError(RadksError):
-    """A trajectory probe was given too few samples."""
-
-
 class SnapshotFormatError(RadksError):
     """A snapshot or diagnostics file does not follow the expected format."""

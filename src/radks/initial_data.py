@@ -97,10 +97,9 @@ def mollifier_normalization(n: int) -> float:
     return 1.0 / (unit_sphere_area(n) * raw)
 
 
-def _psi(eta: float, n: int, gamma: float) -> float:
-    """eta^{n/2-2} (ln 1/eta)^{2 gamma}, evaluated in log space."""
-    s = -math.log(eta)
-    return math.exp((0.5 * n - 2.0) * math.log(eta) + 2.0 * gamma * math.log(s))
+def _psi(s: float, n: int, gamma: float) -> float:
+    """psi = eta^{n/2-2} (ln 1/eta)^{2 gamma} at s = ln(1/eta), in log space."""
+    return math.exp(2.0 * gamma * math.log(s) - (0.5 * n - 2.0) * s)
 
 
 def _raise(error: type, problems: dict) -> None:
@@ -141,23 +140,18 @@ def eta_star(
     cap = min(cap, 1.0 - 1e-12)
 
     bound = min(volume * iota, 0.5)
-    power = 0.5 * n - 2.0
-    s_peak = 2.0 * gamma / power
-
-    def psi_s(s: float) -> float:
-        return math.exp(2.0 * gamma * math.log(s) - power * s)
-
-    if psi_s(max(s_peak, -math.log(cap))) < bound:
+    s_peak = 2.0 * gamma / (0.5 * n - 2.0)
+    if _psi(max(s_peak, -math.log(cap)), n, gamma) < bound:
         return cap
     # Bisect psi(s) = bound on the decreasing-in-s branch (s > s_peak),
     # i.e. the increasing branch in eta.
     lo = max(s_peak, -math.log(cap))
     hi = lo
-    while psi_s(hi) >= bound:
+    while _psi(hi, n, gamma) >= bound:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if psi_s(mid) >= bound:
+        if _psi(mid, n, gamma) >= bound:
             lo = mid
         else:
             hi = mid
@@ -233,7 +227,7 @@ def build_family(
     n = grid.n
     fractions = bump_cell_fractions(grid, eta)
     s = -math.log(eta)
-    u_amp = _psi(eta, n, gamma)  # total bump mass in u
+    u_amp = _psi(s, n, gamma)  # total bump mass in u
     v_amp = math.exp((0.5 * n + 2.0) * math.log(eta) - gamma * math.log(s))
     u_bump = u_amp * fractions / grid.volumes
     v_bump = v_amp * fractions / grid.volumes

@@ -5,7 +5,9 @@ reports the left side, the explicitly weighted part of the right side,
 and the constant the inequality would need to hold.  Hard pass/fail is
 only defined for the inequalities whose constants are fully explicit
 (the entropy floor and the mass identities); all other constants are
-non-constructive and are surfaced purely as measured values.
+non-constructive and are surfaced purely as measured values.  Each row
+of the probe report comes from the probe that names it: the ODI's c5 is
+the fd_ratio constant, so probe_odi adds only its tail slope.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, InsufficientDataError
+from .errors import ConfigurationError, GridMismatchError
 from .grid import RadialField, face_means, gradient_faces, integrate, laplacian
 from .energy import EnergyReport
 
 __all__ = [
     "ProbeConfig",
     "ProbeResult",
-    "OdiFit",
     "theta_exponent",
     "probe_entropy_floor",
     "probe_pointwise_w",
@@ -151,21 +152,15 @@ def probe_pointwise_v(
     )
 
 
-def _fd_max(samples: Sequence, theta: float) -> tuple[float, Optional[float]]:
-    """(max over samples of (-F)_+ / (D_+^theta + 1), the time of its last
-    attaining sample); (0.0, None) when there are no samples."""
+def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
+    """Max over samples of (-F)_+ / (D_+^theta + 1), at its last attaining
+    sample: the ODI's c5 (see probe_odi)."""
+    theta = config.theta
     best, best_t = 0.0, None
     for s in samples:
         ratio = max(-s.F, 0.0) / (max(s.D, 0.0) ** theta + 1.0)
         if ratio >= best:
             best, best_t = ratio, s.t
-    return best, best_t
-
-
-def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
-    """Max over samples of (-F)_+ / (D^theta + 1)."""
-    theta = config.theta
-    best, best_t = _fd_max(samples, theta)
     return ProbeResult(
         name="fd_ratio",
         lhs=best,
@@ -182,19 +177,6 @@ def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
 ODI_TAIL_MIN_SPAN = 2.0
 
 
-@dataclass(frozen=True)
-class OdiFit:
-    """Fitted superlinear-inequality parameters along one trajectory.
-
-    tail_slope is NaN exactly when tail_note says why no slope was fitted.
-    """
-
-    c5: float
-    tail_slope: float
-    tail_size: int
-    tail_note: str = ""
-
-
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     x = x - np.mean(x)
     denom = float(np.dot(x, x))
@@ -203,42 +185,38 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y - np.mean(y)) / denom)
 
 
-def probe_odi(samples: Sequence, theta: float) -> OdiFit:
-    """Smallest c5 with D >= ((-F - c5)/c5)^{1/theta} at every sample,
-    plus the log-log slope of D against -F over the final decade of -F.
+def probe_odi(samples: Sequence, theta: float) -> tuple[ProbeResult, str]:
+    """(the odi_tail_slope row, note): the log-log slope of D against -F
+    over the final decade of -F, which the ODI D >= ((-F - c5)/c5)^{1/theta}
+    puts near 1/theta once -F >> c5.
 
-    For theta > 0 a sample with -F > c5 satisfies the inequality exactly
-    when c5 >= -F/(D^theta + 1), so c5 is the fd-ratio constant
-    max (-F)_+/(D_+^theta + 1) (_fd_max), always reported.  The slope is
-    not, and tail_slope is NaN with the reason in tail_note, when -F is
-    never positive, when fewer than 8 tail samples have positive -F and D,
-    or when positive -F spans less than a factor ODI_TAIL_MIN_SPAN over
-    the trajectory (the tail is not reached).
+    For theta > 0 a sample with -F > c5 satisfies the ODI exactly when
+    c5 >= -F/(D^theta + 1), so its c5 is probe_fd_ratio's constant.  The
+    slope is NaN, and note says why (else ""), when -F is never positive,
+    when fewer than 8 tail samples have positive -F and D, or when
+    positive -F spans less than a factor ODI_TAIL_MIN_SPAN over the
+    trajectory (the tail is not reached).
     """
-    c5, _ = _fd_max(samples, theta)
     negF = np.array([-s.F for s in samples])
     D = np.array([max(s.D, 0.0) for s in samples])
     peak = float(np.max(negF)) if len(negF) else 0.0
-    if peak <= 0.0:
-        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0,
-                      tail_note="-F is never positive")
-
     tail = (negF >= 0.1 * peak) & (negF > 0.0) & (D > 0.0)
     n_tail = int(np.count_nonzero(tail))
-    if n_tail < 8:
-        return OdiFit(c5=c5, tail_slope=math.nan, tail_size=0,
-                      tail_note=f"only {n_tail} usable tail samples; need at least 8")
-    span = peak / float(negF[negF > 0.0].min())
-    if span < ODI_TAIL_MIN_SPAN:
-        return OdiFit(
-            c5=c5, tail_slope=math.nan, tail_size=0,
-            tail_note=(
-                f"tail not reached: positive -F spans a factor {span:.3g} over the "
-                f"trajectory, less than {ODI_TAIL_MIN_SPAN:g}"
-            ),
+    slope, note = math.nan, ""
+    if peak <= 0.0:
+        note = "-F is never positive"
+    elif n_tail < 8:
+        note = f"only {n_tail} usable tail samples; need at least 8"
+    elif (span := peak / float(negF[negF > 0.0].min())) < ODI_TAIL_MIN_SPAN:
+        note = (
+            f"tail not reached: positive -F spans a factor {span:.3g} over the "
+            f"trajectory, less than {ODI_TAIL_MIN_SPAN:g}"
         )
-    slope = _fit_slope(np.log(negF[tail]), np.log(D[tail]))
-    return OdiFit(c5=c5, tail_slope=slope, tail_size=n_tail)
+    else:
+        slope = _fit_slope(np.log(negF[tail]), np.log(D[tail]))
+    row = ProbeResult(name="odi_tail_slope", lhs=slope, rhs_free=1.0 / theta,
+                      implied_c=slope, param=theta)
+    return row, note
 
 
 def probe_mass_identities(samples: Sequence) -> list[ProbeResult]:
@@ -246,10 +224,10 @@ def probe_mass_identities(samples: Sequence) -> list[ProbeResult]:
 
     Relative drift of int u, the per-sample gap int w - int u, the bound
     int v <= max(int v0, int u0), and (reported, no hard flag) the gap to
-    the exact homogeneous-relaxation value of int v.
+    the exact homogeneous-relaxation value of int v.  No samples, no rows.
     """
     if not samples:
-        raise InsufficientDataError("no samples given")
+        return []
     m0 = samples[0].mass
     v0 = samples[0].int_v
     drift = max(abs(s.mass - m0) for s in samples) / max(abs(m0), 1e-300)

@@ -134,7 +134,7 @@ def check_energy_identity(
     v0 = solve(s, solve(s, u0))
 
     def max_res(dtv):
-        cfg = default_stepper_config(g, t_end=t_end, dt_max=dtv, dt_init=dtv, output_every=10)
+        cfg = default_stepper_config(g, t_end=t_end, dt_max=dtv, output_every=10)
         _, _, smp = run(u0, v0, cfg, solver=s, sink=sink)
         return max(x.identity_residual for x in smp[1:])
 

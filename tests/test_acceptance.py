@@ -251,8 +251,8 @@ def test_criterion_08_fd_ratio_bounded(blowup_runs):
 def test_criterion_09_odi_tail_slope(blowup_runs):
     slopes = {}
     for (N, eta), data in blowup_runs.items():
-        fit = probe_odi(data["samples"], THETA)
-        slopes[(N, eta)] = fit.tail_slope
+        row, _ = probe_odi(data["samples"], THETA)
+        slopes[(N, eta)] = row.implied_c
     worst = min(slopes.values())
     ok = worst >= 1.0 / THETA - 0.2
     report(

@@ -242,10 +242,12 @@ def test_probe_verb_emits_report(config_path, tmp_path):
     "rows, note",
     [(40, "tail not reached: positive -F spans a factor 1.15"), (5, "need at least 8")],
 )
-def test_probe_keeps_odi_c5_when_tail_not_reached(config_path, tmp_path, capsys, rows, note):
+def test_probe_writes_fd_ratio_and_nan_tail_when_tail_not_reached(
+    config_path, tmp_path, capsys, rows, note
+):
     # -F grows by 15% while D grows 27x (README blowup data), or there are
     # too few samples to fit: the tail row reads nan with the reason on
-    # stdout, and the c5 row is still written
+    # stdout; c5 is the fd_ratio row's, written once, with no odi_c5 copy
     diag = tmp_path / "diagnostics.csv"
     lines = ["# format_version=1", "t,dt,mass,sup_u,F,D,identity_residual"]
     for k in range(rows):
@@ -256,10 +258,11 @@ def test_probe_keeps_odi_c5_when_tail_not_reached(config_path, tmp_path, capsys,
     assert main(["-c", str(config_path), "probe", str(diag)]) == 0
     out = capsys.readouterr().out
     assert "odi_tail_slope is nan: " in out and note in out
-    _, report = read_table(tmp_path / "out" / "probe_report.csv")
-    by_name = {row[0]: row for row in report}
-    assert float(by_name["odi_c5"][3]) > 0.0
-    assert by_name["odi_tail_slope"][3] == "nan"
+    header, report = read_table(tmp_path / "out" / "probe_report.csv")
+    assert [row[0] for row in report] == ["fd_ratio", "odi_tail_slope"]
+    by_name = {row[0]: dict(zip(header, row)) for row in report}
+    assert float(by_name["fd_ratio"]["implied_C"]) > 0.0
+    assert by_name["odi_tail_slope"]["implied_C"] == "nan"
 
 
 def _probe_rows(path, name):
