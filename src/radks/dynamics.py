@@ -12,10 +12,13 @@ upwinding plus the M-matrix solves keep u nonnegative whenever dt
 respects the advective stability bound, which depends on v alone.
 adapt_dt never takes a step above that bound: there is no step floor.
 
-run has one rule per outcome.  It blows up when sup u reaches
+run has one rule per outcome.  It blows up when sup u has grown to
 blowup_factor * sup0, and reports t_blowup as the time of that step.  It
 stalls when a step gives a non-finite field or leaves t where it was
-(a dt too small to change t in floating point).  It completes at t_end.
+(a dt too small to change t in floating point).  It completes when t
+reaches t_end to a relative 1e-12 (detect_blowup), which covers the
+round-off that thousands of steps of one dt leave in t; adapt_dt caps
+the last step at t_end - t and never stretches a step to reach it.
 
 Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
@@ -215,23 +218,19 @@ def _rung_below(dt: float) -> float:
 
 
 def adapt_dt(state: State, cfg: StepperConfig) -> float:
-    """min(rung below cfl * stable dt, dt_max), then capped by t_end - t.
+    """min(rung below cfl * stable dt, dt_max, t_end - t), never more.
 
     The stable dt depends on v alone, through the state's face velocity.
     cfl times it is rounded down to the ladder 2^(k/16) (16 rungs per
     octave, k an integer) before the clamp, so dt stays at or below the
     CFL step and changes only when that step moves to another rung: while
     it does not, step reuses both factorizations, at the price of a mean
-    step about 2% below the CFL step.
+    step about 2% below the CFL step.  The last step lands on t_end or
+    short of it by round-off, which detect_blowup's relative test counts
+    as done, so no step outruns the CFL step however short the horizon.
     """
-    remaining = cfg.t_end - state.t
     dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, state.face_velocity))
-    dt = min(dt, cfg.dt_max, remaining)
-    # absorb a round-off sliver into the final step instead of leaving a
-    # dt ~ eps step whose diagnostics are pure noise
-    if remaining - dt < 1e-12 * max(cfg.t_end, 1.0):
-        dt = remaining
-    return dt
+    return min(dt, cfg.dt_max, cfg.t_end - state.t)
 
 
 def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
@@ -271,21 +270,18 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     return new
 
 
-def detect_blowup(
-    state: State, cfg: StepperConfig, sup0: float, sup: Optional[float] = None
-) -> SimStatus:
-    """Classify the current state.
+def detect_blowup(state: State, cfg: StepperConfig, sup0: float, sup: float) -> SimStatus:
+    """Classify the current state; sup is sup_norm(state.u), taken by run.
 
-    BLOWN_UP when the sup norm reaches blowup_factor * sup0, STALLED when
-    it is not finite, COMPLETED at t_end, RUNNING otherwise.  sup, when
-    given, is sup_norm(state.u), already taken by the caller.
+    BLOWN_UP when sup has grown past sup0 and reaches blowup_factor *
+    sup0 (a zero density never blows up), STALLED when sup is not
+    finite, COMPLETED at t_end, RUNNING otherwise.
     """
-    s = sup_norm(state.u) if sup is None else sup
-    if not math.isfinite(s):
+    if not math.isfinite(sup):
         return SimStatus.STALLED
-    if s >= cfg.blowup_factor * sup0:
+    if sup > sup0 and sup >= cfg.blowup_factor * sup0:
         return SimStatus.BLOWN_UP
-    if state.t >= cfg.t_end * (1.0 - 1e-14):
+    if state.t >= cfg.t_end * (1.0 - 1e-12):
         return SimStatus.COMPLETED
     return SimStatus.RUNNING
 

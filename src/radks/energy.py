@@ -4,8 +4,10 @@ F(u, v) = int (u log u - u v) + 1/2 int |(I - L)v|^2 is non-increasing
 along trajectories; its dissipation rate splits into a signal part built
 from f = (I - L)v - w and a transport part built from the face quantity
 g = u_r/sqrt(u) - sqrt(u) v_r.  The same discrete operator (I - L) is
-used for w, f, and the quadratic term, so (I - L)v = f + w holds exactly
-and the identity residual measures only the time discretization.
+used for w, f, and the quadratic term: (I - L)v is v - grid.laplacian(v),
+the flux-form L that the solve for w refines against.  So (I - L)v = f + w
+holds exactly and the identity residual measures only the time
+discretization.
 
 compute_energy is the one evaluation of a state: its EnergyReport
 carries the fields w, f and g next to the integrals, so the stepper
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import RadialField, _adopt, face_means, gradient_faces
-from .helmholtz import HelmholtzSolver, apply_operator, solve
+from .grid import RadialField, _adopt, face_means, gradient_faces, laplacian
+from .helmholtz import HelmholtzSolver, solve
 
 __all__ = [
     "EnergyReport",
@@ -84,7 +86,7 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     w = solve(solver, u)
-    opv = apply_operator(solver, v)
+    opv = v.values - laplacian(v).values
     f = _adopt(opv - w.values, grid)
 
     entropy = float(np.sum(_entropy_density(u.values) * grid.volumes))

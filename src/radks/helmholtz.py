@@ -1,9 +1,11 @@
 """Tridiagonal solves of the screened Neumann problems (alpha I - beta L)x = rhs.
 
-L is the flux-form radial Laplacian from :mod:`radks.grid`.  Each system
-is assembled in the volume-weighted form (alpha V_i + beta K) x = V_i rhs_i,
-K the stiffness of the zero-flux mesh: SPD for alpha > 0, beta >= 0, so
-LAPACK factors it as L D L^T (``dpttrf``) and solves with ``dpttrs``.
+L is the flux-form radial Laplacian from :mod:`radks.grid`, which also
+applies it (:func:`radks.grid.laplacian`); this module only solves.  Each
+system is assembled in the volume-weighted form
+(alpha V_i + beta K) x = V_i rhs_i, K the stiffness of the zero-flux
+mesh: SPD for alpha > 0, beta >= 0, so LAPACK factors it as L D L^T
+(``dpttrf``) and solves with ``dpttrs``.
 (I - L)w = u is alpha = beta = 1, factored once per grid by
 :func:`build_solver`; the stepper's dt-dependent systems take the same
 path through :func:`shifted_solve`, which keeps the factors of the last
@@ -34,7 +36,6 @@ __all__ = [
     "HelmholtzSolver",
     "build_solver",
     "solve",
-    "apply_operator",
     "shifted_solve",
 ]
 
@@ -139,16 +140,6 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
     return _adopt(_solve(solver.grid, solver._factor, u.values), solver.grid)
-
-
-def apply_operator(solver: HelmholtzSolver, v: RadialField) -> np.ndarray:
-    """Values of (I - L)v, using the same flux-form L as the solve."""
-    if not v.grid.same_as(solver.grid):
-        raise GridMismatchError("input field does not live on the solver grid")
-    grid = v.grid
-    lap = _add_flux_divergence(np.zeros(grid.N), v.values, grid.coupling)
-    lap /= grid.volumes
-    return v.values - lap
 
 
 def shifted_solve(

@@ -31,6 +31,7 @@ from radks.probes import (
 )
 from radks.verify import (
     FAMILY_H_MIN,
+    _PLAN,
     _smooth_pair,
     check_energy_identity,
     check_equilibrium,
@@ -39,6 +40,9 @@ from radks.verify import (
 )
 
 THETA = 5.0 / 7.0
+
+# the full-level arguments of each verify row, which criteria 1, 3, 4 and 6 run
+FULL_ARGS = {name: full for name, _, full, _ in _PLAN}
 
 # entropy-floor outcomes collected from every trajectory this module runs
 ENTROPY_FLOOR_RESULTS: list[bool] = []
@@ -123,7 +127,7 @@ def blowup_runs(family_2048):
 
 def test_criterion_01_helmholtz_manufactured():
     t0 = time.perf_counter()
-    in_bounds, detail = check_manufactured(200, 400, 3.5, 4.5)
+    in_bounds, detail = check_manufactured(*FULL_ARGS["helmholtz_manufactured"])
     elapsed = time.perf_counter() - t0
     report(1, in_bounds and elapsed < 1.0, f"{detail}; {elapsed:.2f}s < 1s")
     assert in_bounds, detail
@@ -157,7 +161,7 @@ def test_criterion_02_conservation():
 
 
 def test_criterion_03_equilibrium():
-    ok, detail = check_equilibrium(256, sink=entropy_sink)
+    ok, detail = check_equilibrium(*FULL_ARGS["equilibrium"], sink=entropy_sink)
     report(3, ok, detail)
     assert ok, detail
 
@@ -173,12 +177,14 @@ def test_criterion_04_energy_identity_dt_refinement():
             run_dts[-1].append(sample.dt)
 
     t0 = time.perf_counter()
-    in_bounds, detail = check_energy_identity(400, 4e-3, 0.5, sink=sink)
+    in_bounds, detail = check_energy_identity(*FULL_ARGS["energy_identity"], sink=sink)
     elapsed = time.perf_counter() - t0
     report(4, in_bounds and elapsed < 120.0, f"{detail}; {elapsed:.1f}s < 120s")
-    # fixed-step study (the final step may absorb a round-off sliver)
+    # fixed-step study: every step is dt_max, the last one capped at the
+    # remaining horizon, which differs from it by round-off only
+    full_dt = FULL_ARGS["energy_identity"][1]
     assert len(run_dts) == 2
-    for dt, dts in zip((4e-3, 2e-3), run_dts):
+    for dt, dts in zip((full_dt, full_dt / 2), run_dts):
         assert all(abs(x - dt) <= 1e-9 * dt for x in dts)
     assert in_bounds, detail
     assert elapsed < 120.0
@@ -186,7 +192,7 @@ def test_criterion_04_energy_identity_dt_refinement():
 
 def test_criterion_06_family_diagnostics():
     t0 = time.perf_counter()
-    ok, detail = check_family(2048)
+    ok, detail = check_family(*FULL_ARGS["family"])
     elapsed = time.perf_counter() - t0
     report(6, ok and elapsed < 60.0, f"{detail}; {elapsed:.1f}s < 60s")
     # on a uniform N = 2048 mesh the admissible scales are ~1e-5 of a cell:

@@ -19,8 +19,16 @@ from radks.dynamics import (
     step,
 )
 from radks.errors import ConfigurationError, GridMismatchError
-from radks.grid import RadialField, constant_field, gradient_faces, integrate, make_grid
+from radks.grid import (
+    RadialField,
+    constant_field,
+    gradient_faces,
+    integrate,
+    make_grid,
+    sup_norm,
+)
 from radks.helmholtz import build_solver, solve
+from radks.initial_data import build_family, family_eta_star
 
 
 @pytest.fixture(scope="module")
@@ -264,15 +272,15 @@ def test_detect_blowup_threshold(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     big = constant_field(grid, 2e6)
     st = State(0.5, 10, big, constant_field(grid, 1.0), 1e-3)
-    assert detect_blowup(st, cfg, sup0=1.0) is SimStatus.BLOWN_UP
+    assert detect_blowup(st, cfg, sup0=1.0, sup=sup_norm(big)) is SimStatus.BLOWN_UP
 
 
 def test_detect_blowup_completed_and_running(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     u = constant_field(grid, 1.0)
     v = constant_field(grid, 1.0)
-    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.COMPLETED
-    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.RUNNING
+    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0, 1.0) is SimStatus.COMPLETED
+    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0, 1.0) is SimStatus.RUNNING
 
 
 def test_detect_blowup_nan_is_stalled(grid):
@@ -280,7 +288,7 @@ def test_detect_blowup_nan_is_stalled(grid):
     vals = np.ones(grid.N)
     vals[3] = math.nan
     st = State(0.2, 9, RadialField(vals, grid), constant_field(grid, 1.0), 1e-3)
-    assert detect_blowup(st, cfg, 1.0) is SimStatus.STALLED
+    assert detect_blowup(st, cfg, 1.0, sup_norm(st.u)) is SimStatus.STALLED
 
 
 def test_run_homogeneous_completes(grid, solver):
@@ -292,6 +300,44 @@ def test_run_homogeneous_completes(grid, solver):
     m0 = samples[0].mass
     assert all(abs(x.mass - m0) <= 1e-10 * m0 for x in samples)
     assert summary.t_final == pytest.approx(1.0)
+
+
+def test_run_zero_density_completes():
+    # blowup_factor * 0 is 0: a zero density that stays zero has not blown up
+    g = make_grid(5, 1.0, 64)
+    cfg = default_stepper_config(g, t_end=0.1, dt_max=1e-2)
+    state, summary, _ = run(constant_field(g, 0.0), constant_field(g, 1.0), cfg)
+    assert summary.status is state.status is SimStatus.COMPLETED
+    assert summary.t_blowup is None and summary.peak_sup == 0.0
+    assert summary.t_final == pytest.approx(0.1)
+
+
+def test_run_of_one_dt_ends_without_a_round_off_step():
+    # 3000 steps of dt_max leave t ~5e-14 (relative) short of t_end; that
+    # counts as t_end, so no step of ~1e-14 follows
+    g = make_grid(5, 1.0, 32)
+    cfg = default_stepper_config(g, t_end=0.3, dt_max=1e-4, output_every=1000)
+    u = constant_field(g, 1.0)
+    _, summary, samples = run(u, u, cfg)
+    assert summary.status is SimStatus.COMPLETED and summary.steps == 3000
+    assert all(smp.dt == cfg.dt_max for smp in samples[1:])
+
+
+def test_run_shorter_than_one_cfl_step_keeps_every_step_below_it():
+    # the admissible family collapses on a time scale ~1e-23, so a horizon
+    # of 4e-24 spans a few CFL steps; each step stays within the CFL bound
+    # of the state it starts from, and u stays nonnegative
+    g = make_grid(5, 1.0, 1024, h_min=1e-12)
+    base = constant_field(g, 1.0)
+    u0, v0 = build_family(base, base, 1.5, family_eta_star(base, 1.5) / 16)
+    cfg = default_stepper_config(g, t_end=4e-24, output_every=1)
+    states = []
+    state, summary, samples = run(u0, v0, cfg, sink=lambda st, smp: states.append(st))
+    assert summary.status is SimStatus.COMPLETED and summary.steps > 1
+    assert state.t == pytest.approx(cfg.t_end, rel=1e-12)
+    for before, after in zip(states, states[1:]):
+        assert after.dt <= cfg.cfl * dynamics._stable_dt(g, before.face_velocity)
+    assert min(smp.min_u for smp in samples) >= 0.0
 
 
 def test_run_emits_diagnostics_rows(grid, solver):

@@ -16,9 +16,10 @@ from radks.grid import (
     field_from_function,
     gradient_faces,
     integrate,
+    laplacian,
     make_grid,
 )
-from radks.helmholtz import apply_operator, build_solver, solve
+from radks.helmholtz import build_solver, solve
 
 BALL_VOLUME = 8 * math.pi**2 / 15
 
@@ -133,7 +134,7 @@ def test_energy_terms_match_exactly_rounded_sums(h_min):
     u = RadialField(rng.random(g.N) * 1e3 + 1e-3, g)
     v = RadialField(rng.random(g.N) * 10.0, g)
     rep = compute_energy(u, v, s)
-    opv = apply_operator(s, v)
+    opv = v.values - laplacian(v).values
     f = opv - solve(s, u).values
     faces = g.face_areas * g.spacing
     fr, gf = gradient_faces(RadialField(f, g)), compute_g(u, v)

@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radks.errors import ConfigurationError, GridMismatchError
-from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
+from radks.grid import (
+    RadialField,
+    constant_field,
+    field_from_function,
+    integrate,
+    laplacian,
+    make_grid,
+)
 from radks import helmholtz
-from radks.helmholtz import apply_operator, build_solver, shifted_solve, solve
+from radks.helmholtz import build_solver, shifted_solve, solve
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +86,7 @@ def test_small_system_structure():
     s = build_solver(g)
     # solving the operator applied to a known field recovers it
     f = RadialField(np.array([1.0, 2.0, 0.5, 1.5]), g)
-    u = RadialField(apply_operator(s, f), g)
+    u = RadialField(f.values - laplacian(f).values, g)
     back = solve(s, u)
     assert np.allclose(back.values, f.values, rtol=1e-12, atol=1e-12)
 
@@ -113,7 +120,7 @@ def test_defining_residual_small():
     rng = np.random.default_rng(11)
     u = RadialField(rng.random(g.N) + 0.5, g)
     w = solve(s, u)
-    defect = u.values - apply_operator(s, w)
+    defect = u.values - (w.values - laplacian(w).values)
     assert np.max(np.abs(defect)) <= 1e-12 * float(np.max(np.abs(u.values)))
 
 

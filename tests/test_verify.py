@@ -1,5 +1,6 @@
 import pytest
 
+import radks.grid
 import radks.helmholtz
 import radks.verify
 from radks.grid import _add_flux_divergence as true_flux_divergence, make_grid
@@ -41,9 +42,11 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
     def flipped(out, values, weights):
         return true_flux_divergence(out, -values, weights)
 
-    # the face-flux kernel as helmholtz binds it: every refinement pass
-    # and apply_operator go through it
+    # the face-flux kernel in both its bindings: helmholtz's, which every
+    # refinement pass goes through, and grid's, behind grid.laplacian and
+    # so behind energy's (I - L)v
     monkeypatch.setattr(radks.helmholtz, "_add_flux_divergence", flipped)
+    monkeypatch.setattr(radks.grid, "_add_flux_divergence", flipped)
 
     ok_cons, _ = check_conservation(128, 300)
     assert ok_cons  # conservation still holds: fluxes telescope regardless
