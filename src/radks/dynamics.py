@@ -22,11 +22,13 @@ the last step at t_end - t and never stretches a step to reach it.
 
 Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
-next adapt_dt); three solves, (a) to (c), of two LAPACK dpttrs calls each
-(the second is the refinement pass); and two factorizations, of the (b)
-and (c) operators, only when dt moves to another rung of adapt_dt's
-ladder 2^(k/16).  A sampled state skips (a): its energy report already
-solved w.
+next adapt_dt); three solves, (a) to (c), in five LAPACK dpttrs calls:
+(a) and (c) make two each (a first solve and its refinement pass), and
+(b) one, the refinement pass of v itself, which is within O(dt) of v+
+(shifted_solve's guess); and two factorizations, of the (b) and (c)
+operators, only when dt moves to another rung of adapt_dt's ladder
+2^(k/16).  A sampled state skips (a), so its step makes three dpttrs
+calls: its energy report already solved w.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     w = state.report.w if state.report is not None else solve(solver, state.u)
     v_rhs = w.values * dt
     v_rhs += state.v.values
-    v_new = shifted_solve(solver, 1.0 + dt, dt, v_rhs)
+    v_new = shifted_solve(solver, 1.0 + dt, dt, v_rhs, guess=state.v.values)
     v_plus = _adopt(v_new, grid)
     vel = gradient_faces(v_plus)
     vel.setflags(write=False)

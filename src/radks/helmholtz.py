@@ -17,6 +17,11 @@ the weights alpha V and beta A / spacing cached beside the factors.  The
 K rows sum to zero, so alpha sum x_i V_i = sum rhs_i V_i: the discrete
 mass identity of u and w, which the refinement pass alone holds to
 round-off (:func:`solve` is shifted_solve with alpha = beta = 1).
+The pass refines whatever first solution it is given: the dpttrs solve
+of the same system, or a caller's guess (shifted_solve's ``guess``),
+which saves that first dpttrs call.  The stepper's v-update refines the
+state's v, within O(dt) of v+; the u- and w-solves keep their first
+solve, which is >= 0 for rhs >= 0 and depends on rhs alone.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """L D L^T factors of alpha*diag(V) + beta*K, and the weights of its defect.
 
     Returns (d, e, alpha V, beta A / spacing): the factors, then the cell
-    and face weights with which _solve's refinement applies the operator.
+    and face weights with which _refine applies the operator.
     """
     d, e, info = dpttrf(*_assemble(grid, alpha, beta), overwrite_d=True, overwrite_e=True)
     if info != 0:
@@ -97,24 +102,31 @@ def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     return d, e, alpha * grid.volumes, beta * grid.coupling
 
 
-def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
-    """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator.
+def _refine(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x plus one refinement pass against the flux-form (alpha I - beta L).
 
-    One refinement pass against the flux-form L solves that L to
-    round-off.  It forms V times the flux-form defect directly,
+    b = V rhs, which the pass overwrites; x is left as it is.  The pass
+    forms V times the flux-form defect directly,
     V (rhs - (alpha I - beta L)x) = b - alpha V x + beta (F+ - F-), with
-    b = V rhs the first dpttrs input and F the face fluxes
-    A (x_{i+1} - x_i) / spacing, from the weights cached in factor; the
-    fluxes telescope, so the defect sums to sum b - alpha sum V x.
+    F the face fluxes A (x_{i+1} - x_i) / spacing, from the weights
+    cached in factor, and makes one dpttrs call on it.  The fluxes
+    telescope, so the defect sums to sum b - alpha sum V x, and the
+    result solves the flux-form L to round-off from any x close enough
+    to the solution.
     """
     d, e, volumes, coupling = factor
-    b = grid.volumes * rhs
-    x = dpttrs(d, e, b)[0]
     b -= volumes * x
     defect = _add_flux_divergence(b, x, coupling)
     correction = dpttrs(d, e, defect, overwrite_b=True)[0]
     correction += x
     return correction
+
+
+def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
+    """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator:
+    the dpttrs solve of V rhs, then _refine of it."""
+    b = grid.volumes * rhs
+    return _refine(factor, b, dpttrs(factor[0], factor[1], b)[0])
 
 
 @dataclass(frozen=True)
@@ -143,16 +155,30 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
 
 
 def shifted_solve(
-    solver: HelmholtzSolver, alpha: float, beta: float, rhs: np.ndarray
+    solver: HelmholtzSolver,
+    alpha: float,
+    beta: float,
+    rhs: np.ndarray,
+    guess: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (alpha I - beta L) x = rhs on the solver grid, alpha > 0, beta >= 0.
 
-    Used by the time stepper, where alpha and beta depend on dt.  The
-    factors of the last two (alpha, beta) pairs stay on the solver and are
-    reused when the same pair comes back; the key is the exact bits of
-    the two floats, so a reused factor is the one a fresh factorization
-    would give.  Raises ConfigurationError when the operator is not
-    positive definite.
+    Used by the time stepper, where alpha and beta depend on dt.
+
+    guess, when given, replaces the first dpttrs solve: the result is
+    guess plus one refinement pass, one dpttrs call instead of two.  The
+    pass's error, mass identity included, is round-off of its defect, so
+    a guess must lie close to x.  The state's v does for the v-update
+    (I + dt (I - L)) v+ = v + dt w, which moves v by O(dt).  The u-update
+    keeps its first solve, which is >= 0 exactly for rhs >= 0 (the
+    positivity of u rests on it), and the elliptic w = (I - L)^{-1} u
+    must not depend on the state it steps from.  guess is only read.
+
+    The factors of the last two (alpha, beta) pairs stay on the solver
+    and are reused when the same pair comes back; the key is the exact
+    bits of the two floats, so a reused factor is the one a fresh
+    factorization would give.  Raises ConfigurationError when the
+    operator is not positive definite.
     """
     key = struct.pack("dd", alpha, beta)
     recent = solver._shifted
@@ -163,4 +189,6 @@ def shifted_solve(
         del recent[1:]  # keep two pairs alive at most, the new one included
         factor = _factor(solver.grid, alpha, beta)
         recent.insert(0, (key, factor))
-    return _solve(solver.grid, factor, rhs)
+    if guess is None:
+        return _solve(solver.grid, factor, rhs)
+    return _refine(factor, solver.grid.volumes * rhs, guess)

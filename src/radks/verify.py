@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import make_grid, constant_field, integrate, RadialField, field_from_function
 from .helmholtz import build_solver, solve
-from .dynamics import Sink, default_stepper_config, run
+from .dynamics import SimStatus, Sink, default_stepper_config, run
 from .initial_data import family_energy_scan, family_scales, w22_distance, l1_distance
 from .probes import probe_entropy_floor
 
@@ -97,8 +97,8 @@ def check_conservation(N: int, steps: int) -> tuple[bool, str]:
 
 def check_equilibrium(N: int = 256, sink: Sink | None = None) -> tuple[bool, str]:
     """The homogeneous pair u = v = 1 run to t = 0.25 at dt = 5e-3 (50
-    steps, every one sampled) stays put: per-sample change, D and
-    |F + |B|/2| at round-off."""
+    steps, every one sampled) stays put: the run completes within those
+    50 steps, and per-sample change, D and |F + |B|/2| stay at round-off."""
     g = make_grid(5, 1.0, N)
     cfg = default_stepper_config(g, t_end=0.25, dt_max=5e-3, output_every=1)
     u0, v0 = constant_field(g, 1.0), constant_field(g, 1.0)
@@ -113,13 +113,15 @@ def check_equilibrium(N: int = 256, sink: Sink | None = None) -> tuple[bool, str
         if sink is not None:
             sink(st, smp)
 
-    _, _, samples = run(u0, v0, cfg, sink=track)
+    _, summary, samples = run(u0, v0, cfg, sink=track, max_steps=50)
     D = max(x.D for x in samples)
     f_err = abs(samples[-1].F + 0.5 * g.ball_volume)
-    ok = worst <= 1e-12 and D <= 1e-12 and f_err <= 1e-9
+    done = summary.status is SimStatus.COMPLETED
+    ok = done and worst <= 1e-12 and D <= 1e-12 and f_err <= 1e-9
     return ok, (
         f"per-step change {worst:.2e} (<=1e-12), D={D:.2e} (<=1e-12), "
         f"|F + |Omega|/2| = {f_err:.2e} (<=1e-9) over {len(samples) - 1} steps"
+        + ("" if done else f", {summary.status.value} at t={summary.t_final:.6g}")
     )
 
 

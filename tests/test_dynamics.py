@@ -18,6 +18,7 @@ from radks.dynamics import (
     run,
     step,
 )
+from radks.energy import compute_energy
 from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import (
     RadialField,
@@ -514,6 +515,30 @@ def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     assert len(calls) == summary.steps + 1
     assert all(w is not None for w in seen)
     assert state.report.w is seen[-1]
+
+
+@pytest.mark.parametrize("sampled, calls", [(False, 5), (True, 3)])
+def test_step_makes_five_dpttrs_calls_and_three_from_a_sampled_state(
+    grid, monkeypatch, sampled, calls
+):
+    # w and u+ take a first solve and its refinement pass each; v+ refines
+    # the state's v in one pass; a sampled state's report already holds w
+    solver = build_solver(grid)
+    u, v = smooth_pair(grid, seed=3)
+    state = State(t=0.0, step=0, u=u, v=v, dt=1e-3)
+    if sampled:
+        state = replace(state, report=compute_energy(u, v, solver))
+    count = []
+    inner = helmholtz.dpttrs
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(helmholtz, "dpttrs", counting)
+    new = step(state, default_stepper_config(grid, t_end=1.0), solver)
+    assert new.status is SimStatus.RUNNING
+    assert len(count) == calls
 
 
 def test_trajectory_samples_hold_only_scalars(grid, solver):

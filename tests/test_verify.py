@@ -35,8 +35,10 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
     mass conservation) intact but corrupts every non-constant solve: the
     manufactured-solution and energy-identity checks catch it.  Constant
     states sit in the kernel of any stiffness tamper, but their round-off
-    does not: over the equilibrium check's 50 steps at N=256 it grows to
-    ~3e-11, past the 1e-12 bound on the per-step change.
+    does not.  The v-update refines from v, so the flipped flux drives its
+    whole increment: v anti-diffuses from round-off (a per-step change of
+    ~6e-2 at N=256) and the CFL step collapses.  The equilibrium check
+    stops at its 50 steps, short of t_end, and fails.
     """
 
     def flipped(out, values, weights):
