@@ -6,7 +6,8 @@ Snapshot.fields, which rejects a file written on any other mesh.
 
 Exit codes: 0 success (simulate: run completed), 2 blowup detected (the
 scientifically expected outcome, distinguishable in shell pipelines),
-1 stall or error.
+1 stall or error (a RadksError or an OSError, such as a missing input
+file, is one `error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 from .config import RunConfig, load_config, resolve_output_dir
@@ -84,9 +86,11 @@ def simulate_run(cfg: RunConfig):
 
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's states are not this run's: probe would read them
+    # an earlier run's states and summary are not this run's: probe would
+    # read the states, and a killed run would leave the old summary
     for stale in run_snapshots(outdir):
         stale.unlink()
+    (outdir / "summary.txt").unlink(missing_ok=True)
     pconf = cfg.probe
     v0_norm = w22_norm(v0)
     max_c = {"w": 0.0, "v": 0.0}
@@ -173,6 +177,8 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
     if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
+    if snapshot_dir and not Path(snapshot_dir).is_dir():
+        raise RadksError(f"snapshot directory {snapshot_dir} is not a directory")
     snaps = run_snapshots(snapshot_dir) if snapshot_dir else []
     pconf = cfg.probe
     solver, _, v0 = _initial_pair(cfg)
@@ -286,7 +292,7 @@ def main(argv=None) -> int:
         if args.verb == "energy":
             return cmd_energy(cfg, args.snapshot)
         raise AssertionError(f"unhandled verb {args.verb}")
-    except RadksError as exc:
+    except (RadksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

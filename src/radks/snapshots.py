@@ -6,9 +6,9 @@ line, an optional `# t=<repr>` line, `# rows=<N>` and the column line
 `r,u,v`), then the r, u and v columns, N raw little-endian float64
 values each, in that order.  w, f and g are derived from (u, v) by
 compute_energy, so they are not stored.  The raw bytes round-trip
-bit-exactly, and identical runs produce byte-identical files.  The
-reader still takes the CSV snapshots of versions 2 (r,u,v) and 1
-(r,u,v,w,f,g; its last three columns parsed and dropped).  A snapshot
+bit-exactly, and identical runs produce byte-identical files.  Only
+version 3 reads: the CSV snapshots of versions 2 and 1 are rejected,
+and write_snapshot makes a version-3 file of any state.  A snapshot
 carries no mesh header: Snapshot.fields reads it onto the grid the
 caller's config built, after checking that the r column holds that
 grid's cell centers, so graded and uniform meshes read back alike.
@@ -57,12 +57,6 @@ SNAPSHOT_COLUMNS = ["r", "u", "v"]
 _SNAPSHOT_VERSION_LINE = f"# format_version={SNAPSHOT_FORMAT_VERSION}\n".encode()
 _SNAPSHOT_COLUMN_LINE = (",".join(SNAPSHOT_COLUMNS) + "\n").encode()
 _SNAPSHOT_DTYPE = np.dtype("<f8")
-# the column header under each readable CSV snapshot version line; the
-# reader keeps r,u,v and drops version 1's w,f,g
-_CSV_SNAPSHOT_HEADERS = {
-    "# format_version=2": SNAPSHOT_COLUMNS,
-    "# format_version=1": ["r", "u", "v", "w", "f", "g"],
-}
 _SNAPSHOT_SUFFIX = ".snap"
 FINAL_SNAPSHOT_NAME = "snapshot_final" + _SNAPSHOT_SUFFIX
 DIAGNOSTICS_COLUMNS = ["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]
@@ -161,38 +155,33 @@ def write_snapshot(
 
 
 def read_snapshot(path) -> Snapshot:
-    """Read a version-3 (binary r,u,v) snapshot, or a version-2 (r,u,v)
-    or version-1 (r,u,v,w,f,g) CSV snapshot."""
+    """Read a version-3 snapshot: the header lines, then 3 * rows float64
+    values.  Any other first line, the CSV snapshots of versions 2 and 1
+    among them, is a SnapshotFormatError."""
     path = Path(path)
     data = path.read_bytes()
-    if data.startswith(_SNAPSHOT_VERSION_LINE):
-        return _read_binary_snapshot(path, data)
-    return _read_csv_snapshot(path, data.decode(errors="replace").splitlines())
-
-
-def _header(path, lines: list[str]) -> tuple[Optional[float], dict[str, str]]:
-    """(t, {key: value}) of `# key=value` header lines; t is None when absent."""
-    fields = {}
-    for line in lines:
-        key, _, value = line[1:].strip().partition("=")
-        fields[key.strip()] = value.strip()
-    if "t" not in fields:
-        return None, fields
-    try:
-        return float(fields["t"]), fields
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: malformed t line '# t={fields['t']}'") from exc
-
-
-def _read_binary_snapshot(path: Path, data: bytes) -> Snapshot:
-    """The version-3 layout: header lines, then 3 * rows float64 values."""
+    if not data.startswith(_SNAPSHOT_VERSION_LINE):
+        first = data.split(b"\n", 1)[0].decode(errors="replace").strip()
+        raise SnapshotFormatError(
+            f"{path}: expected '# format_version={SNAPSHOT_FORMAT_VERSION}' "
+            f"on the first line, got {first!r}"
+        )
     end = data.find(b"\n" + _SNAPSHOT_COLUMN_LINE)
     if end < 0:
         raise SnapshotFormatError(f"{path}: no column line {SNAPSHOT_COLUMNS} after the header")
     lines = data[len(_SNAPSHOT_VERSION_LINE):end + 1].decode(errors="replace").splitlines()
     if not all(line.startswith("#") for line in lines):
         raise SnapshotFormatError(f"{path}: header lines must start with '#', got {lines}")
-    t, fields = _header(path, lines)
+    fields = {}
+    for line in lines:
+        key, _, value = line[1:].partition("=")
+        fields[key.strip()] = value.strip()
+    t = None
+    if "t" in fields:
+        try:
+            t = float(fields["t"])
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: malformed t line '# t={fields['t']}'") from exc
     try:
         rows = int(fields["rows"])
     except (KeyError, ValueError) as exc:
@@ -201,45 +190,15 @@ def _read_binary_snapshot(path: Path, data: bytes) -> Snapshot:
         ) from exc
     if rows < 1:
         raise SnapshotFormatError(f"{path}: snapshot has no data rows")
-    body = data[end + 1 + len(_SNAPSHOT_COLUMN_LINE):]
+    start = end + 1 + len(_SNAPSHOT_COLUMN_LINE)
     expected = len(SNAPSHOT_COLUMNS) * rows * _SNAPSHOT_DTYPE.itemsize
-    if len(body) != expected:
+    if len(data) - start != expected:
         raise SnapshotFormatError(
-            f"{path}: body holds {len(body)} bytes, but {rows} rows of "
+            f"{path}: body holds {len(data) - start} bytes, but {rows} rows of "
             f"{SNAPSHOT_COLUMNS} as float64 take {expected}"
         )
-    r, u, v = np.frombuffer(body, dtype=_SNAPSHOT_DTYPE).astype(float).reshape(3, rows)
-    return Snapshot(path=path, r=r, u=u, v=v, t=t)
-
-
-def _read_csv_snapshot(path: Path, lines: list[str]) -> Snapshot:
-    """The CSV layouts of versions 2 and 1."""
-    first = lines[0].strip() if lines else ""
-    columns = _CSV_SNAPSHOT_HEADERS.get(first)
-    if columns is None:
-        raise SnapshotFormatError(
-            f"{path}: expected '# format_version={SNAPSHOT_FORMAT_VERSION}' "
-            f"(or 2 or 1) on the first line, got {first!r}"
-        )
-    pos = 1
-    while pos < len(lines) and lines[pos].startswith("#"):
-        pos += 1
-    t, _ = _header(path, lines[1:pos])
-    header = lines[pos].split(",") if pos < len(lines) else None
-    if header != columns:
-        raise SnapshotFormatError(f"{path}: expected header {columns}, got {header}")
-    rows = lines[pos + 1:]
-    if not any(rows):
-        raise SnapshotFormatError(f"{path}: snapshot has no data rows")
-    try:  # a ragged row or a non-number fails the parse; blank lines are skipped
-        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: malformed numeric data ({exc})") from exc
-    if data.shape[1] != len(columns):
-        raise SnapshotFormatError(
-            f"{path}: rows have {data.shape[1]} fields, expected {len(columns)}"
-        )
-    r, u, v = np.ascontiguousarray(data[:, :3].T)
+    # read-only views of data; Snapshot.fields copies them into the fields
+    r, u, v = np.frombuffer(data, dtype=_SNAPSHOT_DTYPE, offset=start).reshape(3, rows)
     return Snapshot(path=path, r=r, u=u, v=v, t=t)
 
 

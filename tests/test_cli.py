@@ -22,7 +22,7 @@ from radks.initial_data import (
     family_scales,
     w22_norm,
 )
-from radks.snapshots import read_diagnostics, read_snapshot, read_table
+from radks.snapshots import read_diagnostics, read_snapshot, read_table, write_snapshot
 
 BASE = """\
 # format_version=1
@@ -162,9 +162,18 @@ def test_simulate_stall_exit_code(tmp_path, monkeypatch):
     assert "status=stalled\nt_final=1.0\nt_blowup=\nsteps=2\n" in summary
 
 
-def test_simulate_corrupt_custom_snapshot_exit_one(tmp_path):
-    bad = tmp_path / "bad_snapshot.csv"
-    bad.write_text("# format_version=1\nr,u,v,w,f,g\n0.1,not_a_number,1,1,0,0\n")
+def write_base_snapshot(path) -> bytes:
+    """Write a format-3 snapshot of the BASE bump on BASE's grid at t = 0.5;
+    return its bytes."""
+    g = make_grid(5, 1.0, 96)
+    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3)
+    write_snapshot(path, g, u, v, t=0.5)
+    return path.read_bytes()
+
+
+def test_simulate_corrupt_custom_snapshot_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad_snapshot.snap"
+    bad.write_bytes(write_base_snapshot(bad)[:-8])  # the body lacks its last value
     path = tmp_path / "run.ini"
     path.write_text(
         "# format_version=1\n"
@@ -173,6 +182,32 @@ def test_simulate_corrupt_custom_snapshot_exit_one(tmp_path):
         f"[run]\noutdir = {tmp_path / 'out'}\n"
     )
     assert main(["-c", str(path), "simulate"]) == 1
+    assert "body holds" in capsys.readouterr().err
+
+
+def test_killed_simulate_leaves_no_old_summary(config_path, tmp_path, monkeypatch):
+    # a rerun that dies mid-run must not leave the earlier run's summary
+    # next to its own partial diagnostics
+    from radks import dynamics
+
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    assert (tmp_path / "out" / "summary.txt").exists()
+    real_step, calls = dynamics.step, []
+
+    class Killed(Exception):
+        pass
+
+    def dying_step(*args):
+        calls.append(None)
+        if len(calls) > 3:
+            raise Killed
+        return real_step(*args)
+
+    monkeypatch.setattr(dynamics, "step", dying_step)
+    with pytest.raises(Killed):
+        main(["-c", str(config_path), "simulate"])
+    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert read_diagnostics(tmp_path / "out" / "diagnostics.csv")
 
 
 def test_family_row_count_and_snapshots(config_path, tmp_path):
@@ -495,8 +530,8 @@ def test_energy_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):
 
 
 def test_energy_verb_rejects_malformed_t_line(config_path, tmp_path, capsys):
-    snap = tmp_path / "bad_t.csv"
-    snap.write_text("# format_version=2\n# t=abc\nr,u,v\n0.5,1,1\n")
+    snap = tmp_path / "bad_t.snap"
+    snap.write_bytes(write_base_snapshot(snap).replace(b"# t=0.5\n", b"# t=abc\n"))
     assert main(["-c", str(config_path), "energy", str(snap)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "t=abc" in captured.err
@@ -504,10 +539,42 @@ def test_energy_verb_rejects_malformed_t_line(config_path, tmp_path, capsys):
 
 
 def test_energy_verb_rejects_one_row_snapshot(config_path, tmp_path, capsys):
-    snap = tmp_path / "one.csv"
-    snap.write_text("# format_version=1\nr,u,v,w,f,g\n0.5,1,1,1,0,0\n")
+    snap = tmp_path / "one.snap"
+    body = np.array([0.5, 1.0, 1.0]).tobytes()  # r, u, v of one cell
+    snap.write_bytes(b"# format_version=3\n# rows=1\nr,u,v\n" + body)
     assert main(["-c", str(config_path), "energy", str(snap)]) == 1
     assert "mesh mismatch" in capsys.readouterr().err
+
+
+def test_energy_verb_rejects_csv_snapshot(config_path, tmp_path, capsys):
+    # the CSV snapshots of versions 2 and 1 no longer read
+    snap = tmp_path / "old.csv"
+    snap.write_text("# format_version=2\n# t=0.5\nr,u,v\n0.5,1,1\n")
+    assert main(["-c", str(config_path), "energy", str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected '# format_version=3'" in err
+    assert "got '# format_version=2'" in err
+
+
+@pytest.mark.parametrize("verb", ["energy", "probe"])
+def test_missing_input_file_is_error(config_path, tmp_path, capsys, verb):
+    missing = tmp_path / "missing.snap"
+    assert main(["-c", str(config_path), verb, str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.snap" in err
+    assert "Traceback" not in err
+
+
+def test_probe_rejects_missing_snapshot_dir(config_path, tmp_path, capsys):
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"),
+                 str(tmp_path / "no-such-dir")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert not (out / "probe_report.csv").exists()
 
 
 def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):

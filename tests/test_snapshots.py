@@ -99,7 +99,8 @@ def test_snapshot_r_column_follows_the_grid(tmp_path):
 
 
 # a version-1 snapshot as the r,u,v,w,f,g writer left it: the relaxed bump
-# (baseline 1, amplitude 0.5, width 0.3) on the 4-cell n=5 unit ball
+# (baseline 1, amplitude 0.5, width 0.3) on the 4-cell n=5 unit ball.
+# read_snapshot rejects it; the README's conversion line reads it
 VERSION_1_BYTES = (
     b"# format_version=1\n# t=0.25\nr,u,v,w,f,g\r\n"
     b"0.125,1.4203118716672527,1.0051956608731196,1.0130977646421102,"
@@ -113,18 +114,6 @@ VERSION_1_BYTES = (
 )
 
 
-def test_snapshot_reads_version_1(tmp_path):
-    g = make_grid(5, 1.0, 4)
-    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed")
-    path = tmp_path / "v1.csv"
-    path.write_bytes(VERSION_1_BYTES)
-    snap = read_snapshot(path)
-    assert snap.t == 0.25
-    assert np.array_equal(snap.r, g.centers)
-    assert np.array_equal(snap.u, u.values)
-    assert np.array_equal(snap.v, v.values)
-
-
 # the same state as the version-2 (r,u,v) CSV writer left it
 VERSION_2_BYTES = (
     b"# format_version=2\n# t=0.25\nr,u,v\r\n"
@@ -135,29 +124,20 @@ VERSION_2_BYTES = (
 )
 
 
-def test_snapshot_reads_version_2(tmp_path):
+@pytest.mark.parametrize("data", [VERSION_1_BYTES, VERSION_2_BYTES], ids=["v1", "v2"])
+def test_readme_converts_csv_snapshots(tmp_path, data):
+    # the README's one-line conversion of a version-1 or -2 file, then
+    # write_snapshot on the mesh it was written on
     g = make_grid(5, 1.0, 4)
     u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed")
-    path = tmp_path / "v2.csv"
-    path.write_bytes(VERSION_2_BYTES)
-    snap = read_snapshot(path)
-    assert snap.t == 0.25
-    assert np.array_equal(snap.r, g.centers)
-    assert np.array_equal(snap.u, u.values)
-    assert np.array_equal(snap.v, v.values)
-
-
-def test_custom_base_reads_version_3_and_version_2_alike(tmp_path):
-    g = make_grid(5, 1.0, 4)
-    u, v = base_data("bump", g, baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed")
-    v2, v3 = tmp_path / "v2.csv", tmp_path / "v3.snap"
-    v2.write_bytes(VERSION_2_BYTES)
-    write_snapshot(v3, g, u, v, t=0.25)
-    from_v2 = base_data("custom", g, path=str(v2))
-    from_v3 = base_data("custom", g, path=str(v3))
-    for a, b, want in zip(from_v2, from_v3, (u, v)):
-        assert np.array_equal(a.values, want.values)
-        assert np.array_equal(b.values, want.values)
+    old, new = tmp_path / "old.csv", tmp_path / "new.snap"
+    old.write_bytes(data)
+    r, u1, v1 = np.loadtxt(old, delimiter=",", comments=("#", "r,"), usecols=(0, 1, 2), unpack=True)
+    assert np.array_equal(r, g.centers)
+    write_snapshot(new, g, RadialField(u1, g), RadialField(v1, g))
+    u2, v2 = read_snapshot(new).fields(g)
+    assert np.array_equal(u2.values, u.values)
+    assert np.array_equal(v2.values, v.values)
 
 
 V3_HEAD = b"# format_version=3\n# t=0.5\n# rows=4\nr,u,v\n"
@@ -211,7 +191,7 @@ def test_snapshot_rejects_missing_version(tmp_path):
 
 
 def test_snapshot_rejects_non_text_file(tmp_path):
-    # neither version 3 nor CSV text: a format error, not a decode error
+    # not version 3: a format error, not a decode error
     path = tmp_path / "bad.snap"
     path.write_bytes(bytes(range(256)))
     with pytest.raises(SnapshotFormatError):
@@ -219,42 +199,15 @@ def test_snapshot_rejects_non_text_file(tmp_path):
 
 
 def test_snapshot_rejects_bad_header(tmp_path):
-    _assert_rejected(tmp_path, "# format_version=1\nr,u,v\n0.1,1,1\n")
-    _assert_rejected(tmp_path, "# format_version=2\nr,u,v,w,f,g\n0.1,1,1,1,0,0\n")
-    _assert_rejected(tmp_path, "# format_version=2\nr,v,u\n0.1,1,1\n")
-    _assert_rejected(tmp_path, "# format_version=2\n# t=0.5\n")
-
-
-def test_snapshot_rejects_corrupt_numbers(tmp_path):
-    _assert_rejected(tmp_path, "# format_version=1\nr,u,v,w,f,g\n0.1,one,1,1,0,0\n")
-    # version 1's w, f and g are dropped, but only after they parsed
-    _assert_rejected(tmp_path, "# format_version=1\nr,u,v,w,f,g\n0.1,1,1,one,0,0\n")
-    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n0.1,one,1\n")
-    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n0.1,,1\n")
-    _assert_rejected(tmp_path, "# format_version=2\nr,u,v\n")
-
-
-def test_snapshot_rejects_malformed_t_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# format_version=2\n# t=abc\nr,u,v\n0.1,1,1\n")
-    with pytest.raises(SnapshotFormatError, match="t=abc"):
-        read_snapshot(path)
-
-
-V1 = "# format_version=1\nr,u,v,w,f,g\n"
-V2 = "# format_version=2\nr,u,v\n"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [V1 + "0.1,1,1,1,0,0\n0.2,1,1,1,0\n", V1 + "0.1,1,1,1,0\n0.2,1,1,1,0\n",
-     V1 + "0.1,1,1,1,0,0,9\n",
-     V2 + "0.1,1,1\n0.2,1\n", V2 + "0.1,1\n0.2,1\n", V2 + "0.1,1,1,9\n"],
-    ids=["one-row-short", "every-row-short", "extra-field",
-         "v2-one-row-short", "v2-every-row-short", "v2-extra-field"],
-)
-def test_snapshot_rejects_wrong_field_count(tmp_path, text):
-    _assert_rejected(tmp_path, text)
+    # the CSV snapshots of versions 1 and 2 no longer read: the error names
+    # the expected and the found first line
+    path = tmp_path / "old.csv"
+    for version, data in ((1, VERSION_1_BYTES), (2, VERSION_2_BYTES)):
+        path.write_bytes(data)
+        with pytest.raises(SnapshotFormatError, match=(
+            f"expected '# format_version=3' on the first line, got '# format_version={version}'"
+        )):
+            read_snapshot(path)
 
 
 def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
