@@ -13,6 +13,7 @@ file, is one `error: ...` line on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -51,7 +52,7 @@ from .snapshots import (
 )
 from . import verify as verify_mod
 
-__all__ = ["main", "simulate_run"]
+__all__ = ["main", "entry_point", "simulate_run"]
 
 
 def _build_problem(cfg: RunConfig):
@@ -104,7 +105,8 @@ def simulate_run(cfg: RunConfig):
             m = sample.mass
             max_c["w"] = max(max_c["w"], probe_pointwise_w(state.report.w, m).implied_c)
             max_c["v"] = max(
-                max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c
+                max_c["v"],
+                probe_pointwise_v(state.v, pconf, m, v0_norm, state.face_velocity).implied_c,
             )
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 write_snapshot(
@@ -177,9 +179,18 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
     if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
-    if snapshot_dir and not Path(snapshot_dir).is_dir():
-        raise RadksError(f"snapshot directory {snapshot_dir} is not a directory")
-    snaps = run_snapshots(snapshot_dir) if snapshot_dir else []
+    snaps = []
+    if snapshot_dir:
+        if not Path(snapshot_dir).is_dir():
+            raise RadksError(f"snapshot directory {snapshot_dir} is not a directory")
+        # a family-only outdir or a mistyped sibling folder would otherwise
+        # give a report without a single state row
+        snaps = run_snapshots(snapshot_dir)
+        if not snaps:
+            raise RadksError(
+                f"snapshot directory {snapshot_dir} holds no run snapshot "
+                "(snapshot_<8 digits>.snap or snapshot_final.snap)"
+            )
     pconf = cfg.probe
     solver, _, v0 = _initial_pair(cfg)
     v0_norm = w22_norm(v0)
@@ -297,5 +308,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry_point() -> int:
+    """main for a process of its own: the `radks` script and `python -m
+    radks.cli`.
+
+    gc.freeze() moves every object the imports made out of the collector's
+    reach, so no later collection walks them again, the one at interpreter
+    shutdown included, and the pool workers sweep forks share those pages
+    untouched.  main(argv) called in-process leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -22,7 +22,9 @@ the last step at t_end - t and never stretches a step to reach it.
 
 Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
-next adapt_dt); three solves, (a) to (c), in five LAPACK dpttrs calls:
+next adapt_dt and the energy report); one max and one min of each new
+field, which both check that it is finite and give the state its sup u
+and min u; three solves, (a) to (c), in five LAPACK dpttrs calls:
 (a) and (c) make two each (a first solve and its refinement pass), and
 (b) one, the refinement pass of v itself, which is within O(dt) of v+
 (shifted_solve's guess); and two factorizations, of the (b) and (c)
@@ -89,6 +91,8 @@ class State:
     face_velocity is v_r at the faces, gradient_faces(v): the step that
     builds a state sets it from the flux it already took, and a state
     built by hand computes it on first use.  It is read-only, like u and v.
+    sup and min_u, sup_norm(u) and min u, come the same way: step takes
+    them from the reductions that check the new fields are finite.
     """
 
     t: float
@@ -105,12 +109,21 @@ class State:
         vel.setflags(write=False)
         return vel
 
+    @cached_property
+    def sup(self) -> float:
+        return sup_norm(self.u)
+
+    @cached_property
+    def min_u(self) -> float:
+        return float(self.u.values.min())
+
 
 def _evolve(state: State, **changes) -> State:
     """dataclasses.replace(state, **changes) for fields other than u and v.
 
-    Copies the instance dict, so the cached face velocity comes along and
-    the run loop does not pay replace's walk over the fields every step.
+    Copies the instance dict, so the cached face velocity, sup and min u
+    come along and the run loop does not pay replace's walk over the
+    fields every step.
     """
     new = object.__new__(State)
     new.__dict__.update(state.__dict__, **changes)
@@ -257,23 +270,35 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     np.subtract(state.u.values, rhs, out=rhs)
     u_new = shifted_solve(solver, 1.0, dt, rhs)
     t = state.t + dt
-    ok = t != state.t and np.isfinite(u_new).all() and np.isfinite(v_new).all()
-    new = State(
+    # a NaN makes both reductions NaN and an infinity shows in one of them,
+    # so the four are finite exactly when both fields are
+    u_max, u_min = np.maximum.reduce(u_new), np.minimum.reduce(u_new)
+    v_max, v_min = np.maximum.reduce(v_new), np.minimum.reduce(v_new)
+    ok = t != state.t and all(map(math.isfinite, (u_max, u_min, v_max, v_min)))
+    # built like _evolve's states, without the frozen __init__; the cached
+    # properties come filled, so adapt_dt, run and the sample read this v_r,
+    # sup and min u without a second pass over the same field
+    new = object.__new__(State)
+    new.__dict__.update(
         t=t,
         step=state.step + 1,
         u=_adopt(u_new, grid),
         v=v_plus,
         dt=dt,
         status=SimStatus.RUNNING if ok else SimStatus.STALLED,
+        report=None,
+        face_velocity=vel,
+        # max |u_i| is the larger of |max u| and |min u|; abs makes it +0.0
+        # on a zero field, as sup_norm does
+        sup=float(max(abs(u_max), abs(u_min))),
+        min_u=float(u_min),
     )
-    # fill the cached property, so adapt_dt reads this v_r without a
-    # second gradient of the same v
-    new.__dict__["face_velocity"] = vel
     return new
 
 
 def detect_blowup(state: State, cfg: StepperConfig, sup0: float, sup: float) -> SimStatus:
-    """Classify the current state; sup is sup_norm(state.u), taken by run.
+    """Classify the current state; sup is sup_norm(state.u) (run passes
+    the state's own sup).
 
     BLOWN_UP when sup has grown past sup0 and reaches blowup_factor *
     sup0 (a zero density never blows up), STALLED when sup is not
@@ -325,7 +350,7 @@ def _sample(
     state: State, solver: HelmholtzSolver, prev: Optional[TrajectorySample]
 ) -> tuple[State, TrajectorySample]:
     """The diagnostics of state, and state carrying its energy report."""
-    rep = compute_energy(state.u, state.v, solver)
+    rep = compute_energy(state.u, state.v, solver, state.face_velocity)
     res = 0.0
     if prev is not None and state.t > prev.t:
         res = identity_residual(prev, rep, state.t - prev.t)
@@ -333,13 +358,13 @@ def _sample(
         t=state.t,
         dt=state.dt,
         mass=integrate(state.u),
-        sup_u=sup_norm(state.u),
+        sup_u=state.sup,
         F=rep.F,
         D=rep.D,
         identity_residual=res,
         int_v=integrate(state.v),
         int_w=integrate(rep.w),
-        min_u=float(state.u.values.min()),
+        min_u=state.min_u,
     )
 
 
@@ -357,16 +382,16 @@ def run(
     termination; sink (if given) receives each emitted (state, sample),
     the state carrying its energy report, as does the returned final state.
     """
-    if u0.values.min() < 0.0:
+    state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
+    if state.min_u < 0.0:
         raise ConfigurationError("initial cell density must be nonnegative")
     if not u0.grid.same_as(v0.grid):
         raise GridMismatchError("u0 and v0 live on different grids")
     if solver is None:
         solver = build_solver(u0.grid)
 
-    state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
-    sup0 = sup_norm(u0)
-    peak = sup0
+    # the one sup_norm of the run: every stepped state carries its own sup
+    sup0 = peak = state.sup
 
     samples: list[TrajectorySample] = []
 
@@ -384,10 +409,9 @@ def run(
         if max_steps is not None and state.step >= max_steps:
             break
         state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
-        s = sup_norm(state.u)
-        peak = max(peak, s)
+        peak = max(peak, state.sup)
         if state.status is SimStatus.RUNNING:
-            status = detect_blowup(state, cfg, sup0, sup=s)
+            status = detect_blowup(state, cfg, sup0, sup=state.sup)
             if status is not state.status:
                 state = _evolve(state, status=status)
         if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:

@@ -6,8 +6,12 @@ from f = (I - L)v - w and a transport part built from the face quantity
 g = u_r/sqrt(u) - sqrt(u) v_r.  The same discrete operator (I - L) is
 used for w, f, and the quadratic term: (I - L)v is v - grid.laplacian(v),
 the flux-form L that the solve for w refines against.  So (I - L)v = f + w
-holds exactly and the identity residual measures only the time
-discretization.
+holds exactly.  The identity residual is still not a time-discretization
+error alone: it barely moves with dt (the first-decade residual of the
+README blowup at N=1024 is 6.71 at cfl 0.9 and 5.86 at cfl 0.01).  Most
+of it is spatial, the gap between D's transport term (g with the
+arithmetic face mean) and the dissipation of the upwind flux the step
+takes.
 
 compute_energy is the one evaluation of a state: its EnergyReport
 carries the fields w, f and g next to the integrals, so the stepper
@@ -17,6 +21,7 @@ and the probes read them instead of solving again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -59,19 +64,25 @@ class EnergyReport:
     g: np.ndarray = field(compare=False, repr=False)
 
 
-def compute_g(u: RadialField, v: RadialField) -> np.ndarray:
+def compute_g(
+    u: RadialField,
+    v: RadialField,
+    vr: Optional[np.ndarray] = None,
+    ubar: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Face-sampled g = u_r/sqrt(ubar) - sqrt(ubar) v_r, zero at the ends.
 
     ubar is the arithmetic face mean floored at DENSITY_FLOOR; faces that
-    needed the floor are counted by compute_energy.
+    needed the floor are counted by compute_energy.  vr and ubar, when
+    given, are the caller's gradient_faces(v) and unfloored face_means(u),
+    taken as they are.
     """
     if not u.grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     g = np.zeros(u.grid.N + 1)
-    ubar = np.maximum(face_means(u), DENSITY_FLOOR)
-    root = np.sqrt(ubar)
+    root = np.sqrt(np.maximum(face_means(u) if ubar is None else ubar, DENSITY_FLOOR))
     ur = gradient_faces(u)[1:-1]
-    vr = gradient_faces(v)[1:-1]
+    vr = (gradient_faces(v) if vr is None else vr)[1:-1]
     g[1:-1] = ur / root - root * vr
     return g
 
@@ -80,8 +91,13 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0.0, u * np.log(np.maximum(u, DENSITY_FLOOR)), 0.0)
 
 
-def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
-    """Evaluate every term of F and D at the state (u, v), with w, f and g."""
+def compute_energy(
+    u: RadialField, v: RadialField, solver: HelmholtzSolver, vr: Optional[np.ndarray] = None
+) -> EnergyReport:
+    """Evaluate every term of F and D at the state (u, v), with w, f and g.
+
+    vr, when given, is gradient_faces(v), such as a State's face_velocity.
+    """
     grid = u.grid
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
@@ -97,9 +113,10 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
     fr = gradient_faces(f)
     grad_f = float(np.sum(fr * fr * weights))
     f_sq = float(np.sum(f.values * f.values * grid.volumes))
-    g = compute_g(u, v)
+    ubar = face_means(u)
+    g = compute_g(u, v, vr, ubar)
     g_sq = float(np.sum(g * g * weights))
-    regularized = int(np.count_nonzero(face_means(u) <= DENSITY_FLOOR))
+    regularized = int(np.count_nonzero(ubar <= DENSITY_FLOOR))
 
     return EnergyReport(
         F=entropy - mixed + quad,
@@ -120,8 +137,8 @@ def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> E
 def identity_residual(before, after, delta_t: float) -> float:
     """Normalized defect of dF/dt + D = 0 between two diagnostic samples.
 
-    D is time-averaged with the trapezoid rule, so the residual isolates
-    the first-order splitting error of the stepper.  Only .F and .D are
+    D is time-averaged with the trapezoid rule; the module docstring says
+    what the residual measures.  Only .F and .D are
     read, so before and after may be EnergyReports or TrajectorySamples.
     """
     if not delta_t > 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class Grid:
     r = R.  Face gradients divide by it and face quadratures weight by
     face_weights = face_areas * spacing.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction, apart from the cache of face_power;
+    safe to share between threads.
     """
 
     n: int
@@ -89,6 +91,21 @@ class Grid:
             and self.R == other.R
             and self.h_min == other.h_min
         )
+
+    @cached_property
+    def _face_powers(self) -> dict:
+        return {}
+
+    def face_power(self, p: float) -> np.ndarray:
+        """r^p at the N-1 interior faces, read-only.
+
+        Computed once per exponent and kept on this grid, so a probe that
+        weights every sample of a run by the same power pays for it once.
+        """
+        powers = self._face_powers
+        if p not in powers:
+            powers[p] = _readonly(self.faces[1:-1] ** p)
+        return powers[p]
 
 
 def _log_expm1(x):

@@ -124,7 +124,7 @@ def probe_pointwise_w(w: RadialField, m: float) -> ProbeResult:
     r = grid.faces[1:-1]
     wbar = face_means(w)
     wr = gradient_faces(w)[1:-1]
-    implied = float(np.max(r ** (grid.n - 2) * (wbar + r * np.abs(wr)))) / m
+    implied = float(np.max(grid.face_power(grid.n - 2) * (wbar + r * np.abs(wr)))) / m
     return ProbeResult(
         name="pointwise_w",
         lhs=implied * m,
@@ -134,15 +134,23 @@ def probe_pointwise_w(w: RadialField, m: float) -> ProbeResult:
 
 
 def probe_pointwise_v(
-    v: RadialField, config: ProbeConfig, m: float, v0_norm: float
+    v: RadialField,
+    config: ProbeConfig,
+    m: float,
+    v0_norm: float,
+    vr: Optional[np.ndarray] = None,
 ) -> ProbeResult:
-    """Implied constant of r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}})."""
+    """Implied constant of r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}}).
+
+    vr, when given, is gradient_faces(v), such as a State's face_velocity.
+    """
     grid = v.grid
     r = grid.faces[1:-1]
     vbar = face_means(v)
-    vr = gradient_faces(v)[1:-1]
+    vr = (gradient_faces(v) if vr is None else vr)[1:-1]
     scale = m + v0_norm
-    implied = float(np.max(r**config.beta * (vbar / r**2 + np.abs(vr) / r))) / scale
+    weighted = vbar / grid.face_power(2) + np.abs(vr) / r
+    implied = float(np.max(grid.face_power(config.beta) * weighted)) / scale
     return ProbeResult(
         name="pointwise_v",
         lhs=implied * scale,

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -575,6 +576,47 @@ def test_probe_rejects_missing_snapshot_dir(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-dir" in err
     assert not (out / "probe_report.csv").exists()
+
+
+@pytest.mark.parametrize("contents", ["family", "empty"])
+def test_probe_rejects_a_snapshot_dir_without_run_snapshots(
+    config_path, tmp_path, capsys, contents
+):
+    # a family-only outdir or an empty folder holds no state to probe: an
+    # error, not a report of the trajectory rows alone
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    diag = tmp_path / "out" / "diagnostics.csv"
+    snap_dir = tmp_path / "snaps"
+    if contents == "family":
+        assert main(["-c", str(config_path), "--set", f"run.outdir={snap_dir}", "family"]) == 0
+        assert list(snap_dir.glob("snapshot_eta_*.snap"))
+    else:
+        snap_dir.mkdir()
+    capsys.readouterr()
+    assert main(["-c", str(config_path), "probe", str(diag), str(snap_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(snap_dir) in err[0]
+    assert "snapshot_<8 digits>.snap" in err[0] and "snapshot_final.snap" in err[0]
+    assert not (tmp_path / "out" / "probe_report.csv").exists()
+    # without a directory probe reports the trajectory alone
+    assert main(["-c", str(config_path), "probe", str(diag)]) == 0
+    assert len(read_table(tmp_path / "out" / "probe_report.csv")[1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(config_path):
+    frozen = gc.get_freeze_count()
+    assert main(["-c", str(config_path), "simulate"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_point_freezes_the_heap_before_main(config_path, monkeypatch):
+    # the one entry of the console script and of python -m radks.cli
+    events = []
+    monkeypatch.setattr(radks.cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(radks.cli, "main", lambda: events.append("main") or 2)
+    assert radks.cli.entry_point() == 2
+    assert events == ["freeze", "main"]
 
 
 def test_probe_verb_rejects_graded_snapshot(config_path, tmp_path, capsys):

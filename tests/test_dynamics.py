@@ -554,23 +554,77 @@ def test_trajectory_samples_hold_only_scalars(grid, solver):
         assert all(issubclass(kind, (int, float)) for kind in held.values()), held
 
 
-def test_run_takes_one_sup_norm_per_step(grid, monkeypatch):
-    # run hands the sup norm it records to detect_blowup instead of letting
-    # it take a second one of the same state
-    calls = []
-    inner = dynamics.sup_norm
+@pytest.mark.parametrize("max_steps, output_every", [(5, 2), (12, 1), (9, 4)])
+def test_run_takes_one_sup_norm_per_run(grid, monkeypatch, max_steps, output_every):
+    # run takes sup_norm once, for sup0, however many steps and samples it
+    # makes: every stepped state carries its sup and min u from the step's
+    # own reductions, and they are the values sup_norm and min give, bit
+    # for bit
+    inner_sup, inner_step = dynamics.sup_norm, dynamics.step
+    calls, stepped, emitted = [], [], []
 
     def counting(f):
         calls.append(f)
-        return inner(f)
+        return inner_sup(f)
+
+    def recording(*args):
+        stepped.append(inner_step(*args))
+        return stepped[-1]
 
     monkeypatch.setattr(dynamics, "sup_norm", counting)
-    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=2)
+    monkeypatch.setattr(dynamics, "step", recording)
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=output_every)
     u0, v0 = smooth_pair(grid, seed=2)
-    _, summary, samples = run(u0, v0, cfg, max_steps=5)
-    assert summary.steps == 5
-    # sup0, one per step, one per sample
-    assert len(calls) == 1 + summary.steps + len(samples)
+    _, summary, samples = run(
+        u0, v0, cfg, max_steps=max_steps, sink=lambda state, smp: emitted.append((state, smp))
+    )
+    assert summary.steps == len(stepped) == max_steps
+    assert len(calls) == 1 and calls[0] is u0
+    sups = [inner_sup(u0)] + [inner_sup(state.u) for state in stepped]
+    assert summary.peak_sup.hex() == max(sups).hex()
+    assert len(emitted) == len(samples) > 2
+    for state, smp in emitted:
+        assert smp.sup_u.hex() == inner_sup(state.u).hex()
+        assert smp.min_u.hex() == float(state.u.values.min()).hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    N=st.integers(min_value=4, max_value=256),
+    h_min_exp=st.one_of(st.none(), st.integers(min_value=-12, max_value=-3)),
+    zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    bad_in_u=st.booleans(),
+)
+def test_stepped_state_carries_its_own_reductions(
+    N, h_min_exp, zero_frac, sign, seed, bad, bad_in_u
+):
+    # uniform and graded meshes down to h_min 1e-12; zero_frac 1 makes u
+    # vanish (as -0.0 when sign is -1), whose sup must be +0.0 as sup_norm
+    # gives it, and a negative u has its sup at min u
+    g = make_grid(5, 1.0, N, h_min=None if h_min_exp is None else 10.0**h_min_exp)
+    rng = np.random.default_rng(seed)
+    u = sign * rng.uniform(0.0, 1e3, N) * (rng.random(N) >= zero_frac)
+    v = rng.uniform(0.0, 1e2, N)
+    solver = build_solver(g)
+    cfg = default_stepper_config(g, t_end=1.0, dt_max=1e-2)
+    state = State(0.0, 0, RadialField(u, g), RadialField(v, g), cfg.dt_init)
+    dt = adapt_dt(state, cfg)
+    new = step(replace(state, dt=dt), cfg, solver)
+    assert new.status is SimStatus.RUNNING
+    assert new.sup.hex() == sup_norm(new.u).hex()
+    assert new.min_u.hex() == float(new.u.values.min()).hex()
+    assert new.face_velocity.tobytes() == gradient_faces(new.v).tobytes()
+
+    # a non-finite value in either field stalls the step
+    planted = (u if bad_in_u else v).copy()
+    planted[rng.integers(N)] = bad
+    u_bad, v_bad = (planted, v) if bad_in_u else (u, planted)
+    bad_state = State(0.0, 0, RadialField(u_bad, g), RadialField(v_bad, g), dt)
+    with np.errstate(all="ignore"):
+        assert step(bad_state, cfg, solver).status is SimStatus.STALLED
 
 
 @pytest.mark.parametrize("h_min", [None, 1e-4], ids=["uniform", "graded"])

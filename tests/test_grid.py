@@ -153,6 +153,19 @@ def test_integrate_linearity():
     )
 
 
+def test_face_power_is_kept_on_its_own_grid():
+    # each grid keeps its own powers: a second grid on another radius,
+    # built after the first is gone, never reads the first one's
+    def power(R):
+        g = make_grid(5, R, 32)
+        first = g.face_power(4.5)
+        assert g.face_power(4.5) is first and not first.flags.writeable
+        assert first.tobytes() == (g.faces[1:-1] ** 4.5).tobytes()
+        return first
+
+    assert power(1.0).tobytes() != power(2.0).tobytes()
+
+
 def test_sup_norm_cases():
     g = make_grid(5, 1.0, 8)
     assert sup_norm(constant_field(g, -3.0)) == 3.0
