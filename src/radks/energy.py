@@ -46,8 +46,9 @@ DENSITY_FLOOR = 1e-300
 class EnergyReport:
     """Energy, dissipation, their components, and the fields behind them.
 
-    w = (I - L)^{-1} u and f = (I - L)v - w are cell fields, g is
-    face-sampled (compute_g); they do not take part in comparisons.
+    w = (I - L)^{-1} u, f = (I - L)v - w and lap_v = L v are cell
+    fields, g is face-sampled (compute_g); they do not take part in
+    comparisons.  A report built by hand may leave lap_v out.
     """
 
     F: float
@@ -62,6 +63,7 @@ class EnergyReport:
     w: RadialField = field(compare=False, repr=False)
     f: RadialField = field(compare=False, repr=False)
     g: np.ndarray = field(compare=False, repr=False)
+    lap_v: Optional[RadialField] = field(default=None, compare=False, repr=False)
 
 
 def compute_g(
@@ -94,7 +96,7 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
 def compute_energy(
     u: RadialField, v: RadialField, solver: HelmholtzSolver, vr: Optional[np.ndarray] = None
 ) -> EnergyReport:
-    """Evaluate every term of F and D at the state (u, v), with w, f and g.
+    """Evaluate every term of F and D at the state (u, v), with w, f, g and L v.
 
     vr, when given, is gradient_faces(v), such as a State's face_velocity.
     """
@@ -102,20 +104,22 @@ def compute_energy(
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     w = solve(solver, u)
-    opv = v.values - laplacian(v).values
+    lap_v = laplacian(v)
+    opv = v.values - lap_v.values
     f = _adopt(opv - w.values, grid)
 
-    entropy = float(np.sum(_entropy_density(u.values) * grid.volumes))
-    mixed = float(np.sum(u.values * v.values * grid.volumes))
-    quad = 0.5 * float(np.sum(opv * opv * grid.volumes))
+    # np.add.reduce is the pairwise sum np.sum calls, without its wrapper
+    entropy = float(np.add.reduce(_entropy_density(u.values) * grid.volumes))
+    mixed = float(np.add.reduce(u.values * v.values * grid.volumes))
+    quad = 0.5 * float(np.add.reduce(opv * opv * grid.volumes))
 
     weights = grid.face_weights
     fr = gradient_faces(f)
-    grad_f = float(np.sum(fr * fr * weights))
-    f_sq = float(np.sum(f.values * f.values * grid.volumes))
+    grad_f = float(np.add.reduce(fr * fr * weights))
+    f_sq = float(np.add.reduce(f.values * f.values * grid.volumes))
     ubar = face_means(u)
     g = compute_g(u, v, vr, ubar)
-    g_sq = float(np.sum(g * g * weights))
+    g_sq = float(np.add.reduce(g * g * weights))
     regularized = int(np.count_nonzero(ubar <= DENSITY_FLOOR))
 
     return EnergyReport(
@@ -131,6 +135,7 @@ def compute_energy(
         w=w,
         f=f,
         g=g,
+        lap_v=lap_v,
     )
 
 

@@ -255,7 +255,7 @@ def integrate(field: RadialField) -> float:
     NumPy's pairwise sum: deterministic, and accurate to round-off (a
     relative error of O(log N) ulps of sum |f_i| V_i).
     """
-    return float((field.values * field.grid.volumes).sum())
+    return float(np.add.reduce(field.values * field.grid.volumes))
 
 
 def sup_norm(field: RadialField) -> float:

@@ -26,7 +26,6 @@ solve, which is >= 0 for rhs >= 0 and depends on rhs alone.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
@@ -133,13 +132,14 @@ def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
 class HelmholtzSolver:
     """Reusable factorization of (I - L) on one grid.
 
-    _shifted holds (key, factors) of the last two operators shifted_solve
-    factored, newest first: the stepper's v- and u-operators of one dt.
+    _shifted maps (alpha, beta) to the factors of the last two operators
+    shifted_solve factored, oldest first: the stepper's v- and u-operators
+    of one dt.
     """
 
     grid: Grid
     _factor: tuple[np.ndarray, ...]
-    _shifted: list = field(default_factory=list, repr=False, compare=False)
+    _shifted: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_solver(grid: Grid) -> HelmholtzSolver:
@@ -175,20 +175,17 @@ def shifted_solve(
     must not depend on the state it steps from.  guess is only read.
 
     The factors of the last two (alpha, beta) pairs stay on the solver
-    and are reused when the same pair comes back; the key is the exact
-    bits of the two floats, so a reused factor is the one a fresh
-    factorization would give.  Raises ConfigurationError when the
-    operator is not positive definite.
+    and are reused when an equal pair comes back, so a reused factor is
+    the one a fresh factorization would give (beta = -0.0 and +0.0 share
+    one, whose couplings differ only in the sign of zero).  Raises
+    ConfigurationError when the operator is not positive definite.
     """
-    key = struct.pack("dd", alpha, beta)
     recent = solver._shifted
-    for known, factor in recent:
-        if known == key:
-            break
-    else:
-        del recent[1:]  # keep two pairs alive at most, the new one included
-        factor = _factor(solver.grid, alpha, beta)
-        recent.insert(0, (key, factor))
+    factor = recent.get((alpha, beta))
+    if factor is None:
+        if len(recent) > 1:  # keep two pairs alive at most, the new one included
+            del recent[next(iter(recent))]
+        factor = recent[alpha, beta] = _factor(solver.grid, alpha, beta)
     if guess is None:
         return _solve(solver.grid, factor, rhs)
     return _refine(factor, solver.grid.volumes * rhs, guess)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import RadialField, face_means, gradient_faces, integrate, laplacian
+from .grid import RadialField, face_means, gradient_faces, integrate
 from .energy import EnergyReport
 
 __all__ = [
@@ -303,7 +303,7 @@ def probe_local_inequalities(
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
     basis and reported through the implied constant.  report is
-    compute_energy(u, v, solver); its w, f and g and its whole-ball
+    compute_energy(u, v, solver); its w, f, g and L v and its whole-ball
     integrals of |grad f|^2 and g^2 are read, not recomputed.
     """
     grid = u.grid
@@ -315,7 +315,7 @@ def probe_local_inequalities(
     kappa = config.kappa
     m = integrate(u)
     w, f, g = report.w, report.f, report.g
-    lap_v = laplacian(v)
+    lap_v = report.lap_v
     vr = gradient_faces(v)
     fr = gradient_faces(f)
 
