@@ -30,7 +30,12 @@ and min u; three solves, (a) to (c), in five LAPACK dpttrs calls:
 (shifted_solve's guess); and two factorizations, of the (b) and (c)
 operators, only when dt moves to another rung of adapt_dt's ladder
 2^(k/16).  A sampled state skips (a), so its step makes three dpttrs
-calls: its energy report already solved w.
+calls: its energy report already solved w.  (b) and (c) hand
+shifted_solve their right-hand sides as cell integrals, V (v + dt w) and
+V u - dt (F+ - F-) with F the upwind face fluxes, the form the solves
+work in, so no flux is divided by V only to be multiplied back.
+adapt_dt's stability bound takes one reduction, over the transit and
+outflow rates together.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .grid import (
     Grid,
     RadialField,
     _adopt,
-    flux_divergence,
     gradient_faces,
     integrate,
     sup_norm,
@@ -262,16 +266,21 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     grid = state.u.grid
     dt = state.dt
     w = state.report.w if state.report is not None else solve(solver, state.u)
-    v_rhs = w.values * dt
-    v_rhs += state.v.values
-    v_new = shifted_solve(solver, 1.0 + dt, dt, v_rhs, guess=state.v.values)
+    # both right-hand sides are cell integrals: V (v + dt w), and
+    # V u - dt (F+ - F-) from the upwind face fluxes F
+    b = w.values * dt
+    b += state.v.values
+    b *= grid.volumes
+    v_new = shifted_solve(solver, 1.0 + dt, dt, b, guess=state.v.values)
     v_plus = _adopt(v_new, grid)
     vel = gradient_faces(v_plus)
     vel.setflags(write=False)
-    rhs = flux_divergence(grid, advective_flux(state.u, vel))
-    rhs *= dt
-    np.subtract(state.u.values, rhs, out=rhs)
-    u_new = shifted_solve(solver, 1.0, dt, rhs)
+    flux = advective_flux(state.u, vel)
+    outflow = np.subtract(flux[1:], flux[:-1])
+    outflow *= dt
+    b = grid.volumes * state.u.values
+    b -= outflow
+    u_new = shifted_solve(solver, 1.0, dt, b)
     t = state.t + dt
     # a NaN makes both reductions NaN and an infinity shows in one of them,
     # so the four are finite exactly when both fields are

@@ -34,7 +34,6 @@ __all__ = [
     "face_means",
     "gradient_faces",
     "laplacian",
-    "flux_divergence",
 ]
 
 
@@ -281,17 +280,6 @@ def gradient_faces(field: RadialField) -> np.ndarray:
     np.subtract(f[1:], f[:-1], out=inner)
     inner /= field.grid.spacing[1:-1]
     return g
-
-
-def flux_divergence(grid: Grid, flux: np.ndarray) -> np.ndarray:
-    """Cell values of the divergence of a face flux (already area-weighted)."""
-    if np.shape(flux) != (grid.N + 1,):
-        raise GridMismatchError(
-            f"flux must have one value per face ({grid.N + 1}), got {np.shape(flux)}"
-        )
-    div = np.subtract(flux[1:], flux[:-1], dtype=float)
-    div /= grid.volumes
-    return div
 
 
 def _add_flux_divergence(out: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -7,21 +7,25 @@ system is assembled in the volume-weighted form
 mesh: SPD for alpha > 0, beta >= 0, so LAPACK factors it as L D L^T
 (``dpttrf``) and solves with ``dpttrs``.
 (I - L)w = u is alpha = beta = 1, factored once per grid by
-:func:`build_solver`; the stepper's dt-dependent systems take the same
-path through :func:`shifted_solve`, which keeps the factors of the last
+:func:`build_solver`, and :func:`solve` takes its right-hand side u as
+cell values.  The stepper's dt-dependent systems go through
+:func:`shifted_solve`, which takes the right-hand side in the form the
+system is assembled in, the cell integrals b = V rhs: the stepper builds
+the u-update's b = V u - dt (F+ - F-) straight from its face fluxes, with
+no division by V to undo.  shifted_solve keeps the factors of the last
 two (alpha, beta) pairs on the solver, so they are reused while dt
 repeats.  Every solve makes one refinement pass, whose defect is V times
 the flux-form one, b - alpha V x + beta (F+ - F-), formed directly from
 the face fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with
 the weights alpha V and beta A / spacing cached beside the factors.  The
-K rows sum to zero, so alpha sum x_i V_i = sum rhs_i V_i: the discrete
-mass identity of u and w, which the refinement pass alone holds to
-round-off (:func:`solve` is shifted_solve with alpha = beta = 1).
+K rows sum to zero, so alpha sum x_i V_i = sum b_i: the discrete mass
+identity of u and w, which the refinement pass alone holds to round-off
+(:func:`solve` is shifted_solve with alpha = beta = 1 and b = V u).
 The pass refines whatever first solution it is given: the dpttrs solve
 of the same system, or a caller's guess (shifted_solve's ``guess``),
 which saves that first dpttrs call.  The stepper's v-update refines the
 state's v, within O(dt) of v+; the u- and w-solves keep their first
-solve, which is >= 0 for rhs >= 0 and depends on rhs alone.
+solve, which is >= 0 for b >= 0 and depends on b alone.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ def _refine(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
     """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator:
-    the dpttrs solve of V rhs, then _refine of it."""
+    the dpttrs solve of V rhs, then _refine of it.  rhs is only read."""
     b = grid.volumes * rhs
     return _refine(factor, b, dpttrs(factor[0], factor[1], b)[0])
 
@@ -158,19 +162,23 @@ def shifted_solve(
     solver: HelmholtzSolver,
     alpha: float,
     beta: float,
-    rhs: np.ndarray,
+    b: np.ndarray,
     guess: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve (alpha I - beta L) x = rhs on the solver grid, alpha > 0, beta >= 0.
+    """Solve (alpha I - beta L) x = rhs on the solver grid, alpha > 0, beta >= 0,
+    from the cell integrals b = V rhs of the right-hand side.
 
-    Used by the time stepper, where alpha and beta depend on dt.
+    Used by the time stepper, where alpha and beta depend on dt.  b is a
+    float array of one value per cell, and the solve overwrites it: the
+    refinement pass forms its defect in b's memory.  The mass identity
+    reads alpha sum V x = sum b.
 
     guess, when given, replaces the first dpttrs solve: the result is
     guess plus one refinement pass, one dpttrs call instead of two.  The
     pass's error, mass identity included, is round-off of its defect, so
     a guess must lie close to x.  The state's v does for the v-update
     (I + dt (I - L)) v+ = v + dt w, which moves v by O(dt).  The u-update
-    keeps its first solve, which is >= 0 exactly for rhs >= 0 (the
+    keeps its first solve, which is >= 0 exactly for b >= 0 (the
     positivity of u rests on it), and the elliptic w = (I - L)^{-1} u
     must not depend on the state it steps from.  guess is only read.
 
@@ -186,6 +194,5 @@ def shifted_solve(
         if len(recent) > 1:  # keep two pairs alive at most, the new one included
             del recent[next(iter(recent))]
         factor = recent[alpha, beta] = _factor(solver.grid, alpha, beta)
-    if guess is None:
-        return _solve(solver.grid, factor, rhs)
-    return _refine(factor, solver.grid.volumes * rhs, guess)
+    x = dpttrs(factor[0], factor[1], b)[0] if guess is None else guess
+    return _refine(factor, b, x)

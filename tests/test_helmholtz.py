@@ -211,14 +211,14 @@ def test_shifted_solve_matches_identity_limit():
     g = make_grid(5, 1.0, 64)
     rng = np.random.default_rng(9)
     rhs = rng.random(g.N)
-    x = shifted_solve(build_solver(g), 1.0, 0.0, rhs)
+    x = shifted_solve(build_solver(g), 1.0, 0.0, rhs * g.volumes)
     assert np.allclose(x, rhs, rtol=1e-13)
 
 
 def test_shifted_solve_constant_mode():
     # (alpha I - beta L) applied to constants divides by alpha exactly
     g = make_grid(5, 1.0, 64)
-    x = shifted_solve(build_solver(g), 2.5, 0.7, np.full(g.N, 5.0))
+    x = shifted_solve(build_solver(g), 2.5, 0.7, np.full(g.N, 5.0) * g.volumes)
     assert np.allclose(x, 2.0, rtol=1e-13)
 
 
@@ -227,7 +227,7 @@ def test_graded_shifted_solve_mass_identity(graded, graded_solver):
     rng = np.random.default_rng(13)
     for alpha, beta in ((1.0, 1e-3), (1.7, 0.4), (1.0 + 1e-6, 1e-6)):
         rhs = rng.random(graded.N) * 3
-        x = shifted_solve(graded_solver, alpha, beta, rhs)
+        x = shifted_solve(graded_solver, alpha, beta, rhs * graded.volumes)
         scale = math.fsum(np.abs(rhs) * graded.volumes)
         gap = alpha * math.fsum(graded.volumes * x) - math.fsum(graded.volumes * rhs)
         assert abs(gap) <= 1e-12 * scale
@@ -242,10 +242,25 @@ def test_shifted_solve_mass_identity_at_large_n(h_min):
     rng = np.random.default_rng(29)
     for alpha, beta in ((1.0, 1.0), (1.0, 1e-2), (1.0 + 3e-4, 3e-4)):
         rhs = rng.random(big.N) * 3
-        x = shifted_solve(solver, alpha, beta, rhs)
+        x = shifted_solve(solver, alpha, beta, rhs * big.volumes)
         scale = math.fsum(np.abs(rhs) * big.volumes)
         gap = alpha * math.fsum(big.volumes * x) - math.fsum(big.volumes * rhs)
         assert abs(gap) <= 1e-15 * scale, (alpha, beta, gap / scale)
+
+
+def test_shifted_solve_takes_cell_integrals():
+    # the right-hand side is b = V rhs, so the mass identity reads
+    # alpha sum V x = sum b, whatever the cell integrals are
+    g = make_grid(5, 1.0, 512, h_min=1e-12)
+    solver = build_solver(g)
+    rng = np.random.default_rng(31)
+    for alpha, beta in ((1.0, 1e-2), (1.0 + 3e-4, 3e-4), (2.5, 0.7)):
+        for b in (rng.random(g.N) * g.volumes, rng.random(g.N)):
+            scale = math.fsum(np.abs(b))
+            want = math.fsum(b)
+            x = shifted_solve(solver, alpha, beta, b.copy())
+            gap = alpha * math.fsum(g.volumes * x) - want
+            assert abs(gap) <= 1e-15 * scale, (alpha, beta, gap / scale)
 
 
 @pytest.mark.parametrize("N, h_min", [(8192, None), (1024, 1e-6), (1024, 1e-12)])
@@ -261,8 +276,8 @@ def test_shifted_solve_from_the_signal_matches_the_two_pass_solve(N, h_min):
     for u, v, dt in ((u0, v0, 1e-6), (u0, v0, 1e-2), (state.u, state.v, adapt_dt(state, cfg))):
         rhs = v.values + dt * solve(s, u).values
         before = v.values.copy()
-        want = shifted_solve(s, 1.0 + dt, dt, rhs)
-        x = shifted_solve(s, 1.0 + dt, dt, rhs, guess=v.values)
+        want = shifted_solve(s, 1.0 + dt, dt, rhs * g.volumes)
+        x = shifted_solve(s, 1.0 + dt, dt, rhs * g.volumes, guess=v.values)
         assert np.array_equal(v.values, before)
         assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want)), dt
         scale = math.fsum(np.abs(rhs) * g.volumes)
@@ -272,7 +287,7 @@ def test_shifted_solve_from_the_signal_matches_the_two_pass_solve(N, h_min):
 
 def test_graded_shifted_solve_constant_mode(graded, graded_solver):
     for alpha, beta, c in ((2.5, 0.7, 5.0), (1.0 + 1e-3, 1e-3, 1.0), (4.0, 0.0, -3.0)):
-        x = shifted_solve(graded_solver, alpha, beta, np.full(graded.N, c))
+        x = shifted_solve(graded_solver, alpha, beta, np.full(graded.N, c) * graded.volumes)
         assert np.max(np.abs(x - c / alpha)) <= 1e-13 * abs(c / alpha)
 
 
@@ -281,7 +296,7 @@ def test_shifted_solve_unit_shift_matches_elliptic_solve(h_min):
     g = make_grid(5, 1.0, 100, h_min=h_min)
     u = RadialField(np.random.default_rng(17).random(g.N) + 0.5, g)
     w = solve(build_solver(g), u).values
-    x = shifted_solve(build_solver(g), 1.0, 1.0, u.values)
+    x = shifted_solve(build_solver(g), 1.0, 1.0, u.values * g.volumes)
     assert np.max(np.abs(x - w)) <= 1e-13 * float(np.max(np.abs(w)))
 
 
@@ -292,19 +307,19 @@ def test_shifted_solve_cycling_pairs_get_their_own_factors(h_min):
     g = make_grid(5, 1.0, 100, h_min=h_min)
     rhs = np.random.default_rng(21).random(g.N) + 0.5
     pairs = [(1.0 + 1e-3, 1e-3), (1.0, 1e-3), (1.0 + 2e-3, 2e-3), (3.0, 0.5)]
-    want = {p: shifted_solve(build_solver(g), *p, rhs) for p in pairs}
+    want = {p: shifted_solve(build_solver(g), *p, rhs * g.volumes) for p in pairs}
     assert len({x.tobytes() for x in want.values()}) == len(pairs)
     shared = build_solver(g)
     for cycle in (pairs[:3], pairs, pairs[:2] * 2, pairs[::-1]):
         for p in cycle:
-            assert np.array_equal(shifted_solve(shared, *p, rhs), want[p]), p
+            assert np.array_equal(shifted_solve(shared, *p, rhs * g.volumes), want[p]), p
 
 
 @pytest.mark.parametrize("alpha, beta", [(-1.0, 1.0), (-1.0, 0.0), (0.5, -1.0)])
 def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
     g = make_grid(5, 1.0, 64)
     with pytest.raises(ConfigurationError, match="not positive definite"):
-        shifted_solve(build_solver(g), alpha, beta, np.ones(g.N))
+        shifted_solve(build_solver(g), alpha, beta, np.ones(g.N) * g.volumes)
 
 
 def random_spd_tridiagonal(N, seed):
