@@ -22,18 +22,18 @@ the last step at t_end - t and never stretches a step to reach it.
 
 Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and the new state carries it as face_velocity for the
-next adapt_dt and the energy report); one max and one min of each new
-field, which both check that it is finite and give the state its sup u
-and min u; three solves, (a) to (c), in five LAPACK dpttrs calls:
-(a) and (c) make two each (a first solve and its refinement pass), and
-(b) one, the refinement pass of v itself, which is within O(dt) of v+
-(shifted_solve's guess); and two factorizations, of the (b) and (c)
-operators, only when dt moves to another rung of adapt_dt's ladder
-2^(k/16).  A sampled state skips (a), so its step makes three dpttrs
-calls: its energy report already solved w.  (b) and (c) hand
-shifted_solve their right-hand sides as cell integrals, V (v + dt w) and
-V u - dt (F+ - F-) with F the upwind face fluxes, the form the solves
-work in, so no flux is divided by V only to be multiplied back.
+next adapt_dt and the energy report); one max and one min of u+, which
+check that it is finite and give the state its sup u and min u, and one
+sum of v+, which checks v+; three solves, (a) to (c), in five LAPACK
+dpttrs calls: (a) and (c) make two each (a first solve and its
+refinement pass), and (b) one, the refinement pass of v itself, which is
+within O(dt) of v+ (shifted_solve's guess); and two factorizations, of
+the (b) and (c) operators, only when dt moves to another rung of
+adapt_dt's ladder 2^(k/16).  A sampled state skips (a), so its step
+makes three dpttrs calls: its energy report already solved w.  (b) and
+(c) hand shifted_solve their right-hand sides as cell integrals, V (v +
+dt w) and V u - dt (F+ - F-) with F the upwind face fluxes, the form the
+solves work in, so no flux is divided by V only to be multiplied back.
 adapt_dt's stability bound takes one reduction, over the transit and
 outflow rates together.
 """
@@ -96,7 +96,7 @@ class State:
     builds a state sets it from the flux it already took, and a state
     built by hand computes it on first use.  It is read-only, like u and v.
     sup and min_u, sup_norm(u) and min u, come the same way: step takes
-    them from the reductions that check the new fields are finite.
+    them from the reductions that check the new u is finite.
     """
 
     t: float
@@ -282,11 +282,12 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     b -= outflow
     u_new = shifted_solve(solver, 1.0, dt, b)
     t = state.t + dt
-    # a NaN makes both reductions NaN and an infinity shows in one of them,
-    # so the four are finite exactly when both fields are
+    # a NaN makes both of u's reductions NaN and an infinity shows in one of
+    # them; v+, whose max and min nothing reads, is checked by its sum, which
+    # a non-finite entry makes non-finite (and entries past ~1e305, whose sum
+    # overflows, stall the step too)
     u_max, u_min = np.maximum.reduce(u_new), np.minimum.reduce(u_new)
-    v_max, v_min = np.maximum.reduce(v_new), np.minimum.reduce(v_new)
-    ok = t != state.t and all(map(math.isfinite, (u_max, u_min, v_max, v_min)))
+    ok = t != state.t and all(map(math.isfinite, (u_max, u_min, np.add.reduce(v_new))))
     # built like _evolve's states, without the frozen __init__; the cached
     # properties come filled, so adapt_dt, run and the sample read this v_r,
     # sup and min u without a second pass over the same field
@@ -417,16 +418,17 @@ def run(
     state = emit(state)
     last_emitted = 0
 
-    while state.status is SimStatus.RUNNING:
+    running = SimStatus.RUNNING  # a local: each enum member read costs a lookup
+    while state.status is running:
         if max_steps is not None and state.step >= max_steps:
             break
         state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
         peak = max(peak, state.sup)
-        if state.status is SimStatus.RUNNING:
+        if state.status is running:
             status = detect_blowup(state, cfg, sup0, sup=state.sup)
             if status is not state.status:
                 state = _evolve(state, status=status)
-        if state.step % cfg.output_every == 0 and state.status is SimStatus.RUNNING:
+        if state.step % cfg.output_every == 0 and state.status is running:
             state = emit(state)
             last_emitted = state.step
 

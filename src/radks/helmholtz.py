@@ -120,7 +120,8 @@ def _refine(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     d, e, volumes, coupling = factor
     b -= volumes * x
     defect = _add_flux_divergence(b, x, coupling)
-    correction = dpttrs(d, e, defect, overwrite_b=True)[0]
+    # overwrite_b by position: f2py parses a keyword argument more slowly
+    correction = dpttrs(d, e, defect, True)[0]
     correction += x
     return correction
 
