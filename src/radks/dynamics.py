@@ -258,8 +258,8 @@ def adapt_dt(state: State, cfg: StepperConfig) -> float:
 def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     """Advance one IMEX step of size state.dt.
 
-    The new state is STALLED when a field is not finite or when dt is too
-    small to change t (t + dt == t).
+    The new state is STALLED when a field is not finite (or v+ sums past
+    the float range) or when dt is too small to change t (t + dt == t).
     """
     if state.status is not SimStatus.RUNNING:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
