@@ -104,10 +104,7 @@ def simulate_run(cfg: RunConfig):
             diag.write(sample)
             m = sample.mass
             max_c["w"] = max(max_c["w"], probe_pointwise_w(state.report.w, m).implied_c)
-            max_c["v"] = max(
-                max_c["v"],
-                probe_pointwise_v(state.v, pconf, m, v0_norm, state.face_velocity).implied_c,
-            )
+            max_c["v"] = max(max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c)
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 write_snapshot(
                     outdir / run_snapshot_name(state.step), grid, state.u, state.v, t=state.t

@@ -21,21 +21,21 @@ round-off that thousands of steps of one dt leave in t; adapt_dt caps
 the last step at t_end - t and never stretches a step to reach it.
 
 Work per step: one face gradient of v per state (step computes v+_r for
-the flux of (c), and the new state carries it as face_velocity for the
-next adapt_dt and the energy report); one max and one min of u+, which
-check that it is finite and give the state its sup u and min u, and one
-sum of v+, which checks v+; three solves, (a) to (c), in five LAPACK
-dpttrs calls: (a) and (c) make two each (a first solve and its
-refinement pass), and (b) one, the refinement pass of v itself, which is
-within O(dt) of v+ (shifted_solve's guess); and two factorizations, of
-the (b) and (c) operators, only when dt moves to another rung of
-adapt_dt's ladder 2^(k/16).  A sampled state skips (a), so its step
-makes three dpttrs calls: its energy report already solved w.  (b) and
-(c) hand shifted_solve their right-hand sides as cell integrals, V (v +
-dt w) and V u - dt (F+ - F-) with F the upwind face fluxes, the form the
-solves work in, so no flux is divided by V only to be multiplied back.
-adapt_dt's stability bound takes one reduction, over the transit and
-outflow rates together.
+the flux of (c), and v+ keeps it, as every RadialField keeps its face
+gradient, for the next adapt_dt and the energy report); one max and one
+min of u+, which check that it is finite and give the state its sup u
+and min u, and one sum of v+, which checks v+; three solves, (a) to (c),
+in five LAPACK dpttrs calls: (a) and (c) make two each (a first solve
+and its refinement pass), and (b) one, the refinement pass of v itself,
+which is within O(dt) of v+ (shifted_solve's guess); and two
+factorizations, of the (b) and (c) operators, only when dt moves to
+another rung of adapt_dt's ladder 2^(k/16).  A sampled state skips (a),
+so its step makes three dpttrs calls: its energy report already solved
+w.  (b) and (c) hand shifted_solve their right-hand sides as cell
+integrals, V (v + dt w) and V u - dt (F+ - F-) with F the upwind face
+fluxes, the form the solves work in, so no flux is divided by V only to
+be multiplied back.  adapt_dt's stability bound takes one reduction, over
+the transit and outflow rates together.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ class State:
     solve again.  A new u needs a new State (step builds one with
     report = None).
 
-    face_velocity is v_r at the faces, gradient_faces(v): the step that
-    builds a state sets it from the flux it already took, and a state
-    built by hand computes it on first use.  It is read-only, like u and v.
-    sup and min_u, sup_norm(u) and min u, come the same way: step takes
-    them from the reductions that check the new u is finite.
+    v_r at the faces is gradient_faces(v), which v keeps: the step that
+    builds a state computes it once for its flux, and adapt_dt and the
+    energy report read the same array.  sup and min_u, sup_norm(u) and
+    min u, are filled by step from the reductions that check the new u
+    is finite; a state built by hand computes them on first use.
     """
 
     t: float
@@ -106,12 +106,6 @@ class State:
     dt: float
     status: SimStatus = SimStatus.RUNNING
     report: Optional[EnergyReport] = None
-
-    @cached_property
-    def face_velocity(self) -> np.ndarray:
-        vel = gradient_faces(self.v)
-        vel.setflags(write=False)
-        return vel
 
     @cached_property
     def sup(self) -> float:
@@ -125,9 +119,9 @@ class State:
 def _evolve(state: State, **changes) -> State:
     """dataclasses.replace(state, **changes) for fields other than u and v.
 
-    Copies the instance dict, so the cached face velocity, sup and min u
-    come along and the run loop does not pay replace's walk over the
-    fields every step.
+    Copies the instance dict, so the cached sup and min u come along and
+    the run loop does not pay replace's walk over the fields every step.
+    u and v are the same objects, with whatever they keep.
     """
     new = object.__new__(State)
     new.__dict__.update(state.__dict__, **changes)
@@ -181,8 +175,7 @@ def default_stepper_config(grid: Optional[Grid], t_end: float, **overrides) -> S
 def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
     """Upwind chemotactic face flux A * u_up * vel, zero at both ends.
 
-    vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R
-    (a State carries it as face_velocity).
+    vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R.
     """
     grid = u.grid
     if vel.shape != (grid.N + 1,):
@@ -242,7 +235,7 @@ def _rung_below(dt: float) -> float:
 def adapt_dt(state: State, cfg: StepperConfig) -> float:
     """min(rung below cfl * stable dt, dt_max, t_end - t), never more.
 
-    The stable dt depends on v alone, through the state's face velocity.
+    The stable dt depends on v alone, through its face gradient v_r.
     cfl times it is rounded down to the ladder 2^(k/16) (16 rungs per
     octave, k an integer) before the clamp, so dt stays at or below the
     CFL step and changes only when that step moves to another rung: while
@@ -251,7 +244,7 @@ def adapt_dt(state: State, cfg: StepperConfig) -> float:
     short of it by round-off, which detect_blowup's relative test counts
     as done, so no step outruns the CFL step however short the horizon.
     """
-    dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, state.face_velocity))
+    dt = _rung_below(cfg.cfl * _stable_dt(state.u.grid, gradient_faces(state.v)))
     return min(dt, cfg.dt_max, cfg.t_end - state.t)
 
 
@@ -273,9 +266,7 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     b *= grid.volumes
     v_new = shifted_solve(solver, 1.0 + dt, dt, b, guess=state.v.values)
     v_plus = _adopt(v_new, grid)
-    vel = gradient_faces(v_plus)
-    vel.setflags(write=False)
-    flux = advective_flux(state.u, vel)
+    flux = advective_flux(state.u, gradient_faces(v_plus))
     outflow = np.subtract(flux[1:], flux[:-1])
     outflow *= dt
     b = grid.volumes * state.u.values
@@ -289,8 +280,8 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     u_max, u_min = np.maximum.reduce(u_new), np.minimum.reduce(u_new)
     ok = t != state.t and all(map(math.isfinite, (u_max, u_min, np.add.reduce(v_new))))
     # built like _evolve's states, without the frozen __init__; the cached
-    # properties come filled, so adapt_dt, run and the sample read this v_r,
-    # sup and min u without a second pass over the same field
+    # properties come filled, so run and the sample read this sup and min u
+    # without a second pass over u
     new = object.__new__(State)
     new.__dict__.update(
         t=t,
@@ -300,7 +291,6 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         dt=dt,
         status=SimStatus.RUNNING if ok else SimStatus.STALLED,
         report=None,
-        face_velocity=vel,
         # max |u_i| is the larger of |max u| and |min u|; abs makes it +0.0
         # on a zero field, as sup_norm does
         sup=float(max(abs(u_max), abs(u_min))),
@@ -309,14 +299,14 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     return new
 
 
-def detect_blowup(state: State, cfg: StepperConfig, sup0: float, sup: float) -> SimStatus:
-    """Classify the current state; sup is sup_norm(state.u) (run passes
-    the state's own sup).
+def detect_blowup(state: State, cfg: StepperConfig, sup0: float) -> SimStatus:
+    """Classify the current state by its own sup = sup_norm(state.u).
 
     BLOWN_UP when sup has grown past sup0 and reaches blowup_factor *
     sup0 (a zero density never blows up), STALLED when sup is not
     finite, COMPLETED at t_end, RUNNING otherwise.
     """
+    sup = state.sup
     if not math.isfinite(sup):
         return SimStatus.STALLED
     if sup > sup0 and sup >= cfg.blowup_factor * sup0:
@@ -363,7 +353,7 @@ def _sample(
     state: State, solver: HelmholtzSolver, prev: Optional[TrajectorySample]
 ) -> tuple[State, TrajectorySample]:
     """The diagnostics of state, and state carrying its energy report."""
-    rep = compute_energy(state.u, state.v, solver, state.face_velocity)
+    rep = compute_energy(state.u, state.v, solver)
     res = 0.0
     if prev is not None and state.t > prev.t:
         res = identity_residual(prev, rep, state.t - prev.t)
@@ -425,7 +415,7 @@ def run(
         state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
         peak = max(peak, state.sup)
         if state.status is running:
-            status = detect_blowup(state, cfg, sup0, sup=state.sup)
+            status = detect_blowup(state, cfg, sup0)
             if status is not state.status:
                 state = _evolve(state, status=status)
         if state.step % cfg.output_every == 0 and state.status is running:

@@ -15,13 +15,14 @@ takes.
 
 compute_energy is the one evaluation of a state: its EnergyReport
 carries the fields w, f and g next to the integrals, so the stepper
-and the probes read them instead of solving again.
+and the probes read them instead of solving again.  The face gradients
+and face means it takes, and L v, stay on u, v and f (see radks.grid),
+so a probe of the same state reads those too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -46,9 +47,8 @@ DENSITY_FLOOR = 1e-300
 class EnergyReport:
     """Energy, dissipation, their components, and the fields behind them.
 
-    w = (I - L)^{-1} u, f = (I - L)v - w and lap_v = L v are cell
-    fields, g is face-sampled (compute_g); they do not take part in
-    comparisons.  A report built by hand may leave lap_v out.
+    w = (I - L)^{-1} u and f = (I - L)v - w are cell fields, g is
+    face-sampled (compute_g); they do not take part in comparisons.
     """
 
     F: float
@@ -63,29 +63,20 @@ class EnergyReport:
     w: RadialField = field(compare=False, repr=False)
     f: RadialField = field(compare=False, repr=False)
     g: np.ndarray = field(compare=False, repr=False)
-    lap_v: Optional[RadialField] = field(default=None, compare=False, repr=False)
 
 
-def compute_g(
-    u: RadialField,
-    v: RadialField,
-    vr: Optional[np.ndarray] = None,
-    ubar: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def compute_g(u: RadialField, v: RadialField) -> np.ndarray:
     """Face-sampled g = u_r/sqrt(ubar) - sqrt(ubar) v_r, zero at the ends.
 
     ubar is the arithmetic face mean floored at DENSITY_FLOOR; faces that
-    needed the floor are counted by compute_energy.  vr and ubar, when
-    given, are the caller's gradient_faces(v) and unfloored face_means(u),
-    taken as they are.
+    needed the floor are counted by compute_energy.  u_r, v_r and the
+    face mean are the ones u and v keep.
     """
     if not u.grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     g = np.zeros(u.grid.N + 1)
-    root = np.sqrt(np.maximum(face_means(u) if ubar is None else ubar, DENSITY_FLOOR))
-    ur = gradient_faces(u)[1:-1]
-    vr = (gradient_faces(v) if vr is None else vr)[1:-1]
-    g[1:-1] = ur / root - root * vr
+    root = np.sqrt(np.maximum(face_means(u), DENSITY_FLOOR))
+    g[1:-1] = gradient_faces(u)[1:-1] / root - root * gradient_faces(v)[1:-1]
     return g
 
 
@@ -93,19 +84,17 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
     return np.where(u > 0.0, u * np.log(np.maximum(u, DENSITY_FLOOR)), 0.0)
 
 
-def compute_energy(
-    u: RadialField, v: RadialField, solver: HelmholtzSolver, vr: Optional[np.ndarray] = None
-) -> EnergyReport:
-    """Evaluate every term of F and D at the state (u, v), with w, f, g and L v.
+def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
+    """Evaluate every term of F and D at the state (u, v), with w, f and g.
 
-    vr, when given, is gradient_faces(v), such as a State's face_velocity.
+    L v and the face gradients and face means it reads stay on v, u and
+    f, so a probe of the same state finds them computed.
     """
     grid = u.grid
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
     w = solve(solver, u)
-    lap_v = laplacian(v)
-    opv = v.values - lap_v.values
+    opv = v.values - laplacian(v).values
     f = _adopt(opv - w.values, grid)
 
     # np.add.reduce is the pairwise sum np.sum calls, without its wrapper
@@ -117,10 +106,9 @@ def compute_energy(
     fr = gradient_faces(f)
     grad_f = float(np.add.reduce(fr * fr * weights))
     f_sq = float(np.add.reduce(f.values * f.values * grid.volumes))
-    ubar = face_means(u)
-    g = compute_g(u, v, vr, ubar)
+    g = compute_g(u, v)
     g_sq = float(np.add.reduce(g * g * weights))
-    regularized = int(np.count_nonzero(ubar <= DENSITY_FLOOR))
+    regularized = int(np.count_nonzero(face_means(u) <= DENSITY_FLOOR))
 
     return EnergyReport(
         F=entropy - mixed + quad,
@@ -135,7 +123,6 @@ def compute_energy(
         w=w,
         f=f,
         g=g,
-        lap_v=lap_v,
     )
 
 

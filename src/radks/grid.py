@@ -10,6 +10,14 @@ centers on either side of a face), so uniform and graded meshes share
 one code path.  All differential operators are written in flux form;
 the no-flux boundary conditions and the discrete divergence theorem
 then hold by telescoping.
+
+A field's values never change: the RadialField constructor copies them
+into a read-only array, and _adopt makes read-only an array that only
+the new field holds.  So face_means, gradient_faces and laplacian each
+compute their result once per field and keep it on that field,
+read-only; every later call, from the stepper, the energy or a probe,
+returns the same object.  The kept arrays live as long as the field.
+Two threads that miss at once compute equal arrays, and one is kept.
 """
 
 from __future__ import annotations
@@ -212,7 +220,13 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
 
 @dataclass(frozen=True)
 class RadialField:
-    """One scalar unknown sampled at cell centers."""
+    """One scalar unknown sampled at cell centers.
+
+    values is a read-only copy of the array passed in, so it stays what
+    it was at construction.  That lets the field keep its face means,
+    face gradient and L f, each computed on first use (see the module
+    docstring); a new field starts with none of them.
+    """
 
     values: np.ndarray
     grid: Grid
@@ -231,7 +245,9 @@ def _adopt(values: np.ndarray, grid: Grid) -> RadialField:
     """RadialField over a fresh (N,) float array that no one else holds.
 
     Skips the defensive copy of the constructor: the array is only made
-    read-only, so it must not be reachable from anywhere else.
+    read-only, so it must not be reachable from anywhere else.  A writer
+    that kept it could change the values under the face means, face
+    gradient and L f the field keeps.
     """
     values.setflags(write=False)
     field = object.__new__(RadialField)
@@ -262,8 +278,17 @@ def sup_norm(field: RadialField) -> float:
 
 
 def face_means(field: RadialField) -> np.ndarray:
-    """Arithmetic mean of the two neighbouring cells at each interior face."""
-    return 0.5 * (field.values[:-1] + field.values[1:])
+    """Arithmetic mean of the two neighbouring cells at each interior face.
+
+    Kept on the field, read-only.
+    """
+    means = field.__dict__.get("_face_means")
+    if means is None:
+        f = field.values
+        means = 0.5 * (f[:-1] + f[1:])
+        means.setflags(write=False)
+        field.__dict__["_face_means"] = means
+    return means
 
 
 def gradient_faces(field: RadialField) -> np.ndarray:
@@ -272,13 +297,17 @@ def gradient_faces(field: RadialField) -> np.ndarray:
     Interior faces carry the difference (f_{i+1} - f_i)/(r_{i+1} - r_i),
     which on a uniform mesh is exact for quadratics; the boundary values
     encode symmetry at the origin and the homogeneous Neumann condition
-    at r = R.
+    at r = R.  Kept on the field, read-only.
     """
-    f = field.values
-    g = np.zeros(field.grid.N + 1)
-    inner = g[1:-1]
-    np.subtract(f[1:], f[:-1], out=inner)
-    inner /= field.grid.spacing[1:-1]
+    g = field.__dict__.get("_gradient_faces")
+    if g is None:
+        f = field.values
+        g = np.zeros(field.grid.N + 1)
+        inner = g[1:-1]
+        np.subtract(f[1:], f[:-1], out=inner)
+        inner /= field.grid.spacing[1:-1]
+        g.setflags(write=False)
+        field.__dict__["_gradient_faces"] = g
     return g
 
 
@@ -303,9 +332,12 @@ def laplacian(field: RadialField) -> RadialField:
 
     (Lf)_i = [A_{i+1/2} g_{i+1/2} - A_{i-1/2} g_{i-1/2}] / V_i with g the
     face gradients.  Annihilates constants and has zero discrete mean for
-    every field (fluxes telescope).
+    every field (fluxes telescope).  Kept on the field.
     """
-    grid = field.grid
-    div = _add_flux_divergence(np.zeros(grid.N), field.values, grid.coupling)
-    div /= grid.volumes
-    return _adopt(div, grid)
+    lap = field.__dict__.get("_laplacian")
+    if lap is None:
+        grid = field.grid
+        div = _add_flux_divergence(np.zeros(grid.N), field.values, grid.coupling)
+        div /= grid.volumes
+        lap = field.__dict__["_laplacian"] = _adopt(div, grid)
+    return lap

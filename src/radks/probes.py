@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grid import RadialField, face_means, gradient_faces, integrate
+from .grid import RadialField, face_means, gradient_faces, integrate, laplacian
 from .energy import EnergyReport
 
 __all__ = [
@@ -134,20 +134,17 @@ def probe_pointwise_w(w: RadialField, m: float) -> ProbeResult:
 
 
 def probe_pointwise_v(
-    v: RadialField,
-    config: ProbeConfig,
-    m: float,
-    v0_norm: float,
-    vr: Optional[np.ndarray] = None,
+    v: RadialField, config: ProbeConfig, m: float, v0_norm: float
 ) -> ProbeResult:
     """Implied constant of r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}}).
 
-    vr, when given, is gradient_faces(v), such as a State's face_velocity.
+    v_r and the face mean of v are the ones v keeps: a stepped state's v
+    already holds v_r from its step.
     """
     grid = v.grid
     r = grid.faces[1:-1]
     vbar = face_means(v)
-    vr = (gradient_faces(v) if vr is None else vr)[1:-1]
+    vr = gradient_faces(v)[1:-1]
     scale = m + v0_norm
     weighted = vbar / grid.face_power(2) + np.abs(vr) / r
     implied = float(np.max(grid.face_power(config.beta) * weighted)) / scale
@@ -303,8 +300,10 @@ def probe_local_inequalities(
     and the energy split (explicit 1/24, 12, sqrt(m) rho).  Terms whose
     weights the analysis leaves non-constructive are aggregated into one
     basis and reported through the implied constant.  report is
-    compute_energy(u, v, solver); its w, f, g and L v and its whole-ball
-    integrals of |grad f|^2 and g^2 are read, not recomputed.
+    compute_energy(u, v, solver); its w, f and g and its whole-ball
+    integrals of |grad f|^2 and g^2 are read, not recomputed, and so are
+    L v and the face gradients of v and f that compute_energy left on
+    them.
     """
     grid = u.grid
     if not (grid.same_as(v.grid) and grid.same_as(report.w.grid)):
@@ -315,7 +314,7 @@ def probe_local_inequalities(
     kappa = config.kappa
     m = integrate(u)
     w, f, g = report.w, report.f, report.g
-    lap_v = report.lap_v
+    lap = laplacian(v)
     vr = gradient_faces(v)
     fr = gradient_faces(f)
 
@@ -332,7 +331,7 @@ def probe_local_inequalities(
     for rho_in in config.rho:
         k, rho = _restrict(grid, rho_in)
         vol, fw = grid.volumes[:k], weights[1:k]  # inner cells, interior faces
-        lap_sq = float(np.sum(lap_v.values[:k] ** 2 * vol))
+        lap_sq = float(np.sum(lap.values[:k] ** 2 * vol))
         v_sq = float(np.sum(v.values[:k] ** 2 * vol))
         f_sq = float(np.sum(f.values[:k] ** 2 * vol))
         vr_sq = float(np.sum(vr[1:k] ** 2 * fw))

@@ -32,6 +32,11 @@ from radks.helmholtz import build_solver, solve
 from radks.initial_data import build_family, family_eta_star
 
 
+def fresh_vr(v):
+    """v_r computed on a fresh copy of v, which keeps nothing yet."""
+    return gradient_faces(RadialField(v.values, v.grid))
+
+
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(5, 1.0, 128)
@@ -179,7 +184,7 @@ def test_adapt_dt_follows_a_steep_signal_and_keeps_u_nonnegative(grid, solver):
     cfg = default_stepper_config(grid, t_end=1e9)
     st = ramp_state(grid, 1e12)
     dt = adapt_dt(st, cfg)
-    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, st.face_velocity)
+    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, fresh_vr(st.v))
     new = step(replace(st, dt=dt), cfg, solver)
     assert new.status is SimStatus.RUNNING
     assert float(new.u.values.min()) >= 0.0
@@ -190,7 +195,7 @@ def test_step_below_half_an_ulp_of_t_stalls(grid, solver):
     cfg = default_stepper_config(grid, t_end=2.0)
     st = ramp_state(grid, 1e20, t=1.0)
     dt = adapt_dt(st, cfg)
-    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, st.face_velocity)
+    assert 0.0 < dt <= cfg.cfl * dynamics._stable_dt(grid, fresh_vr(st.v))
     assert 1.0 + dt == 1.0
     new = step(replace(st, dt=dt), cfg, solver)
     assert new.status is SimStatus.STALLED and new.t == 1.0
@@ -273,15 +278,15 @@ def test_detect_blowup_threshold(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     big = constant_field(grid, 2e6)
     st = State(0.5, 10, big, constant_field(grid, 1.0), 1e-3)
-    assert detect_blowup(st, cfg, sup0=1.0, sup=sup_norm(big)) is SimStatus.BLOWN_UP
+    assert detect_blowup(st, cfg, sup0=1.0) is SimStatus.BLOWN_UP
 
 
 def test_detect_blowup_completed_and_running(grid):
     cfg = default_stepper_config(grid, t_end=1.0)
     u = constant_field(grid, 1.0)
     v = constant_field(grid, 1.0)
-    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0, 1.0) is SimStatus.COMPLETED
-    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0, 1.0) is SimStatus.RUNNING
+    assert detect_blowup(State(1.0, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.COMPLETED
+    assert detect_blowup(State(0.2, 9, u, v, 1e-3), cfg, 1.0) is SimStatus.RUNNING
 
 
 def test_detect_blowup_nan_is_stalled(grid):
@@ -289,7 +294,7 @@ def test_detect_blowup_nan_is_stalled(grid):
     vals = np.ones(grid.N)
     vals[3] = math.nan
     st = State(0.2, 9, RadialField(vals, grid), constant_field(grid, 1.0), 1e-3)
-    assert detect_blowup(st, cfg, 1.0, sup_norm(st.u)) is SimStatus.STALLED
+    assert detect_blowup(st, cfg, 1.0) is SimStatus.STALLED
 
 
 def test_run_homogeneous_completes(grid, solver):
@@ -337,7 +342,7 @@ def test_run_shorter_than_one_cfl_step_keeps_every_step_below_it():
     assert summary.status is SimStatus.COMPLETED and summary.steps > 1
     assert state.t == pytest.approx(cfg.t_end, rel=1e-12)
     for before, after in zip(states, states[1:]):
-        assert after.dt <= cfg.cfl * dynamics._stable_dt(g, before.face_velocity)
+        assert after.dt <= cfg.cfl * dynamics._stable_dt(g, fresh_vr(before.v))
     assert min(smp.min_u for smp in samples) >= 0.0
 
 
@@ -436,6 +441,24 @@ def test_blowup_time_grid_stability():
         assert summary.status is SimStatus.BLOWN_UP
         t_b.append(summary.t_blowup)
     assert abs(t_b[0] - t_b[1]) / max(t_b) <= 0.35
+
+
+def test_step_keeps_its_flux_velocity_on_v_plus(grid, solver, monkeypatch):
+    # the v+_r that the flux reads is the one v+ keeps, so the next
+    # adapt_dt and the energy report read it without a second gradient
+    seen = []
+    inner = dynamics.advective_flux
+
+    def capturing(u, vel):
+        seen.append(vel)
+        return inner(u, vel)
+
+    monkeypatch.setattr(dynamics, "advective_flux", capturing)
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=5e-3)
+    u0, v0 = smooth_pair(grid, seed=3)
+    new = step(State(0.0, 0, u0, v0, 2e-3), cfg, solver)
+    assert len(seen) == 1
+    assert gradient_faces(new.v) is seen[0]
 
 
 def test_step_reuses_factors_bit_for_bit(grid, monkeypatch):
@@ -616,7 +639,7 @@ def test_stepped_state_carries_its_own_reductions(
     assert new.status is SimStatus.RUNNING
     assert new.sup.hex() == sup_norm(new.u).hex()
     assert new.min_u.hex() == float(new.u.values.min()).hex()
-    assert new.face_velocity.tobytes() == gradient_faces(new.v).tobytes()
+    assert gradient_faces(new.v).tobytes() == fresh_vr(new.v).tobytes()
 
     # a non-finite value in either field stalls the step
     planted = (u if bad_in_u else v).copy()
@@ -631,7 +654,7 @@ def test_stepped_state_carries_its_own_reductions(
 @pytest.mark.parametrize("dt_max", [1.0, 1e-4], ids=["cfl", "dt_max"])
 def test_run_matches_public_adapt_dt_and_step_loop(h_min, dt_max):
     # run is adapt_dt + step and nothing else, bit for bit: the face
-    # velocity a stepped state carries, the dt bound read from it and the
+    # velocity a stepped v keeps, the dt bound read from it and the
     # grid's stored stiffness change no value
     g = make_grid(5, 1.0, 64, h_min=h_min)
     u0 = RadialField(1.0 + 1e5 * np.exp(-((g.centers / 0.1) ** 2)), g)
@@ -651,8 +674,8 @@ def test_run_matches_public_adapt_dt_and_step_loop(h_min, dt_max):
         dt = adapt_dt(st, cfg)
         dts.append(dt)
         st = step(replace(st, dt=dt), cfg, solver)
-        assert np.array_equal(st.face_velocity, gradient_faces(st.v))
-        assert not st.face_velocity.flags.writeable
+        assert np.array_equal(gradient_faces(st.v), fresh_vr(st.v))
+        assert not gradient_faces(st.v).flags.writeable
     if dt_max == 1.0:
         assert all(dt < dt_max for dt in dts) and len(set(dts)) > 1
     else:
@@ -662,7 +685,7 @@ def test_run_matches_public_adapt_dt_and_step_loop(h_min, dt_max):
     assert np.array_equal(st.v.values, final.v.values)
     assert [smp.dt for smp in samples[1:]] == [dts[2], dts[5], dts[6]]
     for state in emitted + [final]:
-        assert np.array_equal(state.face_velocity, gradient_faces(state.v))
+        assert np.array_equal(gradient_faces(state.v), fresh_vr(state.v))
 
     for dt in set(dts):
         for alpha, beta in ((1.0 + dt, dt), (1.0, dt), (1.0, 1.0)):

@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radks.dynamics import State
 from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import (
     RadialField,
+    _adopt,
     constant_field,
+    face_means,
     field_from_function,
     gradient_faces,
     integrate,
@@ -271,3 +275,37 @@ def test_fields_are_immutable():
         f.values[0] = 2.0
     with pytest.raises(ValueError):
         g.volumes[0] = 0.0
+
+
+def _cells(derived):
+    """The array behind a derived field: laplacian gives a RadialField."""
+    return derived.values if isinstance(derived, RadialField) else derived
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=5, max_value=8),
+    N=st.integers(min_value=4, max_value=256),
+    h_min_exp=st.one_of(st.none(), st.integers(min_value=-12, max_value=-3)),
+    adopted=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_derived_fields_are_kept_on_their_field(n, N, h_min_exp, adopted, seed):
+    # uniform and graded meshes down to h_min 1e-12, fields built by the
+    # constructor and by _adopt: each derived field is computed once, equals
+    # a fresh copy's bit for bit, is read-only, and stays with the field
+    # through dataclasses.replace of a State that holds it
+    g = make_grid(n, 1.0, N, h_min=None if h_min_exp is None else 10.0**h_min_exp)
+    values = np.random.default_rng(seed).uniform(-1e3, 1e3, N)
+    field = _adopt(values.copy(), g) if adopted else RadialField(values, g)
+    state = State(0.0, 0, field, field, 1e-3)
+    for op in (face_means, gradient_faces, laplacian):
+        kept = op(field)
+        assert op(field) is kept
+        fresh = op(RadialField(field.values, g))
+        assert fresh is not kept
+        assert _cells(kept).tobytes() == _cells(fresh).tobytes()
+        with pytest.raises(ValueError):
+            _cells(kept)[0] = 1.0
+        moved = replace(state, dt=2e-3)
+        assert op(moved.u) is kept and op(moved.v) is kept

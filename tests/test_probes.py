@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ def test_local_norms_nested_in_rho(grid, solver):
     frees = [r.rhs_free for r in mixed]
     assert rhos == sorted(rhos)
     assert frees[0] <= frees[1] <= frees[2]
+
+
+def test_local_inequalities_match_on_kept_and_fresh_fields(grid, solver):
+    # a state whose u, v, w and f already keep the gradients, face means and
+    # L v that compute_energy took gives the rows that fresh copies give
+    u = field_from_function(grid, lambda r: 1.0 + 50.0 * math.exp(-((r / 0.2) ** 2)))
+    v = solve(solver, solve(solver, u))
+    report = compute_energy(u, v, solver)
+    cfg = ProbeConfig(n=5, R=1.0)
+    kept = probe_local_inequalities(u, v, report, cfg)
+
+    def copy(f):
+        return RadialField(f.values, grid)
+
+    fresh_report = replace(report, w=copy(report.w), f=copy(report.f))
+    fresh = probe_local_inequalities(copy(u), copy(v), fresh_report, cfg)
+    assert repr(kept) == repr(fresh)
 
 
 def test_local_inequalities_graded_snap_to_nearest_face():
