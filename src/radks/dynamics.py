@@ -25,17 +25,18 @@ the flux of (c), and v+ keeps it, as every RadialField keeps its face
 gradient, for the next adapt_dt and the energy report); one max and one
 min of u+, which check that it is finite and give the state its sup u
 and min u, and one sum of v+, which checks v+; three solves, (a) to (c),
-in five LAPACK dpttrs calls: (a) and (c) make two each (a first solve
-and its refinement pass), and (b) one, the refinement pass of v itself,
-which is within O(dt) of v+ (shifted_solve's guess); and two
-factorizations, of the (b) and (c) operators, only when dt moves to
-another rung of adapt_dt's ladder 2^(k/16).  A sampled state skips (a),
-so its step makes three dpttrs calls: its energy report already solved
-w.  (b) and (c) hand shifted_solve their right-hand sides as cell
-integrals, V (v + dt w) and V u - dt (F+ - F-) with F the upwind face
-fluxes, the form the solves work in, so no flux is divided by V only to
-be multiplied back.  adapt_dt's stability bound takes one reduction, over
-the transit and outflow rates together.
+in four LAPACK dpttrs calls: (a) makes one, on the row-sum factors of
+(I - L); (c) two, a first solve and its refinement pass; and (b) one,
+the refinement pass of v itself, which is within O(dt) of v+
+(shifted_solve's guess); and two factorizations, of the (b) and (c)
+operators, only when dt moves to another rung of adapt_dt's ladder
+2^(k/16).  A sampled state skips (a), so its step makes three dpttrs
+calls: its energy report already solved w.  (b) and (c) hand
+shifted_solve their right-hand sides as cell integrals, V (v + dt w) and
+V u - dt (F+ - F-) with F the upwind face fluxes, the form the solves
+work in, so no flux is divided by V only to be multiplied back.
+adapt_dt's stability bound takes one reduction, over the transit and
+outflow rates together.
 """
 
 from __future__ import annotations

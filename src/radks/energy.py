@@ -5,13 +5,13 @@ along trajectories; its dissipation rate splits into a signal part built
 from f = (I - L)v - w and a transport part built from the face quantity
 g = u_r/sqrt(u) - sqrt(u) v_r.  The same discrete operator (I - L) is
 used for w, f, and the quadratic term: (I - L)v is v - grid.laplacian(v),
-the flux-form L that the solve for w refines against.  So (I - L)v = f + w
-holds exactly.  The identity residual is still not a time-discretization
-error alone: it barely moves with dt (the first-decade residual of the
-README blowup at N=1024 is 6.71 at cfl 0.9 and 5.86 at cfl 0.01).  Most
-of it is spatial, the gap between D's transport term (g with the
-arithmetic face mean) and the dissipation of the upwind flux the step
-takes.
+the flux-form L whose matrix V + K the solve for w factors.  So
+(I - L)v = f + w holds exactly.  The identity residual is still not a
+time-discretization error alone: it barely moves with dt (the
+first-decade residual of the README blowup at N=1024 is 6.71 at cfl 0.9
+and 5.86 at cfl 0.01).  Most of it is spatial, the gap between D's
+transport term (g with the arithmetic face mean) and the dissipation of
+the upwind flux the step takes.
 
 compute_energy is the one evaluation of a state: its EnergyReport
 carries the fields w, f and g next to the integrals, so the stepper

@@ -318,7 +318,7 @@ def _add_flux_divergence(out: np.ndarray, values: np.ndarray, weights: np.ndarra
     r = 0 and r = R, so the additions telescope to zero.  With weights
     A / spacing (Grid.coupling) this is V_i (Lf)_i: the one face-flux
     kernel of the flux-form Laplacian, of (I - L) in the energy, and of
-    the solves' refinement, which passes beta A / spacing.
+    the shifted solves' refinement, which passes beta A / spacing.
     """
     flux = np.subtract(values[1:], values[:-1])
     flux *= weights

@@ -4,28 +4,36 @@ L is the flux-form radial Laplacian from :mod:`radks.grid`, which also
 applies it (:func:`radks.grid.laplacian`); this module only solves.  Each
 system is assembled in the volume-weighted form
 (alpha V_i + beta K) x = V_i rhs_i, K the stiffness of the zero-flux
-mesh: SPD for alpha > 0, beta >= 0, so LAPACK factors it as L D L^T
-(``dpttrf``) and solves with ``dpttrs``.
-(I - L)w = u is alpha = beta = 1, factored once per grid by
-:func:`build_solver`, and :func:`solve` takes its right-hand side u as
-cell values.  The stepper's dt-dependent systems go through
-:func:`shifted_solve`, which takes the right-hand side in the form the
-system is assembled in, the cell integrals b = V rhs: the stepper builds
-the u-update's b = V u - dt (F+ - F-) straight from its face fluxes, with
-no division by V to undo.  shifted_solve keeps the factors of the last
-two (alpha, beta) pairs on the solver, so they are reused while dt
-repeats.  Every solve makes one refinement pass, whose defect is V times
-the flux-form one, b - alpha V x + beta (F+ - F-), formed directly from
-the face fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with
-the weights alpha V and beta A / spacing cached beside the factors.  The
-K rows sum to zero, so alpha sum x_i V_i = sum b_i: the discrete mass
-identity of u and w, which the refinement pass alone holds to round-off
-(:func:`solve` is shifted_solve with alpha = beta = 1 and b = V u).
-The pass refines whatever first solution it is given: the dpttrs solve
+mesh: an SPD M-matrix for alpha > 0, beta >= 0, whose L D L^T factors
+LAPACK's ``dpttrs`` solves with.  K's rows sum to zero, so the rows of
+alpha V + beta K sum to alpha V_i.
+
+(I - L)w = u is factored once per grid by :func:`build_solver`, from
+those row sums: the recurrence of :func:`_row_sum_factor` adds and
+multiplies positive numbers only, so no pivot loses digits to
+cancellation, where ``dpttrf`` subtracts the couplings from a diagonal
+they dominate and loses the mass mode.  :func:`solve` takes its right-hand
+side u as cell values and makes one ``dpttrs`` call: every step of that
+solve adds nonnegative terms, so w >= 0 exactly for u >= 0, and
+int w = int u holds to a relative ~1e-14 of int |u| at N = 8192.
+
+The stepper's dt-dependent systems go through :func:`shifted_solve`,
+which takes the right-hand side in the form the system is assembled in,
+the cell integrals b = V rhs: the stepper builds the u-update's
+b = V u - dt (F+ - F-) straight from its face fluxes, with no division
+by V to undo.  It factors with ``dpttrf`` and keeps the factors of the
+last two (alpha, beta) pairs on the solver, so they are reused while dt
+repeats.  Each shifted solve makes one refinement pass, whose defect is
+V times the flux-form one, b - alpha V x + beta (F+ - F-), formed
+directly from the face fluxes F of x (the kernel of
+:func:`radks.grid.laplacian`) with the weights alpha V and
+beta A / spacing cached beside the factors.  The fluxes telescope, so
+the pass holds the mass identity alpha sum x_i V_i = sum b_i to a few
+ulps.  It refines whatever first solution it is given: the dpttrs solve
 of the same system, or a caller's guess (shifted_solve's ``guess``),
 which saves that first dpttrs call.  The stepper's v-update refines the
-state's v, within O(dt) of v+; the u- and w-solves keep their first
-solve, which is >= 0 for b >= 0 and depends on b alone.
+state's v, within O(dt) of v+; the u-update keeps its first solve,
+which is >= 0 for b >= 0 and depends on b alone.
 """
 
 from __future__ import annotations
@@ -126,11 +134,47 @@ def _refine(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return correction
 
 
+# cells per Python list in _row_sum_factor: lists of the whole grid would
+# raise a run's peak memory
+_CHUNK = 512
+
+
+def _row_sum_factor(volumes: np.ndarray, coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factors (d, l) of diag(V) + K, computed from its row sums.
+
+    K has couplings c at the interior faces and zero row sums.  After
+    cells 1..i-1 are eliminated, row i of what is left sums to
+    s_1 = V_1, s_{i+1} = V_{i+1} + c_i s_i / d_i, with the pivots
+    d_i = s_i + c_i (d_N = s_N) and l_i = -c_i / d_i.  No step subtracts,
+    so no pivot loses digits to cancellation, however small V_i is
+    against c_i (Alfa, Xue, Ye, Math. Comp. 71 (2002)): at N = 8192,
+    n = 5..8, uniform or graded to h_min = 1e-12, the pivots lie within
+    2.5e-15 relative of the exact ones.  The recurrence is sequential, a
+    Python loop over chunks of _CHUNK cells (1-2 ms at N = 8192).  Raises
+    ConfigurationError when a pivot is zero, which takes a cell volume
+    and its couplings that all underflow.
+    """
+    d = np.empty(volumes.shape[0])
+    d[0] = s = float(volumes[0])
+    try:
+        for start in range(1, d.shape[0], _CHUNK):
+            stop = start + _CHUNK
+            cells = zip(volumes[start:stop].tolist(), coupling[start - 1 : stop - 1].tolist())
+            d[start:stop] = [s := v + c * s / (s + c) for v, c in cells]
+    except ZeroDivisionError:
+        raise ConfigurationError(
+            "I - L has a zero pivot on this grid: its cell volumes and couplings underflow"
+        ) from None
+    d[:-1] += coupling
+    lower = coupling / d[:-1]
+    return d, np.negative(lower, out=lower)
+
+
 def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
-    """x with (alpha I - beta L)x = rhs, from _factor's entry for that operator:
-    the dpttrs solve of V rhs, then _refine of it.  rhs is only read."""
-    b = grid.volumes * rhs
-    return _refine(factor, b, dpttrs(factor[0], factor[1], b)[0])
+    """w with (I - L)w = rhs, from the row-sum factors of V + K: one dpttrs
+    call on V rhs.  rhs is only read."""
+    # overwrite_b by position: V rhs is a temporary
+    return dpttrs(factor[0], factor[1], grid.volumes * rhs, True)[0]
 
 
 @dataclass(frozen=True)
@@ -148,12 +192,16 @@ class HelmholtzSolver:
 
 
 def build_solver(grid: Grid) -> HelmholtzSolver:
-    """Factorize (I - L); the matrix is an SPD M-matrix, so this cannot fail."""
-    return HelmholtzSolver(grid=grid, _factor=_factor(grid, 1.0, 1.0))
+    """Factorize (I - L) from the row sums of V + K (see _row_sum_factor)."""
+    return HelmholtzSolver(grid=grid, _factor=_row_sum_factor(grid.volumes, grid.coupling))
 
 
 def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
-    """w = (I - L)^{-1} u; its refinement pass keeps int w = int u to round-off."""
+    """w = (I - L)^{-1} u in one dpttrs call.
+
+    w >= 0 exactly for u >= 0, and int w = int u to a relative ~1e-14 of
+    int |u| at N = 8192.
+    """
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
     return _adopt(_solve(solver.grid, solver._factor, u.values), solver.grid)
@@ -172,7 +220,8 @@ def shifted_solve(
     Used by the time stepper, where alpha and beta depend on dt.  b is a
     float array of one value per cell, and the solve overwrites it: the
     refinement pass forms its defect in b's memory.  The mass identity
-    reads alpha sum V x = sum b.
+    reads alpha sum V x = sum b, and the refinement pass holds it to a
+    few ulps of sum |b|.
 
     guess, when given, replaces the first dpttrs solve: the result is
     guess plus one refinement pass, one dpttrs call instead of two.  The
@@ -180,8 +229,7 @@ def shifted_solve(
     a guess must lie close to x.  The state's v does for the v-update
     (I + dt (I - L)) v+ = v + dt w, which moves v by O(dt).  The u-update
     keeps its first solve, which is >= 0 exactly for b >= 0 (the
-    positivity of u rests on it), and the elliptic w = (I - L)^{-1} u
-    must not depend on the state it steps from.  guess is only read.
+    positivity of u rests on it).  guess is only read.
 
     The factors of the last two (alpha, beta) pairs stay on the solver
     and are reused when an equal pair comes back, so a reused factor is

@@ -540,12 +540,13 @@ def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     assert state.report.w is seen[-1]
 
 
-@pytest.mark.parametrize("sampled, calls", [(False, 5), (True, 3)])
-def test_step_makes_five_dpttrs_calls_and_three_from_a_sampled_state(
+@pytest.mark.parametrize("sampled, calls", [(False, 4), (True, 3)])
+def test_step_makes_four_dpttrs_calls_and_three_from_a_sampled_state(
     grid, monkeypatch, sampled, calls
 ):
-    # w and u+ take a first solve and its refinement pass each; v+ refines
-    # the state's v in one pass; a sampled state's report already holds w
+    # w takes one call on the row-sum factors; u+ a first solve and its
+    # refinement pass; v+ refines the state's v in one pass; a sampled
+    # state's report already holds w
     solver = build_solver(grid)
     u, v = smooth_pair(grid, seed=3)
     state = State(t=0.0, step=0, u=u, v=v, dt=1e-3)

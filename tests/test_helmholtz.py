@@ -142,9 +142,91 @@ def test_graded_mass_identity_every_solve(graded, graded_solver):
 
 @pytest.mark.parametrize("h_min", [None, 1e-12])
 def test_mass_identity_at_large_n(h_min):
-    # the projection's pairwise sums keep int w = int u at the blowup size
+    # the one-pass solve keeps int w = int u at the blowup size
     big = make_grid(5, 1.0, 8192, h_min=h_min)
     assert_mass_identity(big, build_solver(big))
+
+
+def longdouble_thomas(grid, b):
+    """(V + K)^{-1} b by the Thomas algorithm in np.longdouble.
+
+    The pivots come from the row sums of V + K, s_1 = V_1,
+    s_{i+1} = V_{i+1} + c_i s_i / (s_i + c_i), which no subtraction cancels:
+    eliminating the assembled diagonal V_i + c_{i-1} + c_i instead loses
+    every V_i below the 80-bit ulp of the couplings (V_1 / c_1 ~ 2e-25 on
+    the h_min = 1e-12 mesh at n = 5).
+    """
+    V = grid.volumes.astype(np.longdouble)
+    c = grid.coupling.astype(np.longdouble)
+    d = np.empty(grid.N, dtype=np.longdouble)
+    s = V[0]
+    for i in range(grid.N - 1):
+        d[i] = s + c[i]
+        s = V[i + 1] + c[i] * s / d[i]
+    d[-1] = s
+    m = c / d[:-1]
+    x = b.astype(np.longdouble)
+    for i in range(1, grid.N):
+        x[i] += m[i - 1] * x[i - 1]
+    x /= d
+    for i in range(grid.N - 2, -1, -1):
+        x[i] += m[i] * x[i + 1]
+    return x
+
+
+def componentwise_residual(grid, x, b):
+    """max_i |(V + K)x - b|_i over the sum of the magnitudes of its terms."""
+    V = grid.volumes.astype(np.longdouble)
+    c = grid.coupling.astype(np.longdouble)
+    flux = c * (x[1:] - x[:-1])
+    r = V * x - b
+    r[:-1] -= flux
+    r[1:] += flux
+    size = np.abs(x)
+    scale = V * size
+    face = c * (size[1:] + size[:-1])
+    scale[:-1] += face
+    scale[1:] += face
+    return float(np.max(np.abs(r) / scale))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is not 80-bit extended here"
+)
+@pytest.mark.parametrize("h_min", [None, 1e-12])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_one_pass_solve_matches_longdouble_thomas(n, h_min):
+    # the elliptic solve is one dpttrs call on the row-sum factors, with no
+    # refinement pass.  Worst cases over rng seeds 0-9 on x86-64:
+    # componentwise error 7.7e-14 (u spanning e^-20..e^20; 3.0e-14 for
+    # uniform u, 1.6e-14 for one cell at the origin), mass gap 1.2e-14 of
+    # int |u|, signed rhs 4.5e-14 normwise, reference residual 8.9e-20.
+    # Each bound is about three times its worst case
+    g = make_grid(n, 1.0, 8192, h_min=h_min)
+    s = build_solver(g)
+    rng = np.random.default_rng(n)
+    origin = np.zeros(g.N)
+    origin[0] = 1.0
+    for name, u in (
+        ("uniform", rng.random(g.N) * 3),
+        ("spread", np.exp(rng.uniform(-20.0, 20.0, g.N))),
+        ("origin", origin),
+        ("signed", rng.standard_normal(g.N)),
+    ):
+        w = solve(s, RadialField(u, g)).values
+        b = g.volumes * u
+        ref = longdouble_thomas(g, b)
+        # the reference solves the flux-form system to its own round-off
+        assert componentwise_residual(g, ref, b) <= 1e-17, name
+        if name == "signed":
+            err = np.max(np.abs(w - ref)) / np.max(np.abs(ref))
+            assert err <= 1.5e-13, (name, float(err))
+        else:
+            assert np.min(w) >= 0.0, name
+            err = np.max(np.abs(w - ref) / ref)
+            assert err <= 2.5e-13, (name, float(err))
+        gap = math.fsum(g.volumes * w) - math.fsum(b)
+        assert abs(gap) <= 4e-14 * math.fsum(np.abs(b)), (name, gap / math.fsum(np.abs(b)))
 
 
 def test_graded_constants_are_fixed_points(graded, graded_solver):
@@ -319,6 +401,15 @@ def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
     g = make_grid(5, 1.0, 64)
     with pytest.raises(ConfigurationError, match="not positive definite"):
         shifted_solve(build_solver(g), alpha, beta, np.ones(g.N) * g.volumes)
+
+
+def test_build_solver_rejects_a_grid_whose_inner_cells_underflow():
+    # at n = 40, on a mesh graded to 1e-12, the volumes and couplings of the
+    # innermost cells underflow to zero, and I - L is singular
+    g = make_grid(40, 1.0, 64, h_min=1e-12)
+    assert g.volumes[0] == g.coupling[0] == 0.0
+    with pytest.raises(ConfigurationError, match="zero pivot"):
+        build_solver(g)
 
 
 def random_spd_tridiagonal(N, seed):

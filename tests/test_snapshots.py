@@ -103,13 +103,13 @@ def test_snapshot_r_column_follows_the_grid(tmp_path):
 # read_snapshot rejects it; the README's conversion line reads it
 VERSION_1_BYTES = (
     b"# format_version=1\n# t=0.25\nr,u,v,w,f,g\r\n"
-    b"0.125,1.4203118716672527,1.0051956608731196,1.0130977646421102,"
+    b"0.125,1.4203118716672527,1.0051956608731194,1.0130977646421102,"
     b"-6.439293542825908e-15,-0.561358575266143\r\n"
-    b"0.375,1.1048056935755488,1.0050968845760073,1.008007588304296,"
+    b"0.375,1.1048056935755488,1.005096884576007,1.008007588304296,"
     b"-2.6645352591003757e-15,-0.7525269108135959\r\n"
-    b"0.625,1.0065164537242546,1.0050202174515184,1.0053451231711446,"
+    b"0.625,1.0065164537242546,1.0050202174515181,1.0053451231711446,"
     b"2.886579864025407e-15,-0.20392647598419278\r\n"
-    b"0.875,1.0001010301445257,1.004994493836366,1.0047810635851662,"
+    b"0.875,1.0001010301445257,1.0049944938363657,1.0047810635851662,"
     b"-6.661338147750939e-16,-0.012758140436739895\r\n"
 )
 
@@ -117,10 +117,10 @@ VERSION_1_BYTES = (
 # the same state as the version-2 (r,u,v) CSV writer left it
 VERSION_2_BYTES = (
     b"# format_version=2\n# t=0.25\nr,u,v\r\n"
-    b"0.125,1.4203118716672527,1.0051956608731196\r\n"
-    b"0.375,1.1048056935755488,1.0050968845760073\r\n"
-    b"0.625,1.0065164537242546,1.0050202174515184\r\n"
-    b"0.875,1.0001010301445257,1.004994493836366\r\n"
+    b"0.125,1.4203118716672527,1.0051956608731194\r\n"
+    b"0.375,1.1048056935755488,1.005096884576007\r\n"
+    b"0.625,1.0065164537242546,1.0050202174515181\r\n"
+    b"0.875,1.0001010301445257,1.0049944938363657\r\n"
 )
 
 

@@ -5,7 +5,8 @@ a bump with its relaxed signal, on uniform and graded meshes (h_min down
 to 1e-12), N from 32 to 512 and n from 5 to 8, and checks what the step's
 flux form promises to round-off: the mass of u telescopes, the v-update
 keeps (1 + dt) int v+ = int v + dt int w, and a finite state does not
-stall.
+stall.  The w the step reads, solved in one pass, is >= 0 and keeps
+int w = int u.
 """
 
 import math
@@ -61,7 +62,10 @@ def test_step_conserves_mass_and_the_signal_balance(case):
 
     V = g.volumes
     u, v, w = state.u.values, state.v.values, solve(s, state.u).values
+    assert np.min(w) >= 0.0
     mass_scale = math.fsum(V * np.abs(u))
+    w_gap = math.fsum(V * w) - math.fsum(V * u)
+    assert abs(w_gap) <= 1e-14 * mass_scale, w_gap / mass_scale
     mass_gap = math.fsum(V * new.u.values) - math.fsum(V * u)
     assert abs(mass_gap) <= 1e-14 * mass_scale, mass_gap / mass_scale
 

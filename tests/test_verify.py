@@ -33,7 +33,10 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
 
     Flipping the sign of the flux-form operator leaves telescoping (and so
     mass conservation) intact but corrupts every non-constant solve: the
-    manufactured-solution and energy-identity checks catch it.  Constant
+    manufactured-solution and energy-identity checks catch it.  The
+    elliptic solve never applies the flux kernel: it solves on factors
+    built from the couplings' row sums, so the manufactured check also
+    flips the couplings that factorization reads.  Constant
     states sit in the kernel of any stiffness tamper, but their round-off
     does not.  The v-update refines from v, so the flipped flux drives its
     whole increment: v anti-diffuses from round-off (a per-step change of
@@ -45,15 +48,22 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
         return true_flux_divergence(out, -values, weights)
 
     # the face-flux kernel in both its bindings: helmholtz's, which every
-    # refinement pass goes through, and grid's, behind grid.laplacian and
-    # so behind energy's (I - L)v
+    # shifted solve's refinement pass goes through, and grid's, behind
+    # grid.laplacian and so behind energy's (I - L)v
     monkeypatch.setattr(radks.helmholtz, "_add_flux_divergence", flipped)
     monkeypatch.setattr(radks.grid, "_add_flux_divergence", flipped)
 
     ok_cons, _ = check_conservation(128, 300)
     assert ok_cons  # conservation still holds: fluxes telescope regardless
 
-    ok_mms, detail = check_manufactured(100, 200, 3.5, 4.5)
+    true_factor = radks.helmholtz._row_sum_factor
+    with monkeypatch.context() as m:
+        m.setattr(
+            radks.helmholtz,
+            "_row_sum_factor",
+            lambda volumes, coupling: true_factor(volumes, -coupling),
+        )
+        ok_mms, detail = check_manufactured(100, 200, 3.5, 4.5)
     assert not ok_mms, detail
 
     ok_energy, detail = check_energy_identity(128, 8e-3, 0.1)
