@@ -127,6 +127,9 @@ def simulate_run(cfg: RunConfig):
             ("peak_sup", format_float(summary.peak_sup)),
             ("F0", format_float(summary.F0)),
             ("min_F", format_float(summary.min_F)),
+            ("min_u", format_float(summary.min_u)),
+            ("first_negative_step",
+             "" if summary.first_negative_step is None else summary.first_negative_step),
             ("mass_initial", format_float(samples[0].mass)),
             ("mass_final", format_float(samples[-1].mass)),
             ("max_C_fd", format_float(max_c["fd"])),

@@ -196,9 +196,11 @@ def _stable_dt(grid: Grid, vel: np.ndarray) -> float:
 
     1 / max(max_faces |v_r| / spacing, max_i outflow_i / V_i) for the face
     velocity vel = v_r: the reciprocal of the fastest transit or per-cell
-    outflow rate.  Near the origin the per-cell outflow rate is the
-    binding one because face areas outgrow volumes.  v_r = 0 everywhere
-    gives +inf.
+    outflow rate.  Positivity needs only the outflow rate; the transit
+    rate is the one that binds on an inward collapse, because a cell's
+    inner face has A / V < 1 / h, so a cell empties through it at less
+    than |v_r| / h.  (On the README blowup data the transit rate is the
+    larger at every step, by up to 9%.)  v_r = 0 everywhere gives +inf.
     """
     # both rates go into one buffer, so one reduction takes their maximum
     rates = np.empty(2 * grid.N + 1)
@@ -345,6 +347,8 @@ class RunSummary:
     steps: int
     F0: float
     min_F: float
+    min_u: float  # smallest min u over the run's states, the initial one included
+    first_negative_step: Optional[int]  # first step whose u has an entry < 0
 
 
 Sink = Callable[[State, TrajectorySample], None]
@@ -385,6 +389,9 @@ def run(
     Emits a diagnostics sample at t = 0, every output_every steps, and at
     termination; sink (if given) receives each emitted (state, sample),
     the state carrying its energy report, as does the returned final state.
+    The summary's min_u and first_negative_step cover every state, sampled
+    or not; they only report, so a negative u neither ends the run nor is
+    clipped.
     """
     state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
     if state.min_u < 0.0:
@@ -396,6 +403,7 @@ def run(
 
     # the one sup_norm of the run: every stepped state carries its own sup
     sup0 = peak = state.sup
+    min_u, first_negative = state.min_u, None
 
     samples: list[TrajectorySample] = []
 
@@ -415,6 +423,12 @@ def run(
             break
         state = step(_evolve(state, dt=adapt_dt(state, cfg)), cfg, solver)
         peak = max(peak, state.sup)
+        # a NaN compares false, so a stalled state keeps the earlier minimum;
+        # u0 >= 0, so the first state below 0 also lowers min_u
+        if state.min_u < min_u:
+            min_u = state.min_u
+            if min_u < 0.0 and first_negative is None:
+                first_negative = state.step
         if state.status is running:
             status = detect_blowup(state, cfg, sup0)
             if status is not state.status:
@@ -433,5 +447,7 @@ def run(
         steps=state.step,
         F0=samples[0].F,
         min_F=min(s.F for s in samples),
+        min_u=min_u,
+        first_negative_step=first_negative,
     )
     return state, summary, samples

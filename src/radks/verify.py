@@ -16,6 +16,7 @@ the signal bump rounds away and the W^{2,2} distances read zero.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -42,9 +43,15 @@ class CheckResult:
 
 
 def _smooth_pair(grid, seed=42, amp=0.2):
-    rng = np.random.default_rng(seed)
-    a = amp * (2 * rng.random(4) - 1)
-    b = amp * (2 * rng.random(4) - 1)
+    """u, v = 1 + sum_{k=1..4} a_k cos(k pi r / R), a_k uniform in [-amp, amp).
+
+    The eight coefficients, u's four then v's, come from the standard
+    library's random.Random(seed), whose random() sequence is the same for
+    an int seed on every supported Python.  It is not numpy.random, which
+    no radks path imports: loading it would add ~6 MB to the process.
+    """
+    rng = random.Random(seed)
+    a, b = np.split(amp * (2 * np.array([rng.random() for _ in range(8)]) - 1), 2)
     k = np.arange(1, 5)[:, None] * math.pi / grid.R
     u = 1.0 + np.sum(a[:, None] * np.cos(k * grid.centers[None, :]), axis=0)
     v = 1.0 + np.sum(b[:, None] * np.cos(k * grid.centers[None, :]), axis=0)

@@ -163,6 +163,63 @@ def test_simulate_stall_exit_code(tmp_path, monkeypatch):
     assert "status=stalled\nt_final=1.0\nt_blowup=\nsteps=2\n" in summary
 
 
+BUMP = """\
+# format_version=1
+[grid]
+n = 5
+R = 1.0
+N = {N}
+
+[base]
+kind = bump
+baseline = 1.0
+amplitude = 2e7
+width = {width}
+v_mode = {v_mode}
+
+[stepper]
+t_end = 0.5
+dt_max = 1e-2
+output_every = 20
+max_steps = {max_steps}
+
+[run]
+outdir = {outdir}
+"""
+
+
+def summary_keys(outdir) -> dict:
+    lines = (outdir / "summary.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines[1:])
+
+
+# the energy of the negative u overflows; that warning is the defect shown
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_summary_reports_the_first_step_that_took_u_negative(tmp_path):
+    # a flat signal gives the first step dt = dt_max, whose v+ drives u
+    # below zero at once; the run reports it and goes on, u unclipped
+    path = tmp_path / "flat.ini"
+    path.write_text(BUMP.format(N=64, width=0.1, v_mode="flat", max_steps=3,
+                                outdir=tmp_path / "out"))
+    summary, _ = radks.cli.simulate_run(load_config(path))
+    assert summary.steps == 3 and summary.first_negative_step == 1
+    keys = summary_keys(tmp_path / "out")
+    assert keys["first_negative_step"] == "1"
+    assert keys["status"] == "running"
+    assert float(keys["min_u"]) == summary.min_u < 0.0
+
+
+def test_summary_reports_no_negative_step_on_relaxed_readme_data(tmp_path):
+    path = tmp_path / "relaxed.ini"
+    path.write_text(BUMP.format(N=400, width=0.06, v_mode="relaxed", max_steps=5_000_000,
+                                outdir=tmp_path / "out"))
+    summary, _ = radks.cli.simulate_run(load_config(path))
+    assert summary.status.value == "blown_up" and summary.first_negative_step is None
+    keys = summary_keys(tmp_path / "out")
+    assert keys["first_negative_step"] == ""
+    assert float(keys["min_u"]) == summary.min_u >= 0.99
+
+
 def write_base_snapshot(path) -> bytes:
     """Write a format-3 snapshot of the BASE bump on BASE's grid at t = 0.5;
     return its bytes."""

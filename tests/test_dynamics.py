@@ -216,6 +216,26 @@ def test_run_ends_stalled_when_a_step_leaves_t_in_place(grid, solver, monkeypatc
     assert [smp.t for smp in samples] == [0.0, 1.0]
 
 
+def test_run_keeps_the_first_negative_step_through_a_stall(grid, solver, monkeypatch):
+    # step 1 leaves u below zero and step 2 a NaN, which stalls the run: the
+    # NaN min u of the last state must not hide the negative one before it
+    inner_step = dynamics.step
+
+    def tampered(state, cfg, solver):
+        new = inner_step(state, cfg, solver)
+        u = new.u.values.copy()
+        u[0] = -1.0 if new.step == 1 else math.nan
+        status = SimStatus.RUNNING if new.step == 1 else SimStatus.STALLED
+        return State(new.t, new.step, RadialField(u, grid), new.v, new.dt, status)
+
+    monkeypatch.setattr(dynamics, "step", tampered)
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3)
+    u0, v0 = smooth_pair(grid, seed=2)
+    _, summary, _ = run(u0, v0, cfg, solver=solver, max_steps=10)
+    assert summary.status is SimStatus.STALLED and summary.steps == 2
+    assert summary.first_negative_step == 1 and summary.min_u == -1.0
+
+
 def test_step_equilibrium_fixed_point(grid, solver):
     cfg = default_stepper_config(grid, t_end=1.0, dt_max=5e-3, dt_init=5e-3)
     st = State(0.0, 0, constant_field(grid, 1.0), constant_field(grid, 1.0), 5e-3)

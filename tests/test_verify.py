@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import radks.grid
@@ -20,6 +25,25 @@ def test_fast_checks_all_pass():
     report = scorecard(results)
     assert all(r.passed for r in results), report
     assert f"{len(results)}/{len(results)} checks passed" in report
+
+
+def test_smooth_pair_leaves_numpy_random_unimported():
+    # the smooth pairs draw from the standard library's random module;
+    # numpy.random would add ~6 MB to the peak RSS of every verify run
+    src = str(Path(radks.verify.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radks.cli\n"
+         "from radks import verify\n"
+         "from radks.grid import make_grid\n"
+         "verify._smooth_pair(make_grid(5, 1.0, 64))\n"
+         "print('numpy.random' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_run_checks_rejects_bad_level():
