@@ -18,10 +18,9 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 from .config import RunConfig, load_config, resolve_output_dir
-from .dynamics import SimStatus, run
+from .dynamics import SimStatus, Trajectory, run
 from .energy import compute_energy
 from .errors import ConfigurationError, RadksError
 from .grid import integrate
@@ -111,10 +110,11 @@ def simulate_run(cfg: RunConfig):
                 )
             sample_count += 1
 
-        state, summary, samples = run(
+        state, summary, trajectory = run(
             u0, v0, cfg.stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
-    max_c["fd"] = probe_fd_ratio(samples, pconf).implied_c
+    max_c["fd"] = probe_fd_ratio(trajectory, pconf).implied_c
+    mass = trajectory["mass"]
 
     write_snapshot(outdir / FINAL_SNAPSHOT_NAME, grid, state.u, state.v, t=state.t)
     with (outdir / "summary.txt").open("w") as handle:
@@ -130,8 +130,8 @@ def simulate_run(cfg: RunConfig):
             ("min_u", format_float(summary.min_u)),
             ("first_negative_step",
              "" if summary.first_negative_step is None else summary.first_negative_step),
-            ("mass_initial", format_float(samples[0].mass)),
-            ("mass_final", format_float(samples[-1].mass)),
+            ("mass_initial", format_float(mass[0])),
+            ("mass_final", format_float(mass[-1])),
             ("max_C_fd", format_float(max_c["fd"])),
             ("max_C_w", format_float(max_c["w"])),
             ("max_C_v", format_float(max_c["v"])),
@@ -175,8 +175,7 @@ def cmd_family(cfg: RunConfig) -> int:
 
 
 def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
-    # trajectory rows with the TrajectorySample attributes the probes read
-    samples = [SimpleNamespace(**row) for row in read_diagnostics(diagnostics_path)]
+    samples = read_diagnostics(diagnostics_path)
     if not samples:
         raise RadksError(f"{diagnostics_path} has no rows")
     snaps = []
@@ -194,7 +193,9 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     pconf = cfg.probe
     solver, _, v0 = _initial_pair(cfg)
     v0_norm = w22_norm(v0)
-    results, records = [], []
+    results = []
+    # each state's mass record, for the identity checks
+    records = Trajectory(("t", "mass", "int_v", "int_w"))
     for snap_path in snaps:
         snap = read_snapshot(snap_path)
         u, v = snap.fields(cfg.grid)
@@ -208,10 +209,7 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         results.append(replace(probe_pointwise_v(v, pconf, m, v0_norm), sample=t))
         for r in probe_local_inequalities(u, v, rep, pconf):
             results.append(replace(r, sample=t))
-        # this state's mass record, for the identity checks
-        records.append(
-            SimpleNamespace(t=t, mass=m, int_v=integrate(v), int_w=integrate(rep.w))
-        )
+        records.append((t, m, integrate(v), integrate(rep.w)))
 
     results.append(probe_fd_ratio(samples, pconf))
     results.extend(probe_mass_identities(records))

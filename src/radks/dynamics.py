@@ -37,16 +37,21 @@ V u - dt (F+ - F-) with F the upwind face fluxes, the form the solves
 work in, so no flux is divided by V only to be multiplied back.
 adapt_dt's stability bound takes one reduction, over the transit and
 outflow rates together.
+
+run returns the final state, a RunSummary and a Trajectory: a float64
+column per TrajectorySample field, with a row per emitted sample, which
+the sink receives as a TrajectorySample.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +72,7 @@ __all__ = [
     "State",
     "StepperConfig",
     "TrajectorySample",
+    "Trajectory",
     "RunSummary",
     "default_stepper_config",
     "advective_flux",
@@ -319,11 +325,11 @@ def detect_blowup(state: State, cfg: StepperConfig, sup0: float) -> SimStatus:
     return SimStatus.RUNNING
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """One diagnostics row plus the integrals the probes need.
 
-    Scalars only: a run keeps every sample, so no per-cell field belongs here.
+    The row a sink receives and Trajectory.append takes; its fields name
+    the columns of run's Trajectory, in order.
     """
 
     t: float
@@ -338,6 +344,34 @@ class TrajectorySample:
     min_u: float
 
 
+class Trajectory:
+    """A run's record: a growable float64 column per name, a row per sample.
+
+    trajectory[name] is a float64 copy of that column.  Each column is an
+    array('d'), so a row costs about 8 B per column and no Python object.
+    """
+
+    def __init__(self, names: Iterable[str] = TrajectorySample._fields):
+        self._columns = {name: array("d") for name in names}
+        self.names = tuple(self._columns)
+
+    def append(self, row: Sequence[float]) -> None:
+        """Append one row, its values in the order of names.
+
+        A row of another length raises ValueError before any column grows.
+        """
+        if len(row) != len(self.names):
+            raise ValueError(f"a row of {self.names} takes {len(self.names)} values, got {len(row)}")
+        for column, x in zip(self._columns.values(), row):
+            column.append(x)
+
+    def __len__(self) -> int:
+        return len(self._columns[self.names[0]])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.array(self._columns[name])
+
+
 @dataclass(frozen=True)
 class RunSummary:
     status: SimStatus
@@ -346,7 +380,7 @@ class RunSummary:
     t_blowup: Optional[float]  # t_final when BLOWN_UP, else None
     steps: int
     F0: float
-    min_F: float
+    min_F: float  # smallest F over the samples; a NaN sample is skipped
     min_u: float  # smallest min u over the run's states, the initial one included
     first_negative_step: Optional[int]  # first step whose u has an entry < 0
 
@@ -383,15 +417,16 @@ def run(
     solver: Optional[HelmholtzSolver] = None,
     sink: Optional[Sink] = None,
     max_steps: Optional[int] = None,
-) -> tuple[State, RunSummary, list[TrajectorySample]]:
+) -> tuple[State, RunSummary, Trajectory]:
     """March the system until t_end, blowup, stall, or max_steps.
 
     Emits a diagnostics sample at t = 0, every output_every steps, and at
     termination; sink (if given) receives each emitted (state, sample),
     the state carrying its energy report, as does the returned final state.
-    The summary's min_u and first_negative_step cover every state, sampled
-    or not; they only report, so a negative u neither ends the run nor is
-    clipped.
+    Returns (final state, summary, trajectory): the trajectory holds every
+    emitted sample as a row of TrajectorySample's columns.  The summary's
+    min_u and first_negative_step cover every state, sampled or not; they
+    only report, so a negative u neither ends the run nor is clipped.
     """
     state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
     if state.min_u < 0.0:
@@ -405,13 +440,15 @@ def run(
     sup0 = peak = state.sup
     min_u, first_negative = state.min_u, None
 
-    samples: list[TrajectorySample] = []
+    trajectory = Trajectory()
+    row: Optional[TrajectorySample] = None
 
     def emit(st: State) -> State:
-        st, smp = _sample(st, solver, samples[-1] if samples else None)
-        samples.append(smp)
+        nonlocal row
+        st, row = _sample(st, solver, row)
+        trajectory.append(row)
         if sink is not None:
-            sink(st, smp)
+            sink(st, row)
         return st
 
     state = emit(state)
@@ -439,15 +476,16 @@ def run(
 
     if state.step != last_emitted:
         state = emit(state)
+    F = trajectory["F"]
     summary = RunSummary(
         status=state.status,
         t_final=state.t,
         peak_sup=peak,
         t_blowup=state.t if state.status is SimStatus.BLOWN_UP else None,
         steps=state.step,
-        F0=samples[0].F,
-        min_F=min(s.F for s in samples),
+        F0=float(F[0]),
+        min_F=float(np.fmin.reduce(F)),
         min_u=min_u,
         first_negative_step=first_negative,
     )
-    return state, summary, samples
+    return state, summary, trajectory

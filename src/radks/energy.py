@@ -130,8 +130,9 @@ def identity_residual(before, after, delta_t: float) -> float:
     """Normalized defect of dF/dt + D = 0 between two diagnostic samples.
 
     D is time-averaged with the trapezoid rule; the module docstring says
-    what the residual measures.  Only .F and .D are
-    read, so before and after may be EnergyReports or TrajectorySamples.
+    what the residual measures.  Only .F and .D are read: run passes the
+    previous sample's TrajectorySample row as before and the new state's
+    EnergyReport as after.
     """
     if not delta_t > 0.0:
         raise ConfigurationError(f"samples must be separated by dt > 0, got {delta_t!r}")

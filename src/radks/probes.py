@@ -8,16 +8,22 @@ only defined for the inequalities whose constants are fully explicit
 non-constructive and are surfaced purely as measured values.  Each row
 of the probe report comes from the probe that names it: the ODI's c5 is
 the fd_ratio constant, so probe_odi adds only its tail slope.
+
+probe_fd_ratio, probe_odi and probe_mass_identities read the columns of
+a Trajectory, from run or read_diagnostics.  Their powers and exps stay
+Python's ** and math.exp on each float: np.power can differ in the last
+bit, which would move a reported constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .dynamics import Trajectory
 from .errors import ConfigurationError, GridMismatchError
 from .grid import RadialField, face_means, gradient_faces, integrate, laplacian
 from .energy import EnergyReport
@@ -157,15 +163,21 @@ def probe_pointwise_v(
     )
 
 
-def probe_fd_ratio(samples: Sequence, config: ProbeConfig) -> ProbeResult:
+def probe_fd_ratio(samples: Trajectory, config: ProbeConfig) -> ProbeResult:
     """Max over samples of (-F)_+ / (D_+^theta + 1), at its last attaining
-    sample: the ODI's c5 (see probe_odi)."""
+    sample: the ODI's c5 (see probe_odi).
+
+    A sample whose ratio is NaN is skipped; with no other sample the
+    constant is 0 and the sample time None.
+    """
     theta = config.theta
+    power = np.array([d**theta for d in np.maximum(samples["D"], 0.0).tolist()])
+    ratios = np.maximum(-samples["F"], 0.0) / (power + 1.0)
+    attaining = np.flatnonzero(ratios >= np.fmax.reduce(ratios, initial=0.0))
     best, best_t = 0.0, None
-    for s in samples:
-        ratio = max(-s.F, 0.0) / (max(s.D, 0.0) ** theta + 1.0)
-        if ratio >= best:
-            best, best_t = ratio, s.t
+    if len(attaining):
+        last = attaining[-1]
+        best, best_t = float(ratios[last]), float(samples["t"][last])
     return ProbeResult(
         name="fd_ratio",
         lhs=best,
@@ -190,7 +202,7 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y - np.mean(y)) / denom)
 
 
-def probe_odi(samples: Sequence, theta: float) -> tuple[ProbeResult, str]:
+def probe_odi(samples: Trajectory, theta: float) -> tuple[ProbeResult, str]:
     """(the odi_tail_slope row, note): the log-log slope of D against -F
     over the final decade of -F, which the ODI D >= ((-F - c5)/c5)^{1/theta}
     puts near 1/theta once -F >> c5.
@@ -202,8 +214,8 @@ def probe_odi(samples: Sequence, theta: float) -> tuple[ProbeResult, str]:
     positive -F spans less than a factor ODI_TAIL_MIN_SPAN over the
     trajectory (the tail is not reached).
     """
-    negF = np.array([-s.F for s in samples])
-    D = np.array([max(s.D, 0.0) for s in samples])
+    negF = -samples["F"]
+    D = np.maximum(samples["D"], 0.0)
     peak = float(np.max(negF)) if len(negF) else 0.0
     tail = (negF >= 0.1 * peak) & (negF > 0.0) & (D > 0.0)
     n_tail = int(np.count_nonzero(tail))
@@ -224,25 +236,25 @@ def probe_odi(samples: Sequence, theta: float) -> tuple[ProbeResult, str]:
     return row, note
 
 
-def probe_mass_identities(samples: Sequence) -> list[ProbeResult]:
+def probe_mass_identities(samples: Trajectory) -> list[ProbeResult]:
     """Hard identity checks along a trajectory.
 
     Relative drift of int u, the per-sample gap int w - int u, the bound
     int v <= max(int v0, int u0), and (reported, no hard flag) the gap to
-    the exact homogeneous-relaxation value of int v.  No samples, no rows.
+    the exact homogeneous-relaxation value of int v.  Each maximum is NaN
+    when any sample's term is, so a NaN sample fails the hard checks.  No
+    samples, no rows.
     """
     if not samples:
         return []
-    m0 = samples[0].mass
-    v0 = samples[0].int_v
-    drift = max(abs(s.mass - m0) for s in samples) / max(abs(m0), 1e-300)
-    w_gap = max(abs(s.int_w - s.mass) for s in samples) / max(abs(m0), 1e-300)
+    t, mass, int_v = samples["t"], samples["mass"], samples["int_v"]
+    m0, v0 = float(mass[0]), float(int_v[0])
+    drift = float(np.max(np.abs(mass - m0))) / max(abs(m0), 1e-300)
+    w_gap = float(np.max(np.abs(samples["int_w"] - mass))) / max(abs(m0), 1e-300)
     v_bound = max(v0, m0)
-    v_violation = max(max(s.int_v - v_bound for s in samples), 0.0) / max(v_bound, 1e-300)
-    relax_gap = max(
-        abs(s.int_v - (v0 * math.exp(-s.t) + m0 * (1.0 - math.exp(-s.t))))
-        for s in samples
-    )
+    v_violation = max(float(np.max(int_v - v_bound)), 0.0) / max(v_bound, 1e-300)
+    decay = np.array([math.exp(-x) for x in t.tolist()])
+    relax_gap = float(np.max(np.abs(int_v - (v0 * decay + m0 * (1.0 - decay)))))
     return [
         ProbeResult(
             name="mass_u_drift",

@@ -18,6 +18,8 @@ FINAL_SNAPSHOT_NAME, family_snapshot_name and run_snapshots.
 Every other file is version-1 CSV text, its floats written with
 shortest round-trip decimal formatting (Python repr).  Diagnostics rows
 are flushed as they are written; a killed run leaves a parseable prefix.
+read_diagnostics reads them back as a Trajectory of those seven
+columns, bit-equal to the run's.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .dynamics import Trajectory
 from .errors import SnapshotFormatError
 from .grid import Grid, RadialField
 
@@ -227,15 +230,16 @@ class DiagnosticsWriter:
         return False
 
 
-def read_diagnostics(path) -> list[dict]:
-    """Diagnostics rows as {column: float}, parsed through read_table."""
+def read_diagnostics(path) -> Trajectory:
+    """The diagnostics rows as a Trajectory over DIAGNOSTICS_COLUMNS,
+    parsed through read_table."""
     header, rows = read_table(path)
     if header != DIAGNOSTICS_COLUMNS:
         raise SnapshotFormatError(f"{path}: expected header {DIAGNOSTICS_COLUMNS}, got {header}")
-    out = []
+    out = Trajectory(DIAGNOSTICS_COLUMNS)
     for row in rows:
-        try:  # a ragged row fails zip, a non-number fails float
-            out.append(dict(zip(header, map(float, row), strict=True)))
+        try:  # a non-number fails float, a ragged row fails append
+            out.append([float(x) for x in row])
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}: malformed row {row!r}") from exc
     return out

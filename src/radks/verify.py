@@ -94,10 +94,12 @@ def check_conservation(N: int, steps: int) -> tuple[bool, str]:
     s = build_solver(g)
     u0, v0 = _smooth_pair(g)
     cfg = default_stepper_config(g, t_end=1e9, dt_max=2e-3, output_every=max(1, steps // 100))
-    _, _, samples = run(u0, v0, cfg, solver=s, max_steps=steps)
-    m0 = samples[0].mass
-    drift = max(abs(x.mass - m0) for x in samples) / m0
-    wgap = max(abs(x.int_w - x.mass) for x in samples) / m0
+    _, _, trajectory = run(u0, v0, cfg, solver=s, max_steps=steps)
+    mass = trajectory["mass"]
+    m0 = float(mass[0])
+    # np.max is NaN when any sample's is, so a NaN mass fails the row
+    drift = float(np.max(np.abs(mass - m0))) / m0
+    wgap = float(np.max(np.abs(trajectory["int_w"] - mass))) / m0
     ok = drift <= 1e-9 and wgap <= 1e-12
     return ok, f"mass drift {drift:.2e} (<=1e-9), w-u gap {wgap:.2e} (<=1e-12) over {steps} steps"
 
@@ -120,14 +122,14 @@ def check_equilibrium(N: int = 256, sink: Sink | None = None) -> tuple[bool, str
         if sink is not None:
             sink(st, smp)
 
-    _, summary, samples = run(u0, v0, cfg, sink=track, max_steps=50)
-    D = max(x.D for x in samples)
-    f_err = abs(samples[-1].F + 0.5 * g.ball_volume)
+    _, summary, trajectory = run(u0, v0, cfg, sink=track, max_steps=50)
+    D = float(np.max(trajectory["D"]))
+    f_err = abs(float(trajectory["F"][-1]) + 0.5 * g.ball_volume)
     done = summary.status is SimStatus.COMPLETED
     ok = done and worst <= 1e-12 and D <= 1e-12 and f_err <= 1e-9
     return ok, (
         f"per-step change {worst:.2e} (<=1e-12), D={D:.2e} (<=1e-12), "
-        f"|F + |Omega|/2| = {f_err:.2e} (<=1e-9) over {len(samples) - 1} steps"
+        f"|F + |Omega|/2| = {f_err:.2e} (<=1e-9) over {len(trajectory) - 1} steps"
         + ("" if done else f", {summary.status.value} at t={summary.t_final:.6g}")
     )
 
@@ -144,8 +146,8 @@ def check_energy_identity(
 
     def max_res(dtv):
         cfg = default_stepper_config(g, t_end=t_end, dt_max=dtv, output_every=10)
-        _, _, smp = run(u0, v0, cfg, solver=s, sink=sink)
-        return max(x.identity_residual for x in smp[1:])
+        _, _, trajectory = run(u0, v0, cfg, solver=s, sink=sink)
+        return float(np.max(trajectory["identity_residual"][1:]))
 
     ratio = max_res(dt) / max_res(dt / 2)
     return 1.6 <= ratio <= 2.4, (

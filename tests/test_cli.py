@@ -23,7 +23,13 @@ from radks.initial_data import (
     family_scales,
     w22_norm,
 )
-from radks.snapshots import read_diagnostics, read_snapshot, read_table, write_snapshot
+from radks.snapshots import (
+    DIAGNOSTICS_COLUMNS,
+    read_diagnostics,
+    read_snapshot,
+    read_table,
+    write_snapshot,
+)
 
 BASE = """\
 # format_version=1
@@ -60,8 +66,8 @@ def test_simulate_completes_with_outputs(config_path, tmp_path):
     assert main(["-c", str(config_path), "simulate"]) == 0
     out = tmp_path / "out"
     rows = read_diagnostics(out / "diagnostics.csv")
-    assert rows[0]["t"] == 0.0
-    assert rows[-1]["t"] == pytest.approx(0.1)
+    assert rows["t"][0] == 0.0
+    assert rows["t"][-1] == pytest.approx(0.1)
     snap = read_snapshot(out / "snapshot_final.snap")
     assert len(snap.u) == 96
     summary = (out / "summary.txt").read_text()
@@ -417,16 +423,29 @@ def test_probe_reads_no_snapshot_of_an_earlier_run(config_path, tmp_path):
     assert main(["-c", str(config_path), "simulate"]) == 0
     assert main(["-c", str(config_path), "--set", "stepper.t_end=0.02", "simulate"]) == 0
     assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv"), str(out)]) == 0
-    times = {row["t"] for row in read_diagnostics(out / "diagnostics.csv")}
+    times = set(read_diagnostics(out / "diagnostics.csv")["t"].tolist())
     rows = _probe_rows(out / "probe_report.csv", "pointwise_w")
     samples = [float(row["sample"]) for row in rows]
     assert samples and set(samples) <= times
 
 
-def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path):
-    # both read probe_fd_ratio over the same samples; diagnostics round-trip
+def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path, monkeypatch):
+    # both read probe_fd_ratio over the same samples: the diagnostics rows
+    # read back give the columns of the run's own Trajectory, bit for bit
+    runs = []
+
+    def recording_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(radks.cli, "run", recording_run)
     assert main(["-c", str(config_path), "simulate"]) == 0
     out = tmp_path / "out"
+    ((_, _, trajectory),) = runs
+    read = read_diagnostics(out / "diagnostics.csv")
+    assert len(read) == len(trajectory) > 2
+    for name in DIAGNOSTICS_COLUMNS:
+        assert read[name].tobytes() == trajectory[name].tobytes(), name
     assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv")]) == 0
     (row,) = _probe_rows(out / "probe_report.csv", "fd_ratio")
     assert f"max_C_fd={row['implied_C']}\n" in (out / "summary.txt").read_text()
@@ -633,6 +652,16 @@ def test_probe_rejects_missing_snapshot_dir(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-dir" in err
     assert not (out / "probe_report.csv").exists()
+
+
+def test_probe_rejects_diagnostics_without_rows(config_path, tmp_path, capsys):
+    # a header and no row, as a run killed before its first sample leaves it
+    diag = tmp_path / "diagnostics.csv"
+    diag.write_text("# format_version=1\n" + ",".join(DIAGNOSTICS_COLUMNS) + "\n")
+    assert main(["-c", str(config_path), "probe", str(diag)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{diag} has no rows" in err
+    assert not (tmp_path / "out" / "probe_report.csv").exists()
 
 
 @pytest.mark.parametrize("contents", ["family", "empty"])

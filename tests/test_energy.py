@@ -218,7 +218,7 @@ def test_identity_residual_first_order_in_dt():
     def max_res(dt):
         cfg = default_stepper_config(g, t_end=0.25, dt_max=dt, dt_init=dt, output_every=10)
         _, _, samples = run(u0, v0, cfg, solver=s)
-        return max(x.identity_residual for x in samples[1:])
+        return np.max(samples["identity_residual"][1:])
 
     ratio = max_res(8e-3) / max_res(4e-3)
     assert 1.5 <= ratio <= 2.5

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radks.dynamics import default_stepper_config, run
+from radks import dynamics
+from radks.dynamics import SimStatus, State, Trajectory, default_stepper_config, run
 from radks.energy import compute_energy
 from radks.errors import ConfigurationError, GridMismatchError
 from radks.grid import RadialField, constant_field, field_from_function, integrate, make_grid
@@ -21,6 +22,7 @@ from radks.probes import (
     probe_pointwise_w,
     theta_exponent,
 )
+from radks.verify import _smooth_pair
 
 BALL_VOLUME = 8 * math.pi**2 / 15
 
@@ -35,16 +37,13 @@ def solver(grid):
     return build_solver(grid)
 
 
-class FakeSample:
-    def __init__(self, t, F, D, mass=1.0, int_v=1.0, int_w=1.0):
-        self.t = t
-        self.F = F
-        self.D = D
-        self.mass = mass
-        self.int_v = int_v
-        self.int_w = int_w
-        self.sup_u = 1.0
-        self.dt = 1e-3
+def fake_samples(t, F, D):
+    """A Trajectory of the t, F and D columns probe_fd_ratio and probe_odi
+    read; a scalar F or D repeats at every t."""
+    samples = Trajectory(("t", "F", "D"))
+    for row in zip(*np.broadcast_arrays(t, F, D)):
+        samples.append(row)
+    return samples
 
 
 def test_theta_branches():
@@ -141,14 +140,15 @@ def test_pointwise_v_smooth_and_stability(grid, solver):
 
 def test_fd_ratio_equilibrium_constant(grid, solver):
     # D = 0 at the homogeneous state: ratio is (-F)_+ / 1 = |Omega|/2
-    samples = [FakeSample(t, F=-0.5 * BALL_VOLUME, D=0.0) for t in (0.0, 0.5, 1.0)]
+    samples = fake_samples((0.0, 0.5, 1.0), F=-0.5 * BALL_VOLUME, D=0.0)
     res = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, rho=(0.5,)))
     assert res.implied_c == pytest.approx(0.5 * BALL_VOLUME, rel=1e-12)
 
 
 def test_fd_ratio_monotone_in_theta():
     # raising theta toward 1 shrinks the ratio once D >= 1
-    samples = [FakeSample(t, F=-10.0 - t, D=5.0 + t) for t in range(10)]
+    t = np.arange(10.0)
+    samples = fake_samples(t, F=-10.0 - t, D=5.0 + t)
     lo = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, kappa=4.5, rho=(0.5,)))
     hi = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, kappa=6.0, rho=(0.5,)))
     assert theta_exponent(6.0, 5) > theta_exponent(4.5, 5)
@@ -160,14 +160,15 @@ ODI_CONFIG = ProbeConfig(n=5, R=1.0)  # theta = 5/7
 
 def test_odi_equilibrium_c5_is_sup_negF():
     # the ODI's c5 is the fd-ratio constant: sup -F where D = 0
-    samples = [FakeSample(t, F=-2.6, D=0.0) for t in np.linspace(0, 1, 20)]
+    samples = fake_samples(np.linspace(0, 1, 20), F=-2.6, D=0.0)
     assert probe_fd_ratio(samples, ODI_CONFIG).implied_c == pytest.approx(2.6, rel=1e-9)
 
 
 def test_odi_insufficient_tail_raises():
     # too few samples to fit a tail: the slope is NaN with the reason, and
     # c5 is still fitted (D = 1 binds at the peak: c5 = max(-F)/2 = 1)
-    samples = [FakeSample(t, F=-1.0 - t, D=1.0) for t in np.linspace(0, 1, 5)]
+    t = np.linspace(0, 1, 5)
+    samples = fake_samples(t, F=-1.0 - t, D=1.0)
     row, note = probe_odi(samples, 5.0 / 7.0)
     assert row.name == "odi_tail_slope" and math.isnan(row.implied_c)
     assert "need at least 8" in note
@@ -181,7 +182,7 @@ def test_odi_tail_not_reached_when_negF_barely_grows():
     theta = 5.0 / 7.0
     negF = np.linspace(5062.0, 5827.0, 200)
     D = np.geomspace(1.8e7, 4.9e8, 200)
-    samples = [FakeSample(t, F=-x, D=d) for t, (x, d) in enumerate(zip(negF, D))]
+    samples = fake_samples(np.arange(200.0), F=-negF, D=D)
     row, note = probe_odi(samples, theta)
     assert math.isnan(row.implied_c) and math.isnan(row.lhs)
     assert "tail not reached" in note and "1.15" in note
@@ -194,8 +195,7 @@ def test_odi_recovers_powerlaw_slope():
     theta = 5.0 / 7.0
     c5 = 2.0
     negF = np.linspace(2.5, 250.0, 120)
-    samples = [FakeSample(t, F=-x, D=((x - c5) / c5) ** (1 / theta))
-               for t, x in enumerate(negF)]
+    samples = fake_samples(np.arange(120.0), F=-negF, D=((negF - c5) / c5) ** (1 / theta))
     assert probe_fd_ratio(samples, ODI_CONFIG).implied_c <= c5 * (1 + 1e-6)
     row, note = probe_odi(samples, theta)
     # in the tail (-F >> c5) the log-log slope approaches 1/theta
@@ -206,10 +206,10 @@ def test_odi_recovers_powerlaw_slope():
 def test_odi_c5_monotone_under_tail_extension():
     theta = 5.0 / 7.0
     negF = np.linspace(0.5, 60.0, 60)
-    samples = [FakeSample(t, F=-x, D=0.5 * ((x - 2.0) / 2.0) ** (1 / theta) if x > 2 else 0.0)
-               for t, x in enumerate(negF)]
-    c5_short = probe_fd_ratio(samples[:30], ODI_CONFIG).implied_c
-    c5_long = probe_fd_ratio(samples, ODI_CONFIG).implied_c
+    D = [0.5 * ((x - 2.0) / 2.0) ** (1 / theta) if x > 2 else 0.0 for x in negF]
+    t = np.arange(60.0)
+    c5_short = probe_fd_ratio(fake_samples(t[:30], -negF[:30], D[:30]), ODI_CONFIG).implied_c
+    c5_long = probe_fd_ratio(fake_samples(t, -negF, D), ODI_CONFIG).implied_c
     assert c5_long >= c5_short - 1e-12
 
 
@@ -237,6 +237,32 @@ def test_mass_identities_trajectory(grid, solver):
     assert results["v_mass_bound"].hard_pass
     # backward-Euler relaxation tracks the scalar solution at O(dt)
     assert results["v_mass_relaxation_gap"].lhs <= 0.05
+
+
+def test_mass_identities_fail_on_a_nan_sample(monkeypatch):
+    # step 5 stalls on a NaN u, and run samples that state last: its NaN
+    # mass must fail the hard checks, not drop out of their maxima
+    inner_step = dynamics.step
+
+    def tampered(state, cfg, solver):
+        new = inner_step(state, cfg, solver)
+        if new.step < 5:
+            return new
+        u = new.u.values.copy()
+        u[0] = math.nan
+        return State(new.t, new.step, RadialField(u, new.u.grid), new.v, new.dt,
+                     SimStatus.STALLED)
+
+    monkeypatch.setattr(dynamics, "step", tampered)
+    g = make_grid(5, 1.0, 64)
+    u0, v0 = _smooth_pair(g)
+    cfg = default_stepper_config(g, t_end=1e9, dt_max=2e-3, output_every=1)
+    _, summary, samples = run(u0, v0, cfg, max_steps=10)
+    assert summary.status is SimStatus.STALLED and summary.steps == 5
+    assert math.isnan(samples["mass"][-1])
+    results = {r.name: r for r in probe_mass_identities(samples)}
+    for name in ("mass_u_drift", "mass_w_equals_u"):
+        assert math.isnan(results[name].lhs) and results[name].hard_pass is False, name
 
 
 def test_mass_identities_need_samples():
@@ -372,7 +398,7 @@ def test_odi_superlinear_slope_on_collapse(collapse_trajectory):
 def test_fd_ratio_bounded_while_energy_diverges(collapse_trajectory):
     samples, _ = collapse_trajectory
     res = probe_fd_ratio(samples, ProbeConfig(n=5, R=1.0, rho=(0.5,)))
-    peak_negF = max(-s.F for s in samples)
+    peak_negF = np.max(-samples["F"])
     assert peak_negF > 1e4  # the energy genuinely diverges
     assert math.isfinite(res.implied_c)
     assert res.implied_c < 10.0  # the ratio stays of order one
@@ -381,7 +407,7 @@ def test_fd_ratio_bounded_while_energy_diverges(collapse_trajectory):
 def test_pointwise_w_uniform_along_collapse(collapse_trajectory):
     # the weighted bound is time-uniform even as the sup norm explodes
     samples, consts = collapse_trajectory
-    assert samples[-1].sup_u / samples[0].sup_u > 1e5
+    assert samples["sup_u"][-1] / samples["sup_u"][0] > 1e5
     assert max(consts) <= 1.05 * consts[0]  # constant to within a few percent
 
 

@@ -217,9 +217,9 @@ def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
         writer.write(_sample(0.1))
     rows = read_diagnostics(path)
     assert len(rows) == 2
-    assert list(rows[0].keys()) == DIAGNOSTICS_COLUMNS
-    assert rows[1]["t"] == 0.1
-    assert rows[0]["mass"] == 5.2637890139143245
+    assert list(rows.names) == DIAGNOSTICS_COLUMNS
+    assert rows["t"][1] == 0.1
+    assert rows["mass"][0] == 5.2637890139143245
 
     # a truncated file (killed run) still parses up to the cut
     text = path.read_text().splitlines()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import radks.dynamics
 import radks.grid
 import radks.helmholtz
 import radks.verify
-from radks.grid import _add_flux_divergence as true_flux_divergence, make_grid
+from radks.dynamics import SimStatus, State
+from radks.grid import RadialField, _add_flux_divergence as true_flux_divergence, make_grid
 from radks.verify import (
     check_conservation,
     check_energy_identity,
@@ -115,3 +118,23 @@ def test_family_check_fails_on_a_uniform_mesh(monkeypatch):
     ok, detail = check_family(512)
     assert not ok
     assert "0.00e+00" in detail
+
+
+def test_conservation_fails_on_a_nan_sample(monkeypatch):
+    # step 5 stalls on a NaN u, and run samples that state last: its NaN
+    # mass must fail the row, not drop out of the drift's maximum
+    inner_step = radks.dynamics.step
+
+    def tampered(state, cfg, solver):
+        new = inner_step(state, cfg, solver)
+        if new.step < 5:
+            return new
+        u = new.u.values.copy()
+        u[0] = math.nan
+        return State(new.t, new.step, RadialField(u, new.u.grid), new.v, new.dt,
+                     SimStatus.STALLED)
+
+    monkeypatch.setattr(radks.dynamics, "step", tampered)
+    ok, detail = check_conservation(64, 10)
+    assert not ok
+    assert "mass drift nan" in detail and "w-u gap nan" in detail
