@@ -98,11 +98,11 @@ def simulate_run(cfg: RunConfig):
 
     with DiagnosticsWriter(outdir / "diagnostics.csv") as diag:
 
-        def sink(state, sample):
+        def sink(state, sample, report):
             nonlocal sample_count
             diag.write(sample)
             m = sample.mass
-            max_c["w"] = max(max_c["w"], probe_pointwise_w(state.report.w, m).implied_c)
+            max_c["w"] = max(max_c["w"], probe_pointwise_w(report.w, m).implied_c)
             max_c["v"] = max(max_c["v"], probe_pointwise_v(state.v, pconf, m, v0_norm).implied_c)
             if cfg.snapshot_every and sample_count % cfg.snapshot_every == 0:
                 write_snapshot(

@@ -1,9 +1,8 @@
 """IMEX time stepping for the coupled cell/signal system.
 
 One step does, in order:
-  (a) w = (I - L)^{-1} u                        (elliptic signal; read from
-                                                 the state's energy report
-                                                 when it carries one)
+  (a) w = (I - L)^{-1} u                        (elliptic signal, kept on
+                                                 u: solved once per state)
   (b) (I + dt (I - L)) v+ = v + dt w            (implicit linear v-update)
   (c) (I - dt L) u+ = u - dt div Phi(u, v+)     (implicit diffusion,
                                                  explicit upwind advection)
@@ -30,17 +29,20 @@ in four LAPACK dpttrs calls: (a) makes one, on the row-sum factors of
 the refinement pass of v itself, which is within O(dt) of v+
 (shifted_solve's guess); and two factorizations, of the (b) and (c)
 operators, only when dt moves to another rung of adapt_dt's ladder
-2^(k/16).  A sampled state skips (a), so its step makes three dpttrs
-calls: its energy report already solved w.  (b) and (c) hand
-shifted_solve their right-hand sides as cell integrals, V (v + dt w) and
-V u - dt (F+ - F-) with F the upwind face fluxes, the form the solves
-work in, so no flux is divided by V only to be multiplied back.
+2^(k/16).  w is a function of u alone, and u keeps it
+(helmholtz._kept_w): the step from a sampled state, whose energy report
+solved w, and a second step from the same state make three dpttrs calls
+and no w-solve.  (b) and (c) hand shifted_solve their right-hand sides
+as cell integrals, V (v + dt w) and V u - dt (F+ - F-) with F the upwind
+face fluxes, the form the solves work in, so no flux is divided by V
+only to be multiplied back.
 adapt_dt's stability bound takes one reduction, over the transit and
 outflow rates together.
 
 run returns the final state, a RunSummary and a Trajectory: a float64
 column per TrajectorySample field, with a row per emitted sample, which
-the sink receives as a TrajectorySample.
+the sink receives as a TrajectorySample, with the state and its
+EnergyReport.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .grid import (
     integrate,
     sup_norm,
 )
-from .helmholtz import HelmholtzSolver, build_solver, shifted_solve, solve
+from .helmholtz import HelmholtzSolver, _kept_w, build_solver, shifted_solve
 
 __all__ = [
     "SimStatus",
@@ -92,12 +94,11 @@ class SimStatus(Enum):
 
 @dataclass(frozen=True)
 class State:
-    """Simulation state owned by exactly one run loop.
+    """Simulation state owned by exactly one run loop: the dynamics alone.
 
-    report, when set, is compute_energy of this state's (u, v): a sampled
-    state carries it, w included, so the next step and the sink do not
-    solve again.  A new u needs a new State (step builds one with
-    report = None).
+    w = (I - L)^{-1} u is kept on u (helmholtz._kept_w), so the state's
+    energy report and its step share one solve; the report itself goes to
+    the sink and is not kept.
 
     v_r at the faces is gradient_faces(v), which v keeps: the step that
     builds a state computes it once for its flux, and adapt_dt and the
@@ -112,7 +113,6 @@ class State:
     v: RadialField
     dt: float
     status: SimStatus = SimStatus.RUNNING
-    report: Optional[EnergyReport] = None
 
     @cached_property
     def sup(self) -> float:
@@ -260,14 +260,16 @@ def adapt_dt(state: State, cfg: StepperConfig) -> float:
 def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     """Advance one IMEX step of size state.dt.
 
-    The new state is STALLED when a field is not finite (or v+ sums past
-    the float range) or when dt is too small to change t (t + dt == t).
+    w is the one state.u keeps (solved here if it has none), so a second
+    step from the same state, at another dt, solves no w.  The new state
+    is STALLED when a field is not finite (or v+ sums past the float
+    range) or when dt is too small to change t (t + dt == t).
     """
     if state.status is not SimStatus.RUNNING:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
     grid = state.u.grid
     dt = state.dt
-    w = state.report.w if state.report is not None else solve(solver, state.u)
+    w = _kept_w(solver, state.u)
     # both right-hand sides are cell integrals: V (v + dt w), and
     # V u - dt (F+ - F-) from the upwind face fluxes F
     b = w.values * dt
@@ -299,7 +301,6 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         v=v_plus,
         dt=dt,
         status=SimStatus.RUNNING if ok else SimStatus.STALLED,
-        report=None,
         # max |u_i| is the larger of |max u| and |min u|; abs makes it +0.0
         # on a zero field, as sup_norm does
         sup=float(max(abs(u_max), abs(u_min))),
@@ -385,18 +386,19 @@ class RunSummary:
     first_negative_step: Optional[int]  # first step whose u has an entry < 0
 
 
-Sink = Callable[[State, TrajectorySample], None]
+Sink = Callable[[State, TrajectorySample, EnergyReport], None]
+"""Receives each sampled state with its diagnostics row and energy report."""
 
 
 def _sample(
     state: State, solver: HelmholtzSolver, prev: Optional[TrajectorySample]
-) -> tuple[State, TrajectorySample]:
-    """The diagnostics of state, and state carrying its energy report."""
+) -> tuple[TrajectorySample, EnergyReport]:
+    """The diagnostics row of state, and its energy report."""
     rep = compute_energy(state.u, state.v, solver)
     res = 0.0
     if prev is not None and state.t > prev.t:
         res = identity_residual(prev, rep, state.t - prev.t)
-    return _evolve(state, report=rep), TrajectorySample(
+    row = TrajectorySample(
         t=state.t,
         dt=state.dt,
         mass=integrate(state.u),
@@ -408,6 +410,7 @@ def _sample(
         int_w=integrate(rep.w),
         min_u=state.min_u,
     )
+    return row, rep
 
 
 def run(
@@ -421,16 +424,21 @@ def run(
     """March the system until t_end, blowup, stall, or max_steps.
 
     Emits a diagnostics sample at t = 0, every output_every steps, and at
-    termination; sink (if given) receives each emitted (state, sample),
-    the state carrying its energy report, as does the returned final state.
-    Returns (final state, summary, trajectory): the trajectory holds every
-    emitted sample as a row of TrajectorySample's columns.  The summary's
-    min_u and first_negative_step cover every state, sampled or not; they
-    only report, so a negative u neither ends the run nor is clipped.
+    termination; sink (if given) receives each emitted (state, sample,
+    energy report), the final state's last.  The report is not kept: w
+    stays on the state's u for its step, and f and g go when the sink
+    returns.  Returns (final state, summary, trajectory): the trajectory
+    holds every emitted sample as a row of TrajectorySample's columns.
+    The summary's min_u and first_negative_step cover every state, sampled
+    or not; they only report, so a negative u neither ends the run nor is
+    clipped.  u0 must be finite and nonnegative and v0 finite.
     """
     state = State(t=0.0, step=0, u=u0, v=v0, dt=cfg.dt_init)
-    if state.min_u < 0.0:
-        raise ConfigurationError("initial cell density must be nonnegative")
+    # a NaN makes min u NaN, which fails the test, and +inf shows in sup
+    if not (state.min_u >= 0.0 and math.isfinite(state.sup)):
+        raise ConfigurationError("initial cell density must be finite and nonnegative")
+    if not np.isfinite(v0.values).all():
+        raise ConfigurationError("initial signal must be finite")
     if not u0.grid.same_as(v0.grid):
         raise GridMismatchError("u0 and v0 live on different grids")
     if solver is None:
@@ -443,15 +451,14 @@ def run(
     trajectory = Trajectory()
     row: Optional[TrajectorySample] = None
 
-    def emit(st: State) -> State:
+    def emit(st: State) -> None:
         nonlocal row
-        st, row = _sample(st, solver, row)
+        row, report = _sample(st, solver, row)
         trajectory.append(row)
         if sink is not None:
-            sink(st, row)
-        return st
+            sink(st, row, report)
 
-    state = emit(state)
+    emit(state)
     last_emitted = 0
 
     running = SimStatus.RUNNING  # a local: each enum member read costs a lookup
@@ -471,11 +478,11 @@ def run(
             if status is not state.status:
                 state = _evolve(state, status=status)
         if state.step % cfg.output_every == 0 and state.status is running:
-            state = emit(state)
+            emit(state)
             last_emitted = state.step
 
     if state.step != last_emitted:
-        state = emit(state)
+        emit(state)
     F = trajectory["F"]
     summary = RunSummary(
         status=state.status,

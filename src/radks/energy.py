@@ -14,10 +14,10 @@ transport term (g with the arithmetic face mean) and the dissipation of
 the upwind flux the step takes.
 
 compute_energy is the one evaluation of a state: its EnergyReport
-carries the fields w, f and g next to the integrals, so the stepper
-and the probes read them instead of solving again.  The face gradients
-and face means it takes, and L v, stay on u, v and f (see radks.grid),
-so a probe of the same state reads those too.
+carries the fields w, f and g next to the integrals, so the probes read
+them instead of solving again.  w is the one u keeps (helmholtz._kept_w),
+so the step from the same state reads it too; the face gradients and
+face means it takes, and L v, stay on u, v and f (see radks.grid).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import RadialField, _adopt, face_means, gradient_faces, laplacian
-from .helmholtz import HelmholtzSolver, solve
+from .helmholtz import HelmholtzSolver, _kept_w
 
 __all__ = [
     "EnergyReport",
@@ -87,13 +87,14 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
 def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
     """Evaluate every term of F and D at the state (u, v), with w, f and g.
 
-    L v and the face gradients and face means it reads stay on v, u and
-    f, so a probe of the same state finds them computed.
+    w is the one u keeps, solved here if u has none yet.  L v and the
+    face gradients and face means it reads stay on v, u and f, so a probe
+    of the same state finds them computed.
     """
     grid = u.grid
     if not grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
-    w = solve(solver, u)
+    w = _kept_w(solver, u)
     opv = v.values - laplacian(v).values
     f = _adopt(opv - w.values, grid)
 

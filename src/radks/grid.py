@@ -16,8 +16,10 @@ into a read-only array, and _adopt makes read-only an array that only
 the new field holds.  So face_means, gradient_faces and laplacian each
 compute their result once per field and keep it on that field,
 read-only; every later call, from the stepper, the energy or a probe,
-returns the same object.  The kept arrays live as long as the field.
-Two threads that miss at once compute equal arrays, and one is kept.
+returns the same object.  A density u keeps its signal
+w = (I - L)^{-1} u the same way (radks.helmholtz._kept_w).  The kept
+values live as long as the field.  Two threads that miss at once compute
+equal values, and one is kept.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ class RadialField:
 
     values is a read-only copy of the array passed in, so it stays what
     it was at construction.  That lets the field keep its face means,
-    face gradient and L f, each computed on first use (see the module
-    docstring); a new field starts with none of them.
+    face gradient and L f, and a density its w, each computed on first
+    use (see the module docstring); a new field starts with none of them.
     """
 
     values: np.ndarray
@@ -247,7 +249,7 @@ def _adopt(values: np.ndarray, grid: Grid) -> RadialField:
     Skips the defensive copy of the constructor: the array is only made
     read-only, so it must not be reachable from anywhere else.  A writer
     that kept it could change the values under the face means, face
-    gradient and L f the field keeps.
+    gradient, L f and w the field keeps.
     """
     values.setflags(write=False)
     field = object.__new__(RadialField)

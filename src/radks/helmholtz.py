@@ -200,11 +200,28 @@ def solve(solver: HelmholtzSolver, u: RadialField) -> RadialField:
     """w = (I - L)^{-1} u in one dpttrs call.
 
     w >= 0 exactly for u >= 0, and int w = int u to a relative ~1e-14 of
-    int |u| at N = 8192.
+    int |u| at N = 8192.  solve keeps nothing and always solves, so it
+    serves as the independent check of the w that u keeps (_kept_w), and
+    a count of its calls is a count of real solves.
     """
     if not u.grid.same_as(solver.grid):
         raise GridMismatchError("input field does not live on the solver grid")
     return _adopt(_solve(solver.grid, solver._factor, u.values), solver.grid)
+
+
+def _kept_w(solver: HelmholtzSolver, u: RadialField) -> RadialField:
+    """w = (I - L)^{-1} u, solved on the first call and kept on u, read-only.
+
+    w is a function of u alone (0 = Lw - w + u), so u keeps it as radks.grid
+    keeps a field's face gradient: a state's energy report and its steps
+    share one solve.  Every solver of u's grid gives the same w.
+    """
+    if not u.grid.same_as(solver.grid):
+        raise GridMismatchError("input field does not live on the solver grid")
+    w = u.__dict__.get("_w")
+    if w is None:
+        w = u.__dict__["_w"] = solve(solver, u)
+    return w
 
 
 def shifted_solve(

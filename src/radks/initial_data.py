@@ -39,7 +39,7 @@ from .grid import (
     laplacian,
     unit_sphere_area,
 )
-from .helmholtz import HelmholtzSolver, build_solver, solve
+from .helmholtz import HelmholtzSolver, _kept_w, build_solver, solve
 from .energy import EnergyReport, compute_energy
 from .snapshots import read_snapshot
 
@@ -342,12 +342,14 @@ def base_data(
         u = RadialField(bump_density(grid.centers, p["baseline"], p["amplitude"], p["width"]), grid)
         if p["v_mode"] == "flat":
             return u, constant_field(grid, p["baseline"])
-        # signal in quasi-steady balance with the density
+        # signal in quasi-steady balance with the density; u keeps its w,
+        # which the run's first state then reads
         if solver is None:
             solver = build_solver(grid)
-        return u, solve(solver, solve(solver, u))
+        return u, solve(solver, _kept_w(solver, u))
     u, v = read_snapshot(p["path"]).fields(grid)
-    if float(np.min(u.values)) <= 0.0:
+    # a NaN compares false, so it fails this test
+    if not float(np.min(u.values)) > 0.0:
         raise AdmissibilityError("snapshot density is not strictly positive")
     return u, v
 

@@ -114,13 +114,13 @@ def check_equilibrium(N: int = 256, sink: Sink | None = None) -> tuple[bool, str
     prev = (u0.values, v0.values)
     worst = 0.0
 
-    def track(st, smp):
+    def track(st, smp, rep):
         nonlocal prev, worst
         for new, old in zip((st.u.values, st.v.values), prev):
             worst = max(worst, float(np.max(np.abs(new - old))))
         prev = (st.u.values, st.v.values)
         if sink is not None:
-            sink(st, smp)
+            sink(st, smp, rep)
 
     _, summary, trajectory = run(u0, v0, cfg, sink=track, max_steps=50)
     D = float(np.max(trajectory["D"]))
@@ -164,9 +164,9 @@ def check_entropy_floor(N: int = 256, steps: int = 400) -> tuple[bool, str]:
         u0, v0 = _smooth_pair(g, seed=seed, amp=0.3)
         cfg = default_stepper_config(g, t_end=1e9, dt_max=2e-3, output_every=20)
 
-        def sink(st, smp):
+        def sink(st, smp, rep):
             nonlocal violations, worst_margin
-            probe = probe_entropy_floor(st.report)
+            probe = probe_entropy_floor(rep)
             if not probe.hard_pass:
                 violations += 1
             worst_margin = min(worst_margin, probe.rhs_free - probe.lhs)

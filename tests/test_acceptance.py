@@ -54,8 +54,8 @@ def report(num: int, passed: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {mark}  {detail}")
 
 
-def entropy_sink(state, sample):
-    ENTROPY_FLOOR_RESULTS.append(bool(probe_entropy_floor(state.report).hard_pass))
+def entropy_sink(state, sample, rep):
+    ENTROPY_FLOOR_RESULTS.append(bool(probe_entropy_floor(rep).hard_pass))
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +92,9 @@ def blowup_runs(family_2048):
             u0, v0 = build_family(u0b, v0b, 1.5, eta)
             pw, pv = [], []
 
-            def sink(state, sample, pw=pw, pv=pv, v0_norm=v0_norm):
-                entropy_sink(state, sample)
-                pw.append((state.t, probe_pointwise_w(state.report.w, sample.mass).implied_c))
+            def sink(state, sample, rep, pw=pw, pv=pv, v0_norm=v0_norm):
+                entropy_sink(state, sample, rep)
+                pw.append((state.t, probe_pointwise_w(rep.w, sample.mass).implied_c))
                 pv.append(
                     (
                         state.t,
@@ -142,10 +142,10 @@ def test_criterion_02_conservation():
     cfg = default_stepper_config(grid, t_end=1e9, dt_max=2e-3, output_every=1)
     every_tenth = [0]
 
-    def sink(state, sample):
+    def sink(state, sample, rep):
         every_tenth[0] += 1
         if every_tenth[0] % 10 == 0:
-            entropy_sink(state, sample)
+            entropy_sink(state, sample, rep)
 
     _, _, samples = run(u0, v0, cfg, solver=solver, sink=sink, max_steps=10_000)
     mass = samples["mass"]
@@ -171,8 +171,8 @@ def test_criterion_03_equilibrium():
 def test_criterion_04_energy_identity_dt_refinement():
     run_dts = []  # the step sizes of each of the two runs
 
-    def sink(state, sample):
-        entropy_sink(state, sample)
+    def sink(state, sample, rep):
+        entropy_sink(state, sample, rep)
         if sample.t == 0.0:  # a run starts
             run_dts.append([])
         else:

@@ -96,36 +96,38 @@ def test_simulate_deterministic_outputs(config_path, tmp_path):
 def test_sampled_w_and_f_belong_to_their_own_state(
     config_path, tmp_path, monkeypatch, output_every, snapshot_every
 ):
-    # Sampled states carry their energy report (w, f, g) into the next
-    # step and the sink, between snapshot writes; a report left over from
-    # another state would show up here.
+    # Each sampled state reaches the sink with its own energy report
+    # (w, f, g), between snapshot writes; a report or a kept w left over
+    # from another state would show up here.  A fresh public solve, which
+    # never reads the w that u keeps, is the oracle.
     from radks import cli
 
     grid = make_grid(5, 1.0, 96)
     solver = build_solver(grid)
     checked = []
 
-    def check(state):
+    def check(state, report):
         w = solve(solver, state.u).values
-        assert np.array_equal(state.report.w.values, w), state.step
+        assert np.array_equal(report.w.values, w), state.step
         f = state.v.values - laplacian(state.v).values - w
-        assert np.array_equal(state.report.f.values, f), state.step
-        checked.append(state.step)
+        assert np.array_equal(report.f.values, f), state.step
+        checked.append(state)
 
     def checked_run(*args, sink, **kwargs):
-        def checking_sink(state, sample):
-            check(state)
-            sink(state, sample)
+        def checking_sink(state, sample, report):
+            check(state, report)
+            sink(state, sample, report)
 
         state, summary, samples = run(*args, sink=checking_sink, **kwargs)
-        check(state)
+        # the final state is checked by the last sink call
+        assert checked[-1] is state
         return state, summary, samples
 
     monkeypatch.setattr(cli, "run", checked_run)
     cfg = load_config(config_path, [f"stepper.output_every={output_every}",
                                     f"run.snapshot_every={snapshot_every}"])
     summary, _ = cli.simulate_run(cfg)
-    assert len(checked) >= 4 and checked[-1] == summary.steps
+    assert len(checked) >= 4 and checked[-1].step == summary.steps
     assert len(list((tmp_path / "out").glob("snapshot_*.snap"))) >= 4
 
 

@@ -31,7 +31,7 @@ from radks.grid import (
     sup_norm,
 )
 from radks.helmholtz import build_solver, solve
-from radks.initial_data import build_family, family_eta_star
+from radks.initial_data import base_data, build_family, family_eta_star
 
 
 def fresh_vr(v):
@@ -360,7 +360,7 @@ def test_run_shorter_than_one_cfl_step_keeps_every_step_below_it():
     u0, v0 = build_family(base, base, 1.5, family_eta_star(base, 1.5) / 16)
     cfg = default_stepper_config(g, t_end=4e-24, output_every=1)
     states = []
-    state, summary, samples = run(u0, v0, cfg, sink=lambda st, smp: states.append(st))
+    state, summary, samples = run(u0, v0, cfg, sink=lambda st, smp, rep: states.append(st))
     assert summary.status is SimStatus.COMPLETED and summary.steps > 1
     assert state.t == pytest.approx(cfg.t_end, rel=1e-12)
     for before, after in zip(states, states[1:]):
@@ -373,7 +373,7 @@ def test_run_emits_diagnostics_rows(grid, solver):
     seen = []
     state, summary, samples = run(
         constant_field(grid, 1.0), constant_field(grid, 1.0), cfg, solver=solver,
-        sink=lambda st, smp: seen.append(smp),
+        sink=lambda st, smp, rep: seen.append(smp),
     )
     assert samples.names == TrajectorySample._fields
     assert all(samples[name].tolist() == [getattr(smp, name) for smp in seen]
@@ -388,6 +388,22 @@ def test_run_rejects_negative_density(grid, solver):
     bad = RadialField(np.full(grid.N, -1.0), grid)
     with pytest.raises(ConfigurationError):
         run(bad, constant_field(grid, 1.0), cfg, solver=solver)
+
+
+@pytest.mark.parametrize("field, value", [("u", math.nan), ("u", math.inf), ("v", math.nan)])
+def test_run_rejects_non_finite_initial_data(field, value):
+    # a NaN compares false with 0, so a nonnegativity test alone passes it;
+    # the run is refused before any step instead of stalling on it
+    g = make_grid(5, 1.0, 32)
+    planted = np.ones(g.N)
+    planted[5] = value
+    fields = {"u": constant_field(g, 1.0), "v": constant_field(g, 1.0)}
+    fields[field] = RadialField(planted, g)
+    emitted = []
+    cfg = default_stepper_config(g, t_end=0.1)
+    with pytest.raises(ConfigurationError, match="finite"):
+        run(fields["u"], fields["v"], cfg, sink=lambda *args: emitted.append(args))
+    assert not emitted
 
 
 def test_v_mass_bound_discrete(grid, solver):
@@ -538,9 +554,9 @@ def test_run_factors_once_per_rung(monkeypatch):
 
 @pytest.mark.parametrize("output_every", [1, 2])
 def test_run_solves_once_per_state(grid, monkeypatch, output_every):
-    # Each state's w = (I - L)^{-1} u is solved once: by its step, or by
-    # its sample's energy report, whose w the step, the sink and the
-    # caller then reuse.
+    # Each state's w = (I - L)^{-1} u is solved once, by its step or by
+    # its sample's energy report, and kept on u: the report's w is the
+    # one the state's u keeps, which its step reads.
     solver = build_solver(grid)
     calls = []
     inner = helmholtz._solve
@@ -555,12 +571,64 @@ def test_run_solves_once_per_state(grid, monkeypatch, output_every):
     u0, v0 = smooth_pair(grid, seed=2)
     seen = []
     state, summary, _ = run(
-        u0, v0, cfg, solver=solver, max_steps=5, sink=lambda st, smp: seen.append(st.report.w)
+        u0, v0, cfg, solver=solver, max_steps=5,
+        sink=lambda st, smp, rep: seen.append((st.u, rep.w)),
     )
     assert summary.steps == 5
     assert len(calls) == summary.steps + 1
-    assert all(w is not None for w in seen)
-    assert state.report.w is seen[-1]
+    # reading the kept w back solves nothing
+    assert all(helmholtz._kept_w(solver, u) is w for u, w in seen)
+    assert seen[-1][0] is state.u
+    assert len(calls) == summary.steps + 1
+
+
+def test_relaxed_base_pairs_w0_serves_the_first_state(grid, monkeypatch):
+    # base_data solves w0 and v0 for the relaxed pair, and u0 keeps w0:
+    # the run's first sample and first step read it, so every later state
+    # takes one solve
+    solver = build_solver(grid)
+    calls = []
+    inner = helmholtz._solve
+
+    def counting(g, factor, rhs):
+        if factor is solver._factor:
+            calls.append(rhs)
+        return inner(g, factor, rhs)
+
+    monkeypatch.setattr(helmholtz, "_solve", counting)
+    u0, v0 = base_data(
+        "bump", grid, solver, baseline=1.0, amplitude=0.5, width=0.3, v_mode="relaxed"
+    )
+    assert len(calls) == 2
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=2)
+    _, summary, _ = run(u0, v0, cfg, solver=solver, max_steps=5)
+    assert summary.steps == 5
+    assert len(calls) == summary.steps + 2
+
+
+def test_retried_step_solves_w_once(grid, monkeypatch):
+    # a step retried from the same state at another dt reads the w its
+    # first attempt kept on u, and each attempt is bit-identical to a step
+    # from a fresh copy of the state, which solves its own w
+    solver = build_solver(grid)
+    calls = []
+    inner = helmholtz._solve
+
+    def counting(g, factor, rhs):
+        calls.append(rhs)
+        return inner(g, factor, rhs)
+
+    cfg = default_stepper_config(grid, t_end=1.0, dt_max=5e-3)
+    u, v = smooth_pair(grid, seed=4)
+    monkeypatch.setattr(helmholtz, "_solve", counting)
+    state = State(t=0.0, step=0, u=u, v=v, dt=4e-3)
+    first = step(state, cfg, solver)
+    retry = step(replace(state, dt=2e-3), cfg, solver)
+    assert len(calls) == 1
+    for dt, got in ((4e-3, first), (2e-3, retry)):
+        fresh = step(State(0.0, 0, *smooth_pair(grid, seed=4), dt), cfg, solver)
+        assert np.array_equal(got.u.values, fresh.u.values)
+        assert np.array_equal(got.v.values, fresh.v.values)
 
 
 @pytest.mark.parametrize("sampled, calls", [(False, 4), (True, 3)])
@@ -569,12 +637,12 @@ def test_step_makes_four_dpttrs_calls_and_three_from_a_sampled_state(
 ):
     # w takes one call on the row-sum factors; u+ a first solve and its
     # refinement pass; v+ refines the state's v in one pass; a sampled
-    # state's report already holds w
+    # state's energy report already solved the w its u keeps
     solver = build_solver(grid)
     u, v = smooth_pair(grid, seed=3)
     state = State(t=0.0, step=0, u=u, v=v, dt=1e-3)
     if sampled:
-        state = replace(state, report=compute_energy(u, v, solver))
+        compute_energy(u, v, solver)
     count = []
     inner = helmholtz.dpttrs
 
@@ -596,7 +664,7 @@ def test_trajectory_samples_hold_only_scalars(grid, solver):
     u0, v0 = smooth_pair(grid, seed=2)
     seen = []
     _, _, samples = run(u0, v0, cfg, solver=solver, max_steps=3,
-                        sink=lambda st, smp: seen.append(smp))
+                        sink=lambda st, smp, rep: seen.append(smp))
     assert len(samples) == len(seen) == 4
     for smp in seen:
         held = {name: type(getattr(smp, name)) for name in smp._fields}
@@ -645,7 +713,8 @@ def test_run_takes_one_sup_norm_per_run(grid, monkeypatch, max_steps, output_eve
     cfg = default_stepper_config(grid, t_end=1.0, dt_max=2e-3, output_every=output_every)
     u0, v0 = smooth_pair(grid, seed=2)
     _, summary, samples = run(
-        u0, v0, cfg, max_steps=max_steps, sink=lambda state, smp: emitted.append((state, smp))
+        u0, v0, cfg, max_steps=max_steps,
+        sink=lambda state, smp, rep: emitted.append((state, smp)),
     )
     assert summary.steps == len(stepped) == max_steps
     assert len(calls) == 1 and calls[0] is u0
@@ -709,7 +778,7 @@ def test_run_matches_public_adapt_dt_and_step_loop(h_min, dt_max):
     emitted = []
     final, summary, samples = run(
         u0, v0, cfg, solver=build_solver(g), max_steps=7,
-        sink=lambda st, smp: emitted.append(st),
+        sink=lambda st, smp, rep: emitted.append(st),
     )
     assert summary.steps == 7
 

@@ -116,6 +116,29 @@ def test_repeat_solves_bitwise_identical(grid, solver):
     assert np.array_equal(w1.values, w2.values)
 
 
+def test_solve_keeps_nothing_and_u_keeps_one_w(grid, solver, monkeypatch):
+    # solve always solves: two calls on one field make two dpttrs calls.
+    # _kept_w solves once per field and keeps that w on u, read-only, for
+    # any solver of u's grid; a solver of another grid is rejected
+    count = []
+    inner = helmholtz.dpttrs
+
+    def counting(*args):
+        count.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(helmholtz, "dpttrs", counting)
+    u = RadialField(np.random.default_rng(5).random(grid.N), grid)
+    w1, w2 = solve(solver, u), solve(solver, u)
+    assert len(count) == 2 and w1 is not w2
+    kept = helmholtz._kept_w(solver, u)
+    assert helmholtz._kept_w(build_solver(grid), u) is kept
+    assert len(count) == 3
+    assert np.array_equal(kept.values, w1.values) and not kept.values.flags.writeable
+    with pytest.raises(GridMismatchError):
+        helmholtz._kept_w(build_solver(make_grid(5, 1.0, 64)), u)
+
+
 def test_defining_residual_small():
     g = make_grid(5, 1.0, 32)
     s = build_solver(g)

@@ -5,7 +5,7 @@ import pytest
 
 from radks import initial_data
 from radks.errors import AdmissibilityError, ConfigurationError, GridMismatchError, SnapshotFormatError
-from radks.grid import constant_field, integrate, make_grid
+from radks.grid import RadialField, constant_field, integrate, make_grid
 from radks.helmholtz import build_solver
 from radks.initial_data import (
     base_data,
@@ -318,6 +318,19 @@ def test_base_data_custom_rejects_other_mesh(tmp_path):
         base_data("custom", make_grid(5, 1.0, 64), path=str(path))
     u1, _ = base_data("custom", graded, path=str(path))
     assert np.array_equal(u1.values, u0.values)
+
+
+def test_base_data_custom_rejects_a_nan_density(tmp_path):
+    # a NaN compares false with 0, so the positivity test must not pass it
+    from radks.snapshots import write_snapshot
+
+    g = make_grid(5, 1.0, 32)
+    u = np.ones(g.N)
+    u[7] = math.nan
+    path = tmp_path / "snap.snap"
+    write_snapshot(path, g, RadialField(u, g), constant_field(g, 1.0))
+    with pytest.raises(AdmissibilityError, match="not strictly positive"):
+        base_data("custom", g, path=str(path))
 
 
 def test_w22_norm_constant():

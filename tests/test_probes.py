@@ -378,7 +378,7 @@ def collapse_trajectory():
     cfg = default_stepper_config(g, t_end=0.5, output_every=5)
     consts = []
 
-    def sink(state, sample):
+    def sink(state, sample, rep):
         w = solve(s, state.u)
         consts.append(probe_pointwise_w(w, sample.mass).implied_c)
 

@@ -102,7 +102,7 @@ def test_fault_injection_sign_flipped_operator(monkeypatch):
 
 def test_equilibrium_check_hands_every_sample_to_its_sink():
     calls = []
-    ok, detail = check_equilibrium(64, sink=lambda state, sample: calls.append(sample.t))
+    ok, detail = check_equilibrium(64, sink=lambda state, sample, rep: calls.append(sample.t))
     assert ok, detail
     assert len(calls) == 51  # t = 0 and each of the 50 steps
     assert calls[0] == 0.0
