@@ -212,7 +212,8 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         records.append((t, m, integrate(v), integrate(rep.w)))
 
     results.append(probe_fd_ratio(samples, pconf))
-    results.extend(probe_mass_identities(records))
+    # without snapshots the diagnostics rows still give the drift of int u
+    results.extend(probe_mass_identities(records if snaps else samples))
     odi, note = probe_odi(samples, pconf.theta)
     results.append(odi)
     if note:

@@ -72,8 +72,10 @@ class Grid:
     r = R.  Face gradients divide by it and face quadratures weight by
     face_weights = face_areas * spacing.
 
-    Immutable after construction, apart from the cache of face_power;
-    safe to share between threads.
+    Immutable after construction, apart from two caches, each filled on
+    first use: face_power's powers of r, and rate_per_speed, the constant
+    that bounds every CFL rate by max |v_r|; safe to share between
+    threads.
     """
 
     n: int
@@ -115,6 +117,21 @@ class Grid:
         if p not in powers:
             powers[p] = _readonly(self.faces[1:-1] ** p)
         return powers[p]
+
+    @cached_property
+    def rate_per_speed(self) -> float:
+        """The larger of max 1 / spacing and max (A_{i-1/2} + A_{i+1/2}) / V_i.
+
+        max |v_r| times it bounds every transit rate |v_r| / spacing and
+        every per-cell outflow rate of the face velocity v_r, so it bounds
+        the CFL step from below in one reduction over v_r.  It is raised
+        by 2^-48 relative, far more than the few roundings in which the
+        rates and this bound can differ, so the bound holds in floating
+        point too.  Computed once and kept on this grid.
+        """
+        transit = np.maximum.reduce(1.0 / self.spacing)
+        outflow = np.maximum.reduce((self.face_areas[:-1] + self.face_areas[1:]) / self.volumes)
+        return float(max(transit, outflow)) * (1.0 + 2.0**-48)
 
 
 def _log_expm1(x):

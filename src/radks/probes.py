@@ -243,26 +243,32 @@ def probe_mass_identities(samples: Trajectory) -> list[ProbeResult]:
     int v <= max(int v0, int u0), and (reported, no hard flag) the gap to
     the exact homogeneous-relaxation value of int v.  Each maximum is NaN
     when any sample's term is, so a NaN sample fails the hard checks.  No
-    samples, no rows.
+    samples, no rows; a trajectory without int_v and int_w columns, such
+    as the diagnostics rows, gets the drift of int u alone.
     """
     if not samples:
         return []
-    t, mass, int_v = samples["t"], samples["mass"], samples["int_v"]
-    m0, v0 = float(mass[0]), float(int_v[0])
+    mass = samples["mass"]
+    m0 = float(mass[0])
     drift = float(np.max(np.abs(mass - m0))) / max(abs(m0), 1e-300)
+    drift_row = ProbeResult(
+        name="mass_u_drift",
+        lhs=drift,
+        rhs_free=HARD_TOL,
+        implied_c=drift,
+        hard_pass=drift <= HARD_TOL,
+    )
+    if not {"int_v", "int_w"} <= set(samples.names):
+        return [drift_row]
+    t, int_v = samples["t"], samples["int_v"]
+    v0 = float(int_v[0])
     w_gap = float(np.max(np.abs(samples["int_w"] - mass))) / max(abs(m0), 1e-300)
     v_bound = max(v0, m0)
     v_violation = max(float(np.max(int_v - v_bound)), 0.0) / max(v_bound, 1e-300)
     decay = np.array([math.exp(-x) for x in t.tolist()])
     relax_gap = float(np.max(np.abs(int_v - (v0 * decay + m0 * (1.0 - decay)))))
     return [
-        ProbeResult(
-            name="mass_u_drift",
-            lhs=drift,
-            rhs_free=HARD_TOL,
-            implied_c=drift,
-            hard_pass=drift <= HARD_TOL,
-        ),
+        drift_row,
         ProbeResult(
             name="mass_w_equals_u",
             lhs=w_gap,

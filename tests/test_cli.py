@@ -158,7 +158,7 @@ def test_simulate_stall_exit_code(tmp_path, monkeypatch):
     from radks import dynamics
 
     bounds = iter([math.inf])
-    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel: next(bounds, 1e-22))
+    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel, cap=math.inf: next(bounds, 1e-22))
     path = tmp_path / "stall.ini"
     path.write_text(
         "# format_version=1\n"
@@ -360,9 +360,10 @@ def test_probe_writes_fd_ratio_and_nan_tail_when_tail_not_reached(
     out = capsys.readouterr().out
     assert "odi_tail_slope is nan: " in out and note in out
     header, report = read_table(tmp_path / "out" / "probe_report.csv")
-    assert [row[0] for row in report] == ["fd_ratio", "odi_tail_slope"]
+    assert [row[0] for row in report] == ["fd_ratio", "mass_u_drift", "odi_tail_slope"]
     by_name = {row[0]: dict(zip(header, row)) for row in report}
     assert float(by_name["fd_ratio"]["implied_C"]) > 0.0
+    assert by_name["mass_u_drift"]["hard_pass"] == "true"
     assert by_name["odi_tail_slope"]["implied_C"] == "nan"
 
 
@@ -402,6 +403,33 @@ def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
     for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
         (row,) = _probe_rows(out / "probe_report.csv", name)
         assert row["hard_pass"] == "true", name
+
+
+def test_probe_without_snapshots_checks_the_mass_of_every_diagnostics_row(tmp_path):
+    # the README example's `probe out/diagnostics.csv`: the diagnostics hold
+    # the mass of every sample, so the report has the drift row, and one
+    # NaN or tampered mass among them fails it
+    path = tmp_path / "run.ini"
+    path.write_text(BUMP.format(N=400, width=0.06, v_mode="relaxed", max_steps=5_000_000,
+                                outdir=tmp_path / "out"))
+    assert main(["-c", str(path), "simulate"]) == 2
+    diag = tmp_path / "out" / "diagnostics.csv"
+    report = tmp_path / "out" / "probe_report.csv"
+    assert main(["-c", str(path), "probe", str(diag)]) == 0
+    (row,) = _probe_rows(report, "mass_u_drift")
+    assert row["hard_pass"] == "true"
+    assert not _probe_rows(report, "mass_w_equals_u")
+    lines = diag.read_text().splitlines()
+    mass_col = lines[1].split(",").index("mass")
+    cells = lines[5].split(",")
+    for bad in ("nan", repr(float(cells[mass_col]) * (1.0 + 1e-6))):
+        tampered = lines.copy()
+        tampered[5] = ",".join(cells[:mass_col] + [bad] + cells[mass_col + 1:])
+        copy = tmp_path / "tampered.csv"
+        copy.write_text("\n".join(tampered) + "\n")
+        assert main(["-c", str(path), "probe", str(copy)]) == 0
+        (row,) = _probe_rows(report, "mass_u_drift")
+        assert row["hard_pass"] == "false", bad
 
 
 def test_probe_reads_no_family_snapshot_in_a_shared_outdir(config_path, tmp_path):

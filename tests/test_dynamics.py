@@ -180,6 +180,108 @@ def test_adapt_dt_clamps_and_horizon_act_after_the_ladder():
     assert adapt_dt(st, cfg) == 1.0 - st.t
 
 
+@st.composite
+def capped_velocities(draw):
+    """(grid, v, cap) with v from flat to a steep bump, perhaps plus a
+    zigzag that makes every cell's outflow rate bind, and cap on either
+    side of half the dt that the one-reduction rate max |v_r| *
+    rate_per_speed gives, where the capped bound stops forming the rates."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    N = draw(st.integers(min_value=32, max_value=512))
+    log_h = draw(st.one_of(st.none(), st.floats(min_value=-12.0, max_value=math.log10(0.5 / N))))
+    g = make_grid(n, 1.0, N, h_min=None if log_h is None else 10.0**log_h)
+    # the bottom of the exponent range is a flat v, whose v_r = 0
+    exponent = draw(st.floats(min_value=-7.0, max_value=8.0))
+    height = 0.0 if exponent < -6.0 else 10.0**exponent
+    width = draw(st.floats(min_value=0.01, max_value=0.5))
+    zigzag = draw(st.sampled_from((0.0, 1e-3, 1.0))) * (-1.0) ** np.arange(N)
+    v = RadialField(1.0 + height * np.exp(-((g.centers / width) ** 2)) + zigzag, g)
+    vmax = float(np.max(np.abs(gradient_faces(v))))
+    threshold = 0.5 / (vmax * g.rate_per_speed) if vmax > 0.0 else 1.0
+    cap = threshold * 2.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    return g, v, cap
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=capped_velocities())
+def test_capped_stable_dt_is_exact_where_adapt_dt_can_tell(case):
+    # the capped bound is the rates' own, or one of at least 2 * cap that
+    # the rates do not undercut; so adapt_dt's dt is the full path's, bit
+    # for bit, after a clamped step (cap = dt_max / cfl) and after any other
+    g, v, cap = case
+    vel = gradient_faces(v)
+    exact = dynamics._rates_stable_dt(g, vel)
+    assert dynamics._stable_dt(g, vel) == exact
+    capped = dynamics._stable_dt(g, vel, cap)
+    assert capped == exact or 2.0 * cap <= capped <= exact
+    cfg = default_stepper_config(g, t_end=1e9, cfl=0.9, dt_max=0.9 * cap)
+    full = min(dynamics._rung_below(cfg.cfl * exact), cfg.dt_max)
+    for dt in (cfg.dt_max, 0.5 * cfg.dt_max):
+        assert adapt_dt(State(0.0, 1, v, v, dt), cfg) == full
+
+
+def test_capped_stable_dt_of_no_velocity_and_of_a_nan(grid, monkeypatch):
+    full = []
+    rates = dynamics._rates_stable_dt
+    monkeypatch.setattr(dynamics, "_rates_stable_dt", lambda g, vel: full.append(1) or rates(g, vel))
+    # v_r = 0 needs no rates: the bound is +inf with or without a cap
+    zero = np.zeros(grid.N + 1)
+    assert dynamics._stable_dt(grid, zero, 1.0) == math.inf and not full
+    assert dynamics._stable_dt(grid, zero) == math.inf and len(full) == 1
+    # a NaN v_r makes the one-reduction bound NaN, which falls through to
+    # the rates: NaN as without a cap
+    vel = np.linspace(0.0, 1.0, grid.N + 1)
+    vel[7] = math.nan
+    assert math.isnan(dynamics._stable_dt(grid, vel, 1e-9)) and len(full) == 2
+    assert math.isnan(dynamics._stable_dt(grid, vel))
+
+
+def count_rate_paths(monkeypatch) -> dict:
+    """Count _stable_dt calls, and those that formed the rates."""
+    counts = {"calls": 0, "rates": 0}
+    bound, rates = dynamics._stable_dt, dynamics._rates_stable_dt
+
+    def counted_bound(g, vel, cap=math.inf):
+        counts["calls"] += 1
+        return bound(g, vel, cap)
+
+    def counted_rates(g, vel):
+        counts["rates"] += 1
+        return rates(g, vel)
+
+    monkeypatch.setattr(dynamics, "_stable_dt", counted_bound)
+    monkeypatch.setattr(dynamics, "_rates_stable_dt", counted_rates)
+    return counts
+
+
+def test_relaxing_run_at_dt_max_forms_the_rates_on_few_steps(monkeypatch):
+    # verify's conservation row: dt sits at dt_max, where one reduction
+    # over |v_r| shows that the rates could not move dt
+    from radks.verify import _smooth_pair
+
+    g = make_grid(5, 1.0, 400)
+    u0, v0 = _smooth_pair(g)
+    cfg = default_stepper_config(g, t_end=1e9, dt_max=2e-3, output_every=100)
+    counts = count_rate_paths(monkeypatch)
+    _, summary, _ = run(u0, v0, cfg, max_steps=10_000)
+    assert summary.steps == counts["calls"] == 10_000
+    assert 0 < counts["rates"] < 1_000
+
+
+def test_collapse_forms_the_rates_on_every_step(monkeypatch):
+    # the README bump: dt stays below dt_max to the blowup, so no step
+    # tries the one-reduction bound
+    g = make_grid(5, 1.0, 256)
+    s = build_solver(g)
+    u0, v0 = base_data("bump", g, s, baseline=1.0, amplitude=2e7, width=0.06,
+                       v_mode="relaxed")
+    cfg = default_stepper_config(g, t_end=0.5, output_every=50)
+    counts = count_rate_paths(monkeypatch)
+    _, summary, _ = run(u0, v0, cfg, solver=s)
+    assert summary.status is SimStatus.BLOWN_UP
+    assert summary.steps == counts["calls"] == counts["rates"]
+
+
 def test_adapt_dt_follows_a_steep_signal_and_keeps_u_nonnegative(grid, solver):
     # no step floor: however small the CFL step, dt does not exceed it, so
     # the upwind step keeps u nonnegative
@@ -208,7 +310,7 @@ def test_run_ends_stalled_when_a_step_leaves_t_in_place(grid, solver, monkeypatc
     # on the CFL bound is 1e-22, that of a slope-1e20 signal, too small to
     # move t
     bounds = iter([math.inf])
-    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel: next(bounds, 1e-22))
+    monkeypatch.setattr(dynamics, "_stable_dt", lambda g, vel, cap=math.inf: next(bounds, 1e-22))
     cfg = default_stepper_config(grid, t_end=2.0, dt_max=1.0)
     u = constant_field(grid, 1.0)
     state, summary, samples = run(u, u, cfg, solver=solver, max_steps=10)
