@@ -220,22 +220,6 @@ def test_capped_stable_dt_is_exact_where_adapt_dt_can_tell(case):
         assert adapt_dt(State(0.0, 1, v, v, dt), cfg) == full
 
 
-def test_capped_stable_dt_of_no_velocity_and_of_a_nan(grid, monkeypatch):
-    full = []
-    rates = dynamics._rates_stable_dt
-    monkeypatch.setattr(dynamics, "_rates_stable_dt", lambda g, vel: full.append(1) or rates(g, vel))
-    # v_r = 0 needs no rates: the bound is +inf with or without a cap
-    zero = np.zeros(grid.N + 1)
-    assert dynamics._stable_dt(grid, zero, 1.0) == math.inf and not full
-    assert dynamics._stable_dt(grid, zero) == math.inf and len(full) == 1
-    # a NaN v_r makes the one-reduction bound NaN, which falls through to
-    # the rates: NaN as without a cap
-    vel = np.linspace(0.0, 1.0, grid.N + 1)
-    vel[7] = math.nan
-    assert math.isnan(dynamics._stable_dt(grid, vel, 1e-9)) and len(full) == 2
-    assert math.isnan(dynamics._stable_dt(grid, vel))
-
-
 def count_rate_paths(monkeypatch) -> dict:
     """Count _stable_dt calls, and those that formed the rates."""
     counts = {"calls": 0, "rates": 0}
@@ -252,6 +236,20 @@ def count_rate_paths(monkeypatch) -> dict:
     monkeypatch.setattr(dynamics, "_stable_dt", counted_bound)
     monkeypatch.setattr(dynamics, "_rates_stable_dt", counted_rates)
     return counts
+
+
+def test_capped_stable_dt_of_no_velocity_and_of_a_nan(grid, monkeypatch):
+    counts = count_rate_paths(monkeypatch)
+    # v_r = 0 needs no rates: the bound is +inf with or without a cap
+    zero = np.zeros(grid.N + 1)
+    assert dynamics._stable_dt(grid, zero, 1.0) == math.inf and counts["rates"] == 0
+    assert dynamics._stable_dt(grid, zero) == math.inf and counts["rates"] == 1
+    # a NaN v_r makes the one-reduction bound NaN, which falls through to
+    # the rates: NaN as without a cap
+    vel = np.linspace(0.0, 1.0, grid.N + 1)
+    vel[7] = math.nan
+    assert math.isnan(dynamics._stable_dt(grid, vel, 1e-9)) and counts["rates"] == 2
+    assert math.isnan(dynamics._stable_dt(grid, vel))
 
 
 def test_relaxing_run_at_dt_max_forms_the_rates_on_few_steps(monkeypatch):
