@@ -226,15 +226,12 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, config_path: str, overrides) -> int:
+def cmd_sweep(config_path: str, overrides, axes: dict, outdir: Path, workers: int) -> int:
     # imported here: the process pool it loads (multiprocessing, socket,
     # logging) costs every other verb's start-up ~20 ms and ~2 MB
     from . import sweep as sweep_mod
 
-    outdir = resolve_output_dir(cfg) / "sweep"
-    columns, rows = sweep_mod.run_sweep(
-        config_path, overrides, cfg.sweep_axes, outdir, cfg.workers
-    )
+    columns, rows = sweep_mod.run_sweep(config_path, overrides, axes, outdir, workers)
     write_table(outdir / "sweep.csv", columns, rows)
     print(f"{len(rows)} runs in {outdir / 'sweep.csv'}")
     return 0
@@ -298,7 +295,11 @@ def main(argv=None) -> int:
         if args.verb == "probe":
             return cmd_probe(cfg, args.diagnostics, args.snapshots)
         if args.verb == "sweep":
-            return cmd_sweep(cfg, args.config, args.overrides)
+            # the parent keeps what it reads and drops the config, whose grid
+            # would otherwise stay alive in it and in every worker it forks
+            axes, workers, outdir = cfg.sweep_axes, cfg.workers, resolve_output_dir(cfg) / "sweep"
+            del cfg
+            return cmd_sweep(args.config, args.overrides, axes, outdir, workers)
         if args.verb == "energy":
             return cmd_energy(cfg, args.snapshot)
         raise AssertionError(f"unhandled verb {args.verb}")

@@ -8,8 +8,9 @@ One step does, in order:
                                                  explicit upwind advection)
 Both flux sums telescope, so the integral of u is conserved exactly;
 upwinding plus the M-matrix solves keep u nonnegative whenever dt
-respects the advective stability bound, which depends on v alone.
-adapt_dt never takes a step above that bound: there is no step floor.
+respects the advective stability bound, the reciprocal of the fastest
+per-cell outflow rate, which depends on v alone.  adapt_dt never takes a
+step above that bound: there is no step floor.
 
 run has one rule per outcome.  It blows up when sup u has grown to
 blowup_factor * sup0, and reports t_blowup as the time of that step.  It
@@ -26,20 +27,21 @@ min of u+, which check that it is finite and give the state its sup u
 and min u, and one sum of v+, which checks v+; three solves, (a) to (c),
 in four LAPACK dpttrs calls: (a) makes one, on the row-sum factors of
 (I - L); (c) two, a first solve and its refinement pass; and (b) one,
-the refinement pass of v itself, which is within O(dt) of v+
-(shifted_solve's guess); and two factorizations, of the (b) and (c)
-operators, only when dt moves to another rung of adapt_dt's ladder
-2^(k/16).  w is a function of u alone, and u keeps it
+which corrects v itself, within O(dt) of v+, by its defect
+dt V (w - (I - L) v) (shifted_solve's guess); and two factorizations, of
+the (b) and (c) operators, only when dt moves to another rung of
+adapt_dt's ladder 2^(k/16).  w is a function of u alone, and u keeps it
 (helmholtz._kept_w): the step from a sampled state, whose energy report
 solved w, and a second step from the same state make three dpttrs calls
-and no w-solve.  (b) and (c) hand shifted_solve their right-hand sides
-as cell integrals, V (v + dt w) and V u - dt (F+ - F-) with F the upwind
-face fluxes, the form the solves work in, so no flux is divided by V
-only to be multiplied back.
-adapt_dt's stability bound takes one reduction, over the transit and
-outflow rates together.  After a step at dt_max it first takes one over
-|v_r|, whose product with the grid's rate_per_speed bounds every rate:
-when that bound alone keeps dt at dt_max, the rates are not formed.  On
+and no w-solve.  Both right-hand sides are cell integrals, the form the
+solves work in, so no flux is divided by V only to be multiplied back:
+(b) forms v's defect from the face fluxes of L, and (c) adds dt F, the
+N-1 upwind fluxes at the interior faces, into V u from both sides, for
+V u - dt (F+ - F-).
+adapt_dt's stability bound takes one reduction, over the N per-cell
+outflow rates.  After a step at dt_max it first takes one over |v_r|,
+whose product with the grid's rate_per_speed bounds every rate: when
+that bound alone keeps dt at dt_max, the rates are not formed.  On
 verify's conservation run (N=400, dt_max 2e-3) the rates are formed on
 30 of 10000 steps; on a collapse, whose dt never reaches dt_max, on
 every step.
@@ -67,6 +69,7 @@ from .errors import ConfigurationError, GridMismatchError
 from .grid import (
     Grid,
     RadialField,
+    _add_flux_divergence,
     _adopt,
     gradient_faces,
     integrate,
@@ -185,33 +188,32 @@ def default_stepper_config(grid: Optional[Grid], t_end: float, **overrides) -> S
 
 
 def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
-    """Upwind chemotactic face flux A * u_up * vel, zero at both ends.
+    """Upwind chemotactic flux A * u_up * vel at the N-1 interior faces.
 
-    vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R.
+    vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R,
+    where no flux passes; entry i is the flux from cell i into cell i+1.
     """
     grid = u.grid
     if vel.shape != (grid.N + 1,):
         raise GridMismatchError(
             f"face velocity must have one value per face ({grid.N + 1}), got {vel.shape}"
         )
-    flux = np.zeros(grid.N + 1)
     inner = vel[1:-1]
-    upwind = np.where(inner > 0.0, u.values[:-1], u.values[1:])
-    upwind *= grid.face_areas[1:-1]
-    np.multiply(upwind, inner, out=flux[1:-1])
+    flux = np.where(inner > 0.0, u.values[:-1], u.values[1:])
+    flux *= grid.face_areas[1:-1]
+    flux *= inner
     return flux
 
 
 def _stable_dt(grid: Grid, vel: np.ndarray, cap: float = math.inf) -> float:
     """Largest dt keeping the explicit upwind update positivity-preserving.
 
-    1 / max(max_faces |v_r| / spacing, max_i outflow_i / V_i) for the face
-    velocity vel = v_r: the reciprocal of the fastest transit or per-cell
-    outflow rate.  Positivity needs only the outflow rate; the transit
-    rate is the one that binds on an inward collapse, because a cell's
-    inner face has A / V < 1 / h, so a cell empties through it at less
-    than |v_r| / h.  (On the README blowup data the transit rate is the
-    larger at every step, by up to 9%.)  v_r = 0 everywhere gives +inf.
+    1 / max_i outflow_i / V_i for the face velocity vel = v_r, outflow_i
+    the sum of A |v_r| over the faces through which cell i loses mass: the
+    reciprocal of the fastest per-cell outflow rate.  At that dt the
+    upwind update V u - dt (F+ - F-) of a u >= 0 keeps every cell >= 0,
+    and the cell that sets the rate, holding all the mass, just empties
+    (Filbet, Numer. Math. 104 (2006)).  v_r = 0 everywhere gives +inf.
 
     cap is the largest bound the caller can use.  With a finite cap, the
     rates are first bounded in one reduction, by max |v_r| times the
@@ -229,17 +231,14 @@ def _stable_dt(grid: Grid, vel: np.ndarray, cap: float = math.inf) -> float:
 
 
 def _rates_stable_dt(grid: Grid, vel: np.ndarray) -> float:
-    """_stable_dt from the 2N+1 transit and outflow rates themselves."""
-    # both rates go into one buffer, so one reduction takes their maximum
-    rates = np.empty(2 * grid.N + 1)
-    transit, outflow = rates[: grid.N + 1], rates[grid.N + 1 :]
-    np.absolute(vel, out=transit)
-    transit /= grid.spacing
+    """_stable_dt from the N per-cell outflow rates themselves."""
     area_vel = grid.face_areas * vel
-    np.maximum(area_vel[1:], 0.0, out=outflow)
+    outflow = np.maximum(area_vel[1:], 0.0)
     outflow -= np.minimum(area_vel[:-1], 0.0, out=area_vel[:-1])
     outflow /= grid.volumes
-    rate = float(np.maximum.reduce(rates))
+    # raised by 2^-48 relative, far more than the few roundings of the
+    # rates and of the update, so the update keeps u >= 0 in floating point
+    rate = float(np.maximum.reduce(outflow)) * (1.0 + 2.0**-48)
     return math.inf if rate == 0.0 else 1.0 / rate
 
 
@@ -299,19 +298,21 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
     grid = state.u.grid
     dt = state.dt
-    w = _kept_w(solver, state.u)
-    # both right-hand sides are cell integrals: V (v + dt w), and
-    # V u - dt (F+ - F-) from the upwind face fluxes F
-    b = w.values * dt
-    b += state.v.values
-    b *= grid.volumes
-    v_new = shifted_solve(solver, 1.0 + dt, dt, b, guess=state.v.values)
+    v = state.v.values
+    # v+ is v plus one solve against v's defect dt V (w - (I - L) v), formed
+    # from L's face fluxes, with no V (v + dt w) to cancel against V v
+    defect = np.subtract(_kept_w(solver, state.u).values, v)
+    defect *= grid.volumes
+    _add_flux_divergence(defect, v, grid.coupling)
+    defect *= dt
+    v_new = shifted_solve(solver, 1.0 + dt, dt, defect, guess=v)
     v_plus = _adopt(v_new, grid)
+    # u's right-hand side V u - dt (F+ - F-), dt F added from both sides
     flux = advective_flux(state.u, gradient_faces(v_plus))
-    outflow = np.subtract(flux[1:], flux[:-1])
-    outflow *= dt
+    flux *= dt
     b = grid.volumes * state.u.values
-    b -= outflow
+    b[:-1] -= flux
+    b[1:] += flux
     u_new = shifted_solve(solver, 1.0, dt, b)
     t = state.t + dt
     # a NaN makes both of u's reductions NaN and an infinity shows in one of

@@ -120,18 +120,18 @@ class Grid:
 
     @cached_property
     def rate_per_speed(self) -> float:
-        """The larger of max 1 / spacing and max (A_{i-1/2} + A_{i+1/2}) / V_i.
+        """max (A_{i-1/2} + A_{i+1/2}) / V_i over the cells.
 
-        max |v_r| times it bounds every transit rate |v_r| / spacing and
-        every per-cell outflow rate of the face velocity v_r, so it bounds
-        the CFL step from below in one reduction over v_r.  It is raised
-        by 2^-48 relative, far more than the few roundings in which the
-        rates and this bound can differ, so the bound holds in floating
-        point too.  Computed once and kept on this grid.
+        max |v_r| times it bounds every per-cell outflow rate of the face
+        velocity v_r, so it bounds the CFL step from below in one
+        reduction over v_r.  It is raised by 2^-46 relative, more than the
+        2^-48 by which the stepper raises the rates themselves and the few
+        roundings in which the rates and this bound can differ, so the
+        bound holds in floating point too.  Computed once and kept on this
+        grid.
         """
-        transit = np.maximum.reduce(1.0 / self.spacing)
         outflow = np.maximum.reduce((self.face_areas[:-1] + self.face_areas[1:]) / self.volumes)
-        return float(max(transit, outflow)) * (1.0 + 2.0**-48)
+        return float(outflow) * (1.0 + 2.0**-46)
 
 
 def _log_expm1(x):

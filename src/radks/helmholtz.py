@@ -23,17 +23,19 @@ the cell integrals b = V rhs: the stepper builds the u-update's
 b = V u - dt (F+ - F-) straight from its face fluxes, with no division
 by V to undo.  It factors with ``dpttrf`` and keeps the factors of the
 last two (alpha, beta) pairs on the solver, so they are reused while dt
-repeats.  Each shifted solve makes one refinement pass, whose defect is
-V times the flux-form one, b - alpha V x + beta (F+ - F-), formed
-directly from the face fluxes F of x (the kernel of
-:func:`radks.grid.laplacian`) with the weights alpha V and
-beta A / spacing cached beside the factors.  The fluxes telescope, so
-the pass holds the mass identity alpha sum x_i V_i = sum b_i to a few
-ulps.  It refines whatever first solution it is given: the dpttrs solve
-of the same system, or a caller's guess (shifted_solve's ``guess``),
-which saves that first dpttrs call.  The stepper's v-update refines the
-state's v, within O(dt) of v+; the u-update keeps its first solve,
-which is >= 0 for b >= 0 and depends on b alone.
+repeats.  Each shifted solve ends with one correcting ``dpttrs`` call
+against V times the flux-form defect of a first solution.  By default
+the first solution is the dpttrs solve of the same system, and its
+defect b - alpha V x + beta (F+ - F-) is formed directly from the face
+fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with the
+weights alpha V and beta A / spacing cached beside the factors.  The
+fluxes telescope, so the pass holds the mass identity
+alpha sum x_i V_i = sum b_i to a few ulps.  A caller may instead hand
+in a first solution and its defect (shifted_solve's ``guess``), which
+saves the first dpttrs call: the stepper's v-update passes the state's
+v, within O(dt) of v+, and its defect dt V (w - (I - L) v).  The
+u-update keeps its first solve, which is >= 0 for b >= 0 and depends on
+b alone.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """L D L^T factors of alpha*diag(V) + beta*K, and the weights of its defect.
 
     Returns (d, e, alpha V, beta A / spacing): the factors, then the cell
-    and face weights with which _refine applies the operator.
+    and face weights with which _defect applies the operator.
     """
     d, e, info = dpttrf(*_assemble(grid, alpha, beta), overwrite_d=True, overwrite_e=True)
     if info != 0:
@@ -113,25 +115,17 @@ def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     return d, e, alpha * grid.volumes, beta * grid.coupling
 
 
-def _refine(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x plus one refinement pass against the flux-form (alpha I - beta L).
+def _defect(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V times the flux-form defect of x, formed in b's memory.
 
-    b = V rhs, which the pass overwrites; x is left as it is.  The pass
-    forms V times the flux-form defect directly,
-    V (rhs - (alpha I - beta L)x) = b - alpha V x + beta (F+ - F-), with
-    F the face fluxes A (x_{i+1} - x_i) / spacing, from the weights
-    cached in factor, and makes one dpttrs call on it.  The fluxes
-    telescope, so the defect sums to sum b - alpha sum V x, and the
-    result solves the flux-form L to round-off from any x close enough
-    to the solution.
+    b = V rhs.  V (rhs - (alpha I - beta L)x) = b - alpha V x + beta (F+ - F-),
+    with F the face fluxes A (x_{i+1} - x_i) / spacing, from the weights
+    cached in factor.  The fluxes telescope, so the defect sums to
+    sum b - alpha sum V x.  x is only read.
     """
-    d, e, volumes, coupling = factor
+    _, _, volumes, coupling = factor
     b -= volumes * x
-    defect = _add_flux_divergence(b, x, coupling)
-    # overwrite_b by position: f2py parses a keyword argument more slowly
-    correction = dpttrs(d, e, defect, True)[0]
-    correction += x
-    return correction
+    return _add_flux_divergence(b, x, coupling)
 
 
 # cells per Python list in _row_sum_factor: lists of the whole grid would
@@ -235,18 +229,22 @@ def shifted_solve(
     from the cell integrals b = V rhs of the right-hand side.
 
     Used by the time stepper, where alpha and beta depend on dt.  b is a
-    float array of one value per cell, and the solve overwrites it: the
-    refinement pass forms its defect in b's memory.  The mass identity
-    reads alpha sum V x = sum b, and the refinement pass holds it to a
-    few ulps of sum |b|.
+    float array of one value per cell, and the solve overwrites it.  The
+    result is a first dpttrs solve plus one refinement pass, whose defect
+    is formed in b's memory.  The mass identity reads alpha sum V x =
+    sum b, and the refinement pass holds it to a few ulps of sum |b|.
 
-    guess, when given, replaces the first dpttrs solve: the result is
-    guess plus one refinement pass, one dpttrs call instead of two.  The
-    pass's error, mass identity included, is round-off of its defect, so
-    a guess must lie close to x.  The state's v does for the v-update
-    (I + dt (I - L)) v+ = v + dt w, which moves v by O(dt).  The u-update
-    keeps its first solve, which is >= 0 exactly for b >= 0 (the
-    positivity of u rests on it).  guess is only read.
+    guess, when given, replaces the first solve, and b is then the
+    caller's defect of guess, V (rhs - (alpha I - beta L) guess): the
+    result is guess plus one correcting solve against b, one dpttrs call
+    instead of two, and alpha sum V (x - guess) = sum b.  The round-off
+    of that solve scales with x - guess, so a guess close to x gives x to
+    a few ulps.  The stepper's v-update (I + dt (I - L)) v+ = v + dt w
+    passes v, within O(dt) of v+, and its defect dt V (w - (I - L) v),
+    formed from L's face fluxes without cancelling V (v + dt w) against
+    (1 + dt) V v.  The u-update keeps its first solve, which is >= 0
+    exactly for b >= 0 (the positivity of u rests on it).  guess is only
+    read.
 
     The factors of the last two (alpha, beta) pairs stay on the solver
     and are reused when an equal pair comes back, so a reused factor is
@@ -260,5 +258,12 @@ def shifted_solve(
         if len(recent) > 1:  # keep two pairs alive at most, the new one included
             del recent[next(iter(recent))]
         factor = recent[alpha, beta] = _factor(solver.grid, alpha, beta)
-    x = dpttrs(factor[0], factor[1], b)[0] if guess is None else guess
-    return _refine(factor, b, x)
+    x = guess
+    if x is None:
+        # the first solve; b becomes its defect, which the pass below corrects
+        x = dpttrs(factor[0], factor[1], b)[0]
+        _defect(factor, b, x)
+    # overwrite_b by position: f2py parses a keyword argument more slowly
+    correction = dpttrs(factor[0], factor[1], b, True)[0]
+    correction += x
+    return correction

@@ -508,6 +508,34 @@ def test_sweep_single_point_matches_simulate(config_path, tmp_path):
     assert rows[0][header.index("status")] == "completed"
 
 
+def test_sweep_parent_drops_the_config_grid_before_the_pool(config_path, tmp_path, monkeypatch):
+    # the sweep parent forks its workers with the axes, the worker count and
+    # the output directory alone: the grid load_config built is gone
+    import weakref
+
+    from radks import sweep
+
+    grids, alive = [], []
+    inner_load, inner_sweep = radks.cli.load_config, sweep.run_sweep
+
+    def loading(*args):
+        cfg = inner_load(*args)
+        grids.append(weakref.ref(cfg.grid))
+        return cfg
+
+    def sweeping(*args):
+        gc.collect()
+        alive.append(grids[0]() is not None)
+        return inner_sweep(*args)
+
+    monkeypatch.setattr(radks.cli, "load_config", loading)
+    monkeypatch.setattr(sweep, "run_sweep", sweeping)
+    sweep_ini = tmp_path / "sweep.ini"
+    sweep_ini.write_text(config_path.read_text() + "\n[sweep]\ngrid.N = 64\n")
+    assert main(["-c", str(sweep_ini), "sweep"]) == 0
+    assert len(grids) == 1 and alive == [False]
+
+
 def test_sweep_worker_count_invariance(config_path, tmp_path):
     sweep_ini = tmp_path / "sweep.ini"
     sweep_ini.write_text(

@@ -97,10 +97,13 @@ def test_step_mass_conserved_graded():
 
 
 def test_advective_flux_zero_cases(grid):
+    # one flux per interior face: none passes r = 0 or r = R
     u = constant_field(grid, 1.0)
-    assert np.all(advective_flux(u, gradient_faces(constant_field(grid, 2.0))) == 0.0)
+    flat = advective_flux(u, gradient_faces(constant_field(grid, 2.0)))
+    assert flat.shape == (grid.N - 1,) and np.all(flat == 0.0)
     v = RadialField(np.linspace(0, 1, grid.N), grid)
-    assert np.all(advective_flux(constant_field(grid, 0.0), gradient_faces(v)) == 0.0)
+    empty = advective_flux(constant_field(grid, 0.0), gradient_faces(v))
+    assert empty.shape == (grid.N - 1,) and np.all(empty == 0.0)
 
 
 def test_advective_flux_rejects_cell_values(grid):
@@ -116,12 +119,13 @@ def test_advective_flux_upwind_stencil():
     u = RadialField(u_vals, g)
     v = RadialField(g.h * np.arange(4.0), g)
     flux = advective_flux(u, gradient_faces(v))
-    assert flux[0] == 0.0 and flux[-1] == 0.0
+    # the 3 interior faces alone: the ends pass no flux
+    assert flux.shape == (3,)
     # positive face velocity: upwind value comes from the inner cell i
-    assert np.all(flux[1:-1] == g.face_areas[1:-1] * u_vals[:-1])
+    assert np.all(flux == g.face_areas[1:-1] * u_vals[:-1])
     # reversed ramp: upwind value comes from the outer cell i+1
     flux_rev = advective_flux(u, gradient_faces(RadialField(-g.h * np.arange(4.0), g)))
-    assert np.all(flux_rev[1:-1] == -g.face_areas[1:-1] * u_vals[1:])
+    assert np.all(flux_rev == -g.face_areas[1:-1] * u_vals[1:])
 
 
 def test_adapt_dt_zero_velocity(grid):
@@ -134,8 +138,8 @@ def test_adapt_dt_zero_velocity(grid):
 
 
 def ramp_state(grid, speed, t=0.0):
-    # inward linear ramp: |v_r| = speed everywhere, geometry cap not binding,
-    # so the CFL step is cfl * h / speed
+    # inward linear ramp: v_r = -speed at every interior face, so each cell
+    # but the first loses mass through its inner face alone
     v = RadialField(-speed * grid.centers, grid)
     return State(t, 0, constant_field(grid, 1.0), v, 1e-3)
 
@@ -143,10 +147,12 @@ def ramp_state(grid, speed, t=0.0):
 def test_adapt_dt_cfl_formula():
     g = make_grid(5, 1.0, 100)
     cfg = default_stepper_config(g, t_end=1e9, cfl=0.5, dt_max=1.0)
-    bound = 0.5 * g.h / 10.0
+    # the outflow rate of cell i >= 1 is A_{i-1/2} * speed / V_i; the
+    # outermost cells, whose V / A is nearest h, bind
+    bound = 0.5 * min(g.volumes[1:] / (g.face_areas[1:-1] * 10.0))
     dt = adapt_dt(ramp_state(g, 10.0), cfg)
-    # the largest rung 2^(k/16) <= bound: 2^-11 < 0.0005 < 2^(-11 + 1/16)
-    assert dt == 2.0 ** -11 == 0.00048828125
+    # the largest rung 2^(k/16) <= bound: 2^(-11 + 1/16) < 0.00051020 < 2^(-11 + 2/16)
+    assert dt == math.ldexp(dynamics._RUNG_MANTISSAS[1], -10) == 0.0005098993078258856
     assert bound * 2 ** (-1 / 16) < dt <= bound
 
 
@@ -218,6 +224,71 @@ def test_capped_stable_dt_is_exact_where_adapt_dt_can_tell(case):
     full = min(dynamics._rung_below(cfg.cfl * exact), cfg.dt_max)
     for dt in (cfg.dt_max, 0.5 * cfg.dt_max):
         assert adapt_dt(State(0.0, 1, v, v, dt), cfg) == full
+
+
+@st.composite
+def face_velocities(draw):
+    """(grid, v_r, u) with v_r an inward ramp, an outward flow or a zigzag
+    of any speed, and u >= 0 with some empty cells."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    N = draw(st.integers(min_value=32, max_value=512))
+    log_h = draw(st.one_of(st.none(), st.floats(min_value=-12.0, max_value=math.log10(0.5 / N))))
+    g = make_grid(n, 1.0, N, h_min=None if log_h is None else 10.0**log_h)
+    speed = 10.0 ** draw(st.floats(min_value=-3.0, max_value=8.0))
+    r = g.faces[1:-1] / g.R
+    shape = draw(st.sampled_from(("inward", "outward", "zigzag")))
+    vel = np.zeros(N + 1)
+    if shape == "zigzag":
+        vel[1:-1] = speed * (-1.0) ** np.arange(N - 1) * (1.0 + r)
+    else:
+        sign = -1.0 if shape == "inward" else 1.0
+        vel[1:-1] = sign * speed * r ** draw(st.floats(min_value=0.0, max_value=2.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    u = rng.random(N) * (rng.random(N) < 0.7)
+    return g, vel, u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=face_velocities())
+def test_stable_dt_is_the_sharp_positivity_bound_of_the_upwind_update(case):
+    # at dt = _stable_dt the explicit upwind update V u - dt (F+ - F-) keeps
+    # every cell >= 0; just past it, the cell that empties fastest, holding
+    # all the mass, goes negative, so no larger rate (such as the transit
+    # rate |v_r| / spacing) holds dt below it
+    g, vel, u = case
+    dt = dynamics._stable_dt(g, vel)
+
+    def update(values, dt):
+        flux = np.zeros(g.N + 1)
+        flux[1:-1] = advective_flux(RadialField(values, g), vel)
+        return g.volumes * values - dt * (flux[1:] - flux[:-1])
+
+    assert 0.0 < dt < math.inf
+    assert np.min(update(u, dt)) >= 0.0
+    # cell i loses mass through its outer face where v_r > 0, its inner
+    # face where v_r < 0
+    leaving = g.face_areas[1:] * np.maximum(vel[1:], 0.0) + g.face_areas[:-1] * np.maximum(
+        -vel[:-1], 0.0
+    )
+    spike = np.zeros(g.N)
+    spike[np.argmax(leaving / g.volumes)] = 1.0
+    assert np.min(update(spike, dt)) >= 0.0
+    assert np.min(update(spike, dt * (1.0 + 2.0**-20))) < 0.0
+
+
+def test_coarse_collapse_takes_its_steps_at_the_outflow_bound():
+    # the README bump on 64 cells: its core soon fits in one cell, where the
+    # transit rate overstates the outflow rate by up to (2^n - 1) / n, so a
+    # transit-bound run crawls (7565 steps to t = 0.02); u stays positive
+    g = make_grid(5, 1.0, 64)
+    s = build_solver(g)
+    u0, v0 = base_data("bump", g, s, baseline=1.0, amplitude=2e7, width=0.06,
+                       v_mode="relaxed")
+    cfg = default_stepper_config(g, t_end=0.02, output_every=100)
+    _, summary, _ = run(u0, v0, cfg, solver=s)
+    assert summary.status is SimStatus.COMPLETED
+    assert summary.steps <= 1500
+    assert summary.min_u > 0.0 and summary.first_negative_step is None
 
 
 def count_rate_paths(monkeypatch) -> dict:

@@ -369,19 +369,22 @@ def test_shifted_solve_takes_cell_integrals():
 
 @pytest.mark.parametrize("N, h_min", [(8192, None), (1024, 1e-6), (1024, 1e-12)])
 def test_shifted_solve_from_the_signal_matches_the_two_pass_solve(N, h_min):
-    # the stepper's v-update refines v itself: on the README blowup data, at
-    # t = 0 and after 300 CFL steps, one pass from v gives the two-pass v+
-    # and keeps (1 + dt) int v+ = int rhs; v is only read
+    # the stepper's v-update corrects v itself by one solve against its
+    # defect dt V (w - (I - L) v): on the README blowup data, at t = 0 and
+    # after 300 CFL steps, that gives the two-pass v+ and keeps
+    # (1 + dt) int v+ = int rhs; v is only read
     g = make_grid(5, 1.0, N, h_min=h_min)
     s = build_solver(g)
     u0, v0 = base_data("bump", g, s, baseline=1.0, amplitude=2e7, width=0.06, v_mode="relaxed")
     cfg = default_stepper_config(g, t_end=0.5)
     state, _, _ = run(u0, v0, cfg, solver=s, max_steps=300)
     for u, v, dt in ((u0, v0, 1e-6), (u0, v0, 1e-2), (state.u, state.v, adapt_dt(state, cfg))):
-        rhs = v.values + dt * solve(s, u).values
+        w = solve(s, u).values
+        rhs = v.values + dt * w
+        defect = dt * g.volumes * (w - v.values + laplacian(v).values)
         before = v.values.copy()
         want = shifted_solve(s, 1.0 + dt, dt, rhs * g.volumes)
-        x = shifted_solve(s, 1.0 + dt, dt, rhs * g.volumes, guess=v.values)
+        x = shifted_solve(s, 1.0 + dt, dt, defect, guess=v.values)
         assert np.array_equal(v.values, before)
         assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want)), dt
         scale = math.fsum(np.abs(rhs) * g.volumes)
