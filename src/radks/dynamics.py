@@ -24,27 +24,28 @@ Work per step: one face gradient of v per state (step computes v+_r for
 the flux of (c), and v+ keeps it, as every RadialField keeps its face
 gradient, for the next adapt_dt and the energy report); one max and one
 min of u+, which check that it is finite and give the state its sup u
-and min u, and one sum of v+, which checks v+; three solves, (a) to (c),
-in four LAPACK dpttrs calls: (a) makes one, on the row-sum factors of
-(I - L); (c) two, a first solve and its refinement pass; and (b) one,
-which corrects v itself, within O(dt) of v+, by its defect
-dt V (w - (I - L) v) (shifted_solve's guess); and two factorizations, of
-the (b) and (c) operators, only when dt moves to another rung of
-adapt_dt's ladder 2^(k/16).  w is a function of u alone, and u keeps it
-(helmholtz._kept_w): the step from a sampled state, whose energy report
-solved w, and a second step from the same state make three dpttrs calls
-and no w-solve.  Both right-hand sides are cell integrals, the form the
-solves work in, so no flux is divided by V only to be multiplied back:
-(b) forms v's defect from the face fluxes of L, and (c) adds dt F, the
-N-1 upwind fluxes at the interior faces, into V u from both sides, for
-V u - dt (F+ - F-).
-adapt_dt's stability bound takes one reduction, over the N per-cell
-outflow rates.  After a step at dt_max it first takes one over |v_r|,
-whose product with the grid's rate_per_speed bounds every rate: when
-that bound alone keeps dt at dt_max, the rates are not formed.  On
-verify's conservation run (N=400, dt_max 2e-3) the rates are formed on
-30 of 10000 steps; on a collapse, whose dt never reaches dt_max, on
-every step.
+and min u (a non-finite v+ reaches u+ through the flux of (c)); three
+solves, (a) to (c), in four LAPACK dpttrs calls: (a) makes one, on the
+row-sum factors of (I - L); (c) two, a first solve and its refinement
+pass; and (b) one, which corrects v itself, within O(dt) of v+, by its
+defect dt V (w - (I - L) v) (shifted_solve's guess); and two
+factorizations, of the (b) and (c) operators, only when dt moves to
+another rung of adapt_dt's ladder 2^(k/16).  w is a function of u alone,
+and u keeps it (helmholtz._kept_w): the step from a sampled state, whose
+energy report solved w, and a second step from the same state make three
+dpttrs calls and no w-solve.  Both right-hand sides are cell integrals,
+the form the solves work in, so no flux is divided by V only to be
+multiplied back: (b) forms v's defect from the face fluxes of L, and (c)
+adds dt F, the N-1 upwind fluxes at the interior faces, into V u from
+both sides, for V u - dt (F+ - F-).  The upwind flux, its per-cell
+outflow-rate bound and the bound's per-grid constant sit together, their
+rule stated once in advective_flux.  adapt_dt's bound takes one
+reduction, over the N outflow rates.  After a step at dt_max it first
+takes one over |v_r|, whose product with the constant, kept on the grid,
+bounds every rate: when that bound alone keeps dt at dt_max, the rates
+are not formed.  On verify's conservation run (N=400, dt_max 2e-3) the
+rates are formed on 30 of 10000 steps; on a collapse, whose dt never
+reaches dt_max, on every step.
 
 run returns the final state, a RunSummary and a Trajectory: a float64
 column per TrajectorySample field, with a row per emitted sample, which
@@ -191,7 +192,20 @@ def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
     """Upwind chemotactic flux A * u_up * vel at the N-1 interior faces.
 
     vel is the face velocity v_r = gradient_faces(v), zero at r=0 and r=R,
-    where no flux passes; entry i is the flux from cell i into cell i+1.
+    where no flux passes; entry i is the flux from cell i into cell i+1,
+    and u_up is the value of the cell that vel carries mass out of.
+
+    The rule of this section, the upwind transport and its dt bound: cell
+    i loses mass at the outflow rate sum A |v_r| / V_i over the faces whose
+    flux leaves it, and the update V u - dt (F+ - F-) keeps a u >= 0
+    nonnegative for dt up to the reciprocal of the fastest rate, at which
+    the cell that sets it, holding all the mass, just empties (Filbet,
+    Numer. Math. 104 (2006)).  _rates_stable_dt raises the rates by 2^-48
+    relative, far more than their few roundings and the update's, so u
+    stays >= 0 in floating point.  Every rate is at most max |v_r| times
+    the grid's max (A_{i-1/2} + A_{i+1/2}) / V_i (_rate_per_speed), raised
+    by 2^-46 to cover the rates' 2^-48 and the roundings in which the two
+    differ, so _stable_dt's one-reduction bound never exceeds the rates'.
     """
     grid = u.grid
     if vel.shape != (grid.N + 1,):
@@ -205,25 +219,30 @@ def advective_flux(u: RadialField, vel: np.ndarray) -> np.ndarray:
     return flux
 
 
+def _rate_per_speed(grid: Grid) -> float:
+    """The constant that bounds every outflow rate by max |v_r| (see
+    advective_flux), computed on the first call and kept on grid."""
+    rate = grid.__dict__.get("_rate_per_speed")
+    if rate is None:
+        outflow = np.maximum.reduce((grid.face_areas[:-1] + grid.face_areas[1:]) / grid.volumes)
+        rate = grid.__dict__["_rate_per_speed"] = float(outflow) * (1.0 + 2.0**-46)
+    return rate
+
+
 def _stable_dt(grid: Grid, vel: np.ndarray, cap: float = math.inf) -> float:
     """Largest dt keeping the explicit upwind update positivity-preserving.
 
-    1 / max_i outflow_i / V_i for the face velocity vel = v_r, outflow_i
-    the sum of A |v_r| over the faces through which cell i loses mass: the
-    reciprocal of the fastest per-cell outflow rate.  At that dt the
-    upwind update V u - dt (F+ - F-) of a u >= 0 keeps every cell >= 0,
-    and the cell that sets the rate, holding all the mass, just empties
-    (Filbet, Numer. Math. 104 (2006)).  v_r = 0 everywhere gives +inf.
-
-    cap is the largest bound the caller can use.  With a finite cap, the
-    rates are first bounded in one reduction, by max |v_r| times the
-    grid's rate_per_speed; when the dt of that bound is at least 2 * cap,
-    it is returned without forming the rates: a result of at least 2 * cap
-    and at most the exact bound above.  Otherwise the result is the exact
-    bound; a NaN v_r falls through to the rates.
+    The reciprocal of the fastest per-cell outflow rate of vel = v_r (see
+    advective_flux); v_r = 0 everywhere gives +inf.  cap is the largest
+    bound the caller can use.  With a finite cap, the rates are first
+    bounded in one reduction, by max |v_r| times _rate_per_speed; when the
+    dt of that bound is at least 2 * cap, it is returned without forming
+    the rates: a result of at least 2 * cap and at most the exact bound.
+    Otherwise the result is the exact bound; a NaN v_r falls through to
+    the rates.
     """
     if cap < math.inf:
-        rate = float(np.maximum.reduce(np.absolute(vel))) * grid.rate_per_speed
+        rate = float(np.maximum.reduce(np.absolute(vel))) * _rate_per_speed(grid)
         dt = 1.0 / rate if rate else math.inf
         if dt >= 2.0 * cap:
             return dt
@@ -236,8 +255,6 @@ def _rates_stable_dt(grid: Grid, vel: np.ndarray) -> float:
     outflow = np.maximum(area_vel[1:], 0.0)
     outflow -= np.minimum(area_vel[:-1], 0.0, out=area_vel[:-1])
     outflow /= grid.volumes
-    # raised by 2^-48 relative, far more than the few roundings of the
-    # rates and of the update, so the update keeps u >= 0 in floating point
     rate = float(np.maximum.reduce(outflow)) * (1.0 + 2.0**-48)
     return math.inf if rate == 0.0 else 1.0 / rate
 
@@ -291,8 +308,8 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
 
     w is the one state.u keeps (solved here if it has none), so a second
     step from the same state, at another dt, solves no w.  The new state
-    is STALLED when a field is not finite (or v+ sums past the float
-    range) or when dt is too small to change t (t + dt == t).
+    is STALLED when a field is not finite or when dt is too small to
+    change t (t + dt == t).
     """
     if state.status is not SimStatus.RUNNING:
         raise ConfigurationError(f"cannot step a state with status {state.status}")
@@ -305,8 +322,7 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     defect *= grid.volumes
     _add_flux_divergence(defect, v, grid.coupling)
     defect *= dt
-    v_new = shifted_solve(solver, 1.0 + dt, dt, defect, guess=v)
-    v_plus = _adopt(v_new, grid)
+    v_plus = _adopt(shifted_solve(solver, 1.0 + dt, dt, defect, guess=v), grid)
     # u's right-hand side V u - dt (F+ - F-), dt F added from both sides
     flux = advective_flux(state.u, gradient_faces(v_plus))
     flux *= dt
@@ -316,11 +332,10 @@ def step(state: State, cfg: StepperConfig, solver: HelmholtzSolver) -> State:
     u_new = shifted_solve(solver, 1.0, dt, b)
     t = state.t + dt
     # a NaN makes both of u's reductions NaN and an infinity shows in one of
-    # them; v+, whose max and min nothing reads, is checked by its sum, which
-    # a non-finite entry makes non-finite (and entries past ~1e305, whose sum
-    # overflows, stall the step too)
+    # them; a non-finite v+ reaches u+ through v+_r and the flux, as every
+    # cell has an interior face and 0 * inf is NaN
     u_max, u_min = np.maximum.reduce(u_new), np.minimum.reduce(u_new)
-    ok = t != state.t and all(map(math.isfinite, (u_max, u_min, np.add.reduce(v_new))))
+    ok = t != state.t and math.isfinite(u_max) and math.isfinite(u_min)
     # built like _evolve's states, without the frozen __init__; the cached
     # properties come filled, so run and the sample read this sup and min u
     # without a second pass over u

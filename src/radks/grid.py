@@ -17,8 +17,9 @@ the new field holds.  So face_means, gradient_faces and laplacian each
 compute their result once per field and keep it on that field,
 read-only; every later call, from the stepper, the energy or a probe,
 returns the same object.  A density u keeps its signal
-w = (I - L)^{-1} u the same way (radks.helmholtz._kept_w).  The kept
-values live as long as the field.  Two threads that miss at once compute
+w = (I - L)^{-1} u the same way (radks.helmholtz._kept_w), and a grid
+the constant of the stepper's dt bound (radks.dynamics).  A kept value
+lives as long as its holder.  Two threads that miss at once compute
 equal values, and one is kept.
 """
 
@@ -72,10 +73,8 @@ class Grid:
     r = R.  Face gradients divide by it and face quadratures weight by
     face_weights = face_areas * spacing.
 
-    Immutable after construction, apart from two caches, each filled on
-    first use: face_power's powers of r, and rate_per_speed, the constant
-    that bounds every CFL rate by max |v_r|; safe to share between
-    threads.
+    Immutable after construction, apart from face_power's cache of
+    powers of r, filled on first use; safe to share between threads.
     """
 
     n: int
@@ -117,21 +116,6 @@ class Grid:
         if p not in powers:
             powers[p] = _readonly(self.faces[1:-1] ** p)
         return powers[p]
-
-    @cached_property
-    def rate_per_speed(self) -> float:
-        """max (A_{i-1/2} + A_{i+1/2}) / V_i over the cells.
-
-        max |v_r| times it bounds every per-cell outflow rate of the face
-        velocity v_r, so it bounds the CFL step from below in one
-        reduction over v_r.  It is raised by 2^-46 relative, more than the
-        2^-48 by which the stepper raises the rates themselves and the few
-        roundings in which the rates and this bound can differ, so the
-        bound holds in floating point too.  Computed once and kept on this
-        grid.
-        """
-        outflow = np.maximum.reduce((self.face_areas[:-1] + self.face_areas[1:]) / self.volumes)
-        return float(outflow) * (1.0 + 2.0**-46)
 
 
 def _log_expm1(x):

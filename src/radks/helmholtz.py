@@ -28,14 +28,14 @@ against V times the flux-form defect of a first solution.  By default
 the first solution is the dpttrs solve of the same system, and its
 defect b - alpha V x + beta (F+ - F-) is formed directly from the face
 fluxes F of x (the kernel of :func:`radks.grid.laplacian`) with the
-weights alpha V and beta A / spacing cached beside the factors.  The
-fluxes telescope, so the pass holds the mass identity
-alpha sum x_i V_i = sum b_i to a few ulps.  A caller may instead hand
-in a first solution and its defect (shifted_solve's ``guess``), which
-saves the first dpttrs call: the stepper's v-update passes the state's
-v, within O(dt) of v+, and its defect dt V (w - (I - L) v).  The
-u-update keeps its first solve, which is >= 0 for b >= 0 and depends on
-b alone.
+weights alpha V and beta A / spacing, cached beside the factors of a
+pair when its first defect is formed.  The fluxes telescope, so the pass
+holds the mass identity alpha sum x_i V_i = sum b_i to a few ulps.  A
+caller may instead hand in a first solution and its defect
+(shifted_solve's ``guess``), which saves the first dpttrs call: the
+stepper's v-update passes the state's v, within O(dt) of v+, and its
+defect dt V (w - (I - L) v).  The u-update keeps its first solve, which
+is >= 0 for b >= 0 and depends on b alone.
 """
 
 from __future__ import annotations
@@ -100,19 +100,15 @@ def _assemble(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     return diag, -coupling
 
 
-def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
-    """L D L^T factors of alpha*diag(V) + beta*K, and the weights of its defect.
-
-    Returns (d, e, alpha V, beta A / spacing): the factors, then the cell
-    and face weights with which _defect applies the operator.
-    """
+def _factor(grid: Grid, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factors (d, e) of alpha*diag(V) + beta*K."""
     d, e, info = dpttrf(*_assemble(grid, alpha, beta), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ConfigurationError(
             f"alpha I - beta L with alpha={alpha!r}, beta={beta!r} is not positive "
             f"definite (LAPACK dpttrf info={info}); need alpha > 0 and beta >= 0"
         )
-    return d, e, alpha * grid.volumes, beta * grid.coupling
+    return d, e
 
 
 def _defect(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -120,8 +116,8 @@ def _defect(factor, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     b = V rhs.  V (rhs - (alpha I - beta L)x) = b - alpha V x + beta (F+ - F-),
     with F the face fluxes A (x_{i+1} - x_i) / spacing, from the weights
-    cached in factor.  The fluxes telescope, so the defect sums to
-    sum b - alpha sum V x.  x is only read.
+    kept after the factors in factor.  The fluxes telescope, so the defect
+    sums to sum b - alpha sum V x.  x is only read.
     """
     _, _, volumes, coupling = factor
     b -= volumes * x
@@ -176,8 +172,9 @@ class HelmholtzSolver:
     """Reusable factorization of (I - L) on one grid.
 
     _shifted maps (alpha, beta) to the factors of the last two operators
-    shifted_solve factored, oldest first: the stepper's v- and u-operators
-    of one dt.
+    shifted_solve factored, oldest first (the stepper's v- and
+    u-operators of one dt), followed by the defect weights once a first
+    solve of that pair has formed a defect.
     """
 
     grid: Grid
@@ -260,6 +257,9 @@ def shifted_solve(
         factor = recent[alpha, beta] = _factor(solver.grid, alpha, beta)
     x = guess
     if x is None:
+        if len(factor) == 2:  # the pair's first defect: form its weights once
+            grid = solver.grid
+            factor = recent[alpha, beta] = (*factor, alpha * grid.volumes, beta * grid.coupling)
         # the first solve; b becomes its defect, which the pass below corrects
         x = dpttrs(factor[0], factor[1], b)[0]
         _defect(factor, b, x)

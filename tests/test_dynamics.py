@@ -191,7 +191,8 @@ def capped_velocities(draw):
     """(grid, v, cap) with v from flat to a steep bump, perhaps plus a
     zigzag that makes every cell's outflow rate bind, and cap on either
     side of half the dt that the one-reduction rate max |v_r| *
-    rate_per_speed gives, where the capped bound stops forming the rates."""
+    _rate_per_speed(grid) gives, where the capped bound stops forming the
+    rates."""
     n = draw(st.integers(min_value=5, max_value=8))
     N = draw(st.integers(min_value=32, max_value=512))
     log_h = draw(st.one_of(st.none(), st.floats(min_value=-12.0, max_value=math.log10(0.5 / N))))
@@ -203,7 +204,7 @@ def capped_velocities(draw):
     zigzag = draw(st.sampled_from((0.0, 1e-3, 1.0))) * (-1.0) ** np.arange(N)
     v = RadialField(1.0 + height * np.exp(-((g.centers / width) ** 2)) + zigzag, g)
     vmax = float(np.max(np.abs(gradient_faces(v))))
-    threshold = 0.5 / (vmax * g.rate_per_speed) if vmax > 0.0 else 1.0
+    threshold = 0.5 / (vmax * dynamics._rate_per_speed(g)) if vmax > 0.0 else 1.0
     cap = threshold * 2.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
     return g, v, cap
 
@@ -224,6 +225,38 @@ def test_capped_stable_dt_is_exact_where_adapt_dt_can_tell(case):
     full = min(dynamics._rung_below(cfg.cfl * exact), cfg.dt_max)
     for dt in (cfg.dt_max, 0.5 * cfg.dt_max):
         assert adapt_dt(State(0.0, 1, v, v, dt), cfg) == full
+
+
+@st.composite
+def binding_velocities(draw):
+    """(grid, v_r) with |v_r| = speed at every interior face, signed so
+    that the cell that sets the grid's rate constant loses mass through
+    each of its faces: its rate is then speed times the constant, up to
+    the raises and, for a speed other than 1, a few roundings."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    N = draw(st.integers(min_value=32, max_value=512))
+    log_h = draw(st.one_of(st.none(), st.floats(min_value=-12.0, max_value=math.log10(0.5 / N))))
+    g = make_grid(n, 1.0, N, h_min=None if log_h is None else 10.0**log_h)
+    speed = 10.0 ** draw(st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)))
+    k = int(np.argmax((g.face_areas[:-1] + g.face_areas[1:]) / g.volumes))
+    vel = np.zeros(N + 1)
+    vel[1 : k + 1] = -speed  # inward out of cell k, through its inner face
+    vel[k + 1 : N] = speed   # outward out of cell k, through its outer face
+    return g, vel
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=binding_velocities())
+def test_capped_stable_dt_never_overshoots_at_the_last_ulp(case):
+    # the early exit's bound is the binding cell's own rate but for the
+    # raises and a few roundings, so only the constant's raise above the
+    # rates' keeps the early exit at or below the exact bound: without it
+    # every case fails, and at the rates' own 2^-48 about a fifth of the
+    # speeds other than 1 do
+    g, vel = case
+    cap = 0.25 / (np.max(np.abs(vel)) * dynamics._rate_per_speed(g))
+    capped = dynamics._stable_dt(g, vel, cap)
+    assert 2.0 * cap <= capped <= dynamics._rates_stable_dt(g, vel)
 
 
 @st.composite
