@@ -6,8 +6,9 @@ Snapshot.fields, which rejects a file written on any other mesh.
 
 Exit codes: 0 success (simulate: run completed), 2 blowup detected (the
 scientifically expected outcome, distinguishable in shell pipelines),
-1 stall or error (a RadksError or an OSError, such as a missing input
-file, is one `error: ...` line on stderr).
+1 stall, a run stopped by max_steps, or error (a RadksError or an
+OSError, such as a missing input file, is one `error: ...` line on
+stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, resolve_output_dir
@@ -38,15 +39,14 @@ from .probes import (
 from .snapshots import (
     DiagnosticsWriter,
     FINAL_SNAPSHOT_NAME,
-    FORMAT_VERSION,
     family_snapshot_name,
-    format_float,
     read_diagnostics,
     read_snapshot,
     run_snapshot_name,
     run_snapshots,
     write_probe_rows,
     write_snapshot,
+    write_summary,
     write_table,
 )
 from . import verify as verify_mod
@@ -78,8 +78,9 @@ def _initial_pair(cfg: RunConfig):
 def simulate_run(cfg: RunConfig):
     """Shared by the simulate verb and the sweep worker.
 
-    Runs from _initial_pair(cfg).  Returns (RunSummary, extras) with the
-    trajectory maxima of the probe constants.
+    Runs from _initial_pair(cfg).  Returns (RunSummary, record): the
+    record is summary.txt's, the summary's fields and then the trajectory
+    maxima of the probe constants, max_C_fd, max_C_w and max_C_v.
     """
     grid = cfg.grid
     solver, u0, v0 = _initial_pair(cfg)
@@ -113,43 +114,21 @@ def simulate_run(cfg: RunConfig):
         state, summary, trajectory = run(
             u0, v0, cfg.stepper, solver=solver, sink=sink, max_steps=cfg.max_steps
         )
-    max_c["fd"] = probe_fd_ratio(trajectory, pconf).implied_c
-    mass = trajectory["mass"]
 
     write_snapshot(outdir / FINAL_SNAPSHOT_NAME, grid, state.u, state.v, t=state.t)
-    with (outdir / "summary.txt").open("w") as handle:
-        handle.write(f"# format_version={FORMAT_VERSION}\n")
-        for key, value in (
-            ("status", summary.status.value),
-            ("t_final", format_float(summary.t_final)),
-            ("t_blowup", "" if summary.t_blowup is None else format_float(summary.t_blowup)),
-            ("steps", summary.steps),
-            ("peak_sup", format_float(summary.peak_sup)),
-            ("F0", format_float(summary.F0)),
-            ("min_F", format_float(summary.min_F)),
-            ("min_u", format_float(summary.min_u)),
-            ("first_negative_step",
-             "" if summary.first_negative_step is None else summary.first_negative_step),
-            ("mass_initial", format_float(mass[0])),
-            ("mass_final", format_float(mass[-1])),
-            ("max_C_fd", format_float(max_c["fd"])),
-            ("max_C_w", format_float(max_c["w"])),
-            ("max_C_v", format_float(max_c["v"])),
-        ):
-            handle.write(f"{key}={value}\n")
-    extras = {
-        "max_C_fd": max_c["fd"],
+    record = asdict(summary) | {
+        "max_C_fd": probe_fd_ratio(trajectory, pconf).implied_c,
         "max_C_w": max_c["w"],
         "max_C_v": max_c["v"],
-        "outdir": outdir,
     }
-    return summary, extras
+    write_summary(outdir / "summary.txt", record)
+    return summary, record
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    summary, extras = simulate_run(cfg)
+    summary, _ = simulate_run(cfg)
     print(f"status={summary.status.value} t_final={summary.t_final:g} "
-          f"peak_sup={summary.peak_sup:g} outputs in {extras['outdir']}")
+          f"peak_sup={summary.peak_sup:g} outputs in {resolve_output_dir(cfg)}")
     if summary.status is SimStatus.COMPLETED:
         return 0
     if summary.status is SimStatus.BLOWN_UP:
@@ -246,9 +225,9 @@ def cmd_verify(level: str) -> int:
 def cmd_energy(cfg: RunConfig, snapshot_path: str) -> int:
     u, v = read_snapshot(snapshot_path).fields(cfg.grid)
     rep = compute_energy(u, v, build_solver(cfg.grid))
-    for key in ("F", "D", "entropy_term", "mixed_term", "quad_term",
-                "grad_f_term", "f_term", "g_term", "regularized_faces"):
-        print(f"{key}={getattr(rep, key)!r}")
+    for f in fields(rep):
+        if f.compare:  # the scalars; the fields behind them are not printed
+            print(f"{f.name}={getattr(rep, f.name)!r}")
     return 0
 
 

@@ -421,15 +421,19 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """The run's record: summary.txt's first keys, in this order."""
+
     status: SimStatus
     t_final: float
-    peak_sup: float
     t_blowup: Optional[float]  # t_final when BLOWN_UP, else None
     steps: int
+    peak_sup: float
     F0: float
     min_F: float  # smallest F over the samples; a NaN sample is skipped
     min_u: float  # smallest min u over the run's states, the initial one included
     first_negative_step: Optional[int]  # first step whose u has an entry < 0
+    mass_initial: float  # int u of the first sample
+    mass_final: float  # int u of the last sample
 
 
 Sink = Callable[[State, TrajectorySample, EnergyReport], None]
@@ -529,16 +533,18 @@ def run(
 
     if state.step != last_emitted:
         emit(state)
-    F = trajectory["F"]
+    F, mass = trajectory["F"], trajectory["mass"]
     summary = RunSummary(
         status=state.status,
         t_final=state.t,
-        peak_sup=peak,
         t_blowup=state.t if state.status is SimStatus.BLOWN_UP else None,
         steps=state.step,
+        peak_sup=peak,
         F0=float(F[0]),
         min_F=float(np.fmin.reduce(F)),
         min_u=min_u,
         first_negative_step=first_negative,
+        mass_initial=float(mass[0]),
+        mass_final=float(mass[-1]),
     )
     return state, summary, trajectory

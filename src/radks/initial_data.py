@@ -62,22 +62,29 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+# The 16-point Gauss-Legendre nodes and weights on [-1, 1], numpy's
+# leggauss(16) bit for bit, stored so that no run loads numpy.polynomial;
+# tuples, so that importing the module allocates no array
+_GAUSS_X = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS_W = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
 
 
 def _gauss_panels(a: float, b: float, panels: int):
     """Composite 16-point Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = _gauss_rule()
     edges = np.linspace(a, b, panels + 1)
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+    return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
 def _profile(rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""File formats: snapshot, diagnostics, probe, and sweep files.
+"""File formats: snapshot, diagnostics, summary, probe, and sweep files.
 
 Every file starts with a `# format_version=N` line.  Snapshots are
 version 3 and hold the state alone: a short text header (the version
@@ -15,11 +15,12 @@ grid's cell centers, so graded and uniform meshes read back alike.
 This module also owns the snapshot file names: run_snapshot_name,
 FINAL_SNAPSHOT_NAME, family_snapshot_name and run_snapshots.
 
-Every other file is version-1 CSV text, its floats written with
-shortest round-trip decimal formatting (Python repr).  Diagnostics rows
-are flushed as they are written; a killed run leaves a parseable prefix.
-read_diagnostics reads them back as a Trajectory of those seven
-columns, bit-equal to the run's.
+Every other file is version-1 text, floats in shortest round-trip
+decimal (Python repr): CSV, and summary.txt with one `key=value` line
+per entry of the run's record (write_summary).  Diagnostics rows are
+flushed as written; a killed run leaves a parseable prefix.
+read_diagnostics reads them back as a Trajectory of those seven columns,
+bit-equal to the run's.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -51,6 +53,7 @@ __all__ = [
     "read_diagnostics",
     "write_probe_rows",
     "PROBE_COLUMNS",
+    "write_summary",
     "format_float",
 ]
 
@@ -256,12 +259,16 @@ def write_probe_rows(path, rows: Iterable) -> None:
 def _cell(x):
     if isinstance(x, bool):
         return "true" if x else "false"
+    if x is None:
+        return ""
+    if isinstance(x, Enum):
+        return x.value
     return format_float(x) if isinstance(x, float) else x
 
 
 def write_table(path, columns: list[str], rows: Iterable[Iterable]) -> None:
     """Versioned CSV of the family, sweep and probe outputs: floats in
-    round-trip repr, bools as true/false, None as an empty cell."""
+    round-trip repr, bools true/false, None an empty cell, an enum its value."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         handle.write(_version_line())
@@ -269,6 +276,13 @@ def write_table(path, columns: list[str], rows: Iterable[Iterable]) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(x) for x in row])
+
+
+def write_summary(path, record: dict) -> None:
+    """summary.txt: the version line, then `key=value` per entry, valued as write_table's cells."""
+    with Path(path).open("w") as handle:
+        handle.write(_version_line())
+        handle.writelines(f"{key}={_cell(value)}\n" for key, value in record.items())
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

@@ -15,33 +15,14 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 
-__all__ = ["SWEEP_COLUMNS", "expand_axes", "run_sweep"]
+__all__ = ["run_sweep"]
 
-SWEEP_COLUMNS_FIXED = [
-    "status",
-    "t_out",
-    "peak_sup",
-    "F0",
-    "min_F",
-    "max_C_fd",
-    "max_C_w",
-    "max_C_v",
-]
-
-
-def SWEEP_COLUMNS(axes: dict) -> list[str]:
-    return [f"param:{k}" for k in sorted(axes)] + SWEEP_COLUMNS_FIXED
-
-
-def expand_axes(axes: dict) -> list[tuple[tuple[str, str], ...]]:
-    """Cartesian product of axis values, deterministically ordered."""
-    if not axes:
-        raise ConfigurationError("sweep requires a nonempty [sweep] section")
-    keys = sorted(axes)
-    points = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        points.append(tuple(zip(keys, combo)))
-    return points
+# sweep.csv's columns after the parameters, each with the entry of the
+# point's summary.txt record it holds
+_COLUMNS = {
+    "status": "status", "t_out": "t_final", "peak_sup": "peak_sup", "F0": "F0",
+    "min_F": "min_F", "max_C_fd": "max_C_fd", "max_C_w": "max_C_w", "max_C_v": "max_C_v",
+}
 
 
 def _point_slug(point) -> str:
@@ -49,42 +30,35 @@ def _point_slug(point) -> str:
 
 
 def _run_point(args):
-    """Worker: one simulate run for one parameter point."""
+    """Worker: one simulate run for one parameter point, and its cells."""
     config_path, base_overrides, point, run_dir = args
     from .cli import simulate_run
     from .config import load_config
 
-    overrides = list(base_overrides) + [f"{k}={v}" for k, v in point] + [
-        f"run.outdir={run_dir}"
-    ]
+    overrides = [*base_overrides, *(f"{k}={v}" for k, v in point), f"run.outdir={run_dir}"]
     try:
         cfg = load_config(config_path, overrides)
-        summary, extras = simulate_run(cfg)
-        return point, [
-            summary.status.value,
-            float(summary.t_final),
-            float(summary.peak_sup),
-            float(summary.F0),
-            float(summary.min_F),
-            float(extras["max_C_fd"]),
-            float(extras["max_C_w"]),
-            float(extras["max_C_v"]),
-        ]
+        _, record = simulate_run(cfg)
+        return point, [record[key] for key in _COLUMNS.values()]
     except Exception as exc:  # recorded, never fatal to the sweep
         # a rejected config gives its keyed violations on one line, without its path
         problems = getattr(exc, "problems", None)
         detail = "; ".join(f"{k}: {m}" for k, m in problems.items()) if problems else exc
-        return point, [f"error: {type(exc).__name__}: {detail}", "", "", "", "", "", "", ""]
+        return point, [f"error: {type(exc).__name__}: {detail}"] + [None] * (len(_COLUMNS) - 1)
 
 
 def run_sweep(config_path, base_overrides, axes: dict, outdir: Path, workers: int):
-    """Run every point, return (columns, rows sorted by parameter tuple)."""
-    points = expand_axes(axes)
+    """Run every point of the axes' cartesian product, return (columns,
+    rows sorted by parameter tuple)."""
+    if not axes:
+        raise ConfigurationError("sweep requires a nonempty [sweep] section")
+    keys = sorted(axes)
+    points = [tuple(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for point in points:
-        run_dir = outdir / _point_slug(point)
-        jobs.append((str(config_path), tuple(base_overrides), point, str(run_dir)))
+    jobs = [
+        (str(config_path), tuple(base_overrides), point, str(outdir / _point_slug(point)))
+        for point in points
+    ]
 
     if workers <= 1:
         results = [_run_point(job) for job in jobs]
@@ -93,8 +67,5 @@ def run_sweep(config_path, base_overrides, axes: dict, outdir: Path, workers: in
             results = list(pool.map(_run_point, jobs))
 
     results.sort(key=lambda item: item[0])
-    columns = SWEEP_COLUMNS(axes)
-    rows = []
-    for point, payload in results:
-        rows.append([v for _, v in point] + payload)
-    return columns, rows
+    columns = [f"param:{k}" for k in keys] + list(_COLUMNS)
+    return columns, [[v for _, v in point] + cells for point, cells in results]

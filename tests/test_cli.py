@@ -70,8 +70,13 @@ def test_simulate_completes_with_outputs(config_path, tmp_path):
     assert rows["t"][-1] == pytest.approx(0.1)
     snap = read_snapshot(out / "snapshot_final.snap")
     assert len(snap.u) == 96
-    summary = (out / "summary.txt").read_text()
-    assert "status=completed" in summary
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[:2] == ["# format_version=1", "status=completed"]
+    # RunSummary's fields in declaration order, then simulate's probe maxima
+    assert [line.partition("=")[0] for line in lines[1:]] == [
+        "status", "t_final", "t_blowup", "steps", "peak_sup", "F0", "min_F", "min_u",
+        "first_negative_step", "mass_initial", "mass_final", "max_C_fd", "max_C_w", "max_C_v",
+    ]
     assert (out / "snapshot_00000000.snap").exists()
 
 
@@ -576,15 +581,22 @@ def test_sweep_records_per_run_failures(config_path, tmp_path):
     )
     assert main(["-c", str(sweep_ini), "sweep"]) == 0
     header, rows = read_table(tmp_path / "out" / "sweep" / "sweep.csv")
-    statuses = [row[header.index("status")] for row in rows]
-    assert any(s == "completed" for s in statuses)
-    errors = [s for s in statuses if s.startswith("error")]
-    # one line with the keyed violation and no config path
-    assert errors == [
+    failed, done = rows  # sorted by the amplitude strings: "-2.0" first
+    status = header.index("status")
+    # one line with the keyed violation and no config path, then empty cells
+    assert failed[status] == (
         "error: ConfigurationError: base.amplitude: the bump density (baseline=1.0, "
         "amplitude=-2.0) must be positive at every cell center, got a minimum of "
         "-0.999397274479739"
-    ]
+    )
+    assert len(failed) == len(header) and failed[status + 1:] == [""] * (len(header) - status - 1)
+    # the completed row holds its point's summary.txt entries as text
+    cells = dict(zip(header, done))
+    keys = summary_keys(tmp_path / "out" / "sweep" / "amplitude=0.4")
+    assert cells["status"] == keys["status"] == "completed"
+    assert cells["t_out"] == keys["t_final"]
+    for name in ("peak_sup", "F0", "min_F", "max_C_fd", "max_C_w", "max_C_v"):
+        assert cells[name] == keys[name], name
 
 
 def test_sweep_bad_base_value_fails_before_any_output(config_path, tmp_path, capsys):
@@ -597,10 +609,18 @@ def test_sweep_bad_base_value_fails_before_any_output(config_path, tmp_path, cap
 
 def test_energy_verb_prints_report(config_path, tmp_path, capsys):
     assert main(["-c", str(config_path), "simulate"]) == 0
+    capsys.readouterr()
     code = main(["-c", str(config_path), "energy", str(tmp_path / "out" / "snapshot_final.snap")])
     assert code == 0
     out = capsys.readouterr().out
-    assert "F=" in out and "D=" in out and "entropy_term=" in out
+    # EnergyReport's scalars in declaration order, each a float repr but the count
+    lines = [line.split("=") for line in out.splitlines()]
+    assert [key for key, _ in lines] == [
+        "F", "D", "entropy_term", "mixed_term", "quad_term",
+        "grad_f_term", "f_term", "g_term", "regularized_faces",
+    ]
+    assert all(math.isfinite(float(value)) for _, value in lines[:-1])
+    assert int(lines[-1][1]) >= 0
 
 
 def test_low_dimension_warning_printed(tmp_path, capsys):

@@ -49,6 +49,24 @@ def test_smooth_pair_leaves_numpy_random_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_family_check_leaves_numpy_polynomial_unimported():
+    # the family's Gauss nodes and weights are stored; loading
+    # numpy.polynomial for them raised verify full's peak RSS by ~0.9 MB
+    src = str(Path(radks.verify.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radks.cli\n"
+         "from radks import verify\n"
+         "verify.check_family(512)\n"
+         "print('numpy.polynomial' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_run_checks_rejects_bad_level():
     with pytest.raises(ValueError):
         run_checks("medium")
