@@ -16,8 +16,8 @@ the upwind flux the step takes.
 compute_energy is the one evaluation of a state: its EnergyReport
 carries the fields w, f and g next to the integrals, so the probes read
 them instead of solving again.  w is the one u keeps (helmholtz._kept_w),
-so the step from the same state reads it too; the face gradients and
-face means it takes, and L v, stay on u, v and f (see radks.grid).
+so the step from the same state reads it too, and the face gradients it
+takes stay on u, v and f (see radks.grid).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def compute_g(u: RadialField, v: RadialField) -> np.ndarray:
     """Face-sampled g = u_r/sqrt(ubar) - sqrt(ubar) v_r, zero at the ends.
 
     ubar is the arithmetic face mean floored at DENSITY_FLOOR; faces that
-    needed the floor are counted by compute_energy.  u_r, v_r and the
-    face mean are the ones u and v keep.
+    needed the floor are counted by compute_energy.  u_r and v_r are the
+    ones u and v keep.
     """
     if not u.grid.same_as(v.grid):
         raise GridMismatchError("u and v live on different grids")
@@ -87,9 +87,9 @@ def _entropy_density(u: np.ndarray) -> np.ndarray:
 def compute_energy(u: RadialField, v: RadialField, solver: HelmholtzSolver) -> EnergyReport:
     """Evaluate every term of F and D at the state (u, v), with w, f and g.
 
-    w is the one u keeps, solved here if u has none yet.  L v and the
-    face gradients and face means it reads stay on v, u and f, so a probe
-    of the same state finds them computed.
+    w is the one u keeps, solved here if u has none yet.  The face
+    gradients it reads stay on u, v and f, so a probe of the same state
+    finds them computed.
     """
     grid = u.grid
     if not grid.same_as(v.grid):

@@ -13,19 +13,18 @@ then hold by telescoping.
 
 A field's values never change: the RadialField constructor copies them
 into a read-only array, and _adopt makes read-only an array that only
-the new field holds.  So face_means, gradient_faces and laplacian each
-compute their result once per field and keep it on that field,
-read-only; every later call, from the stepper, the energy or a probe,
-returns the same object.  A density u keeps its signal
-w = (I - L)^{-1} u the same way (radks.helmholtz._kept_w), and a grid
-the constant of the stepper's dt bound (radks.dynamics).  A kept value
-lives as long as its holder.  Two threads that miss at once compute
+the new field holds.  So a value derived from one can be kept on it,
+read-only.  Four are, because a later call reads them again: a field's
+gradient_faces, a density's w = (I - L)^{-1} u (radks.helmholtz._kept_w),
+and a grid's face_power and dt-bound constant (radks.dynamics).  A kept
+value lives as long as its holder; two threads that miss at once compute
 equal values, and one is kept.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,6 +159,8 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
 
     With h_min (0 < h_min < R/N) the cell widths grow geometrically from
     h_min at the origin; without it the mesh is uniform with h = R/N.
+    The innermost cell's volume omega_n h_min^n / n must be a normal
+    float64, or the mesh is rejected keyed h_min (R when uniform).
     """
     problems = {}
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -181,6 +182,12 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
     N = int(N)
     R = float(R)
     omega = unit_sphere_area(n)
+    # in logarithms, as the volume itself may underflow
+    key, width = ("R", R / N) if h_min is None else ("h_min", float(h_min))
+    log10_volume = math.log10(omega / n) + n * math.log10(width)
+    if log10_volume < math.log10(sys.float_info.min):
+        message = f"the smallest cell volume would be 10^{log10_volume:.1f}, not a normal float64"
+        raise ConfigurationError(problems={key: message})
     if h_min is None:
         h = R / N
         faces = h * np.arange(N + 1, dtype=float)
@@ -226,9 +233,8 @@ class RadialField:
     """One scalar unknown sampled at cell centers.
 
     values is a read-only copy of the array passed in, so it stays what
-    it was at construction.  That lets the field keep its face means,
-    face gradient and L f, and a density its w, each computed on first
-    use (see the module docstring); a new field starts with none of them.
+    it was at construction.  That lets the field keep its face gradient,
+    and a density its w, computed on first use (see the module docstring).
     """
 
     values: np.ndarray
@@ -249,8 +255,8 @@ def _adopt(values: np.ndarray, grid: Grid) -> RadialField:
 
     Skips the defensive copy of the constructor: the array is only made
     read-only, so it must not be reachable from anywhere else.  A writer
-    that kept it could change the values under the face means, face
-    gradient, L f and w the field keeps.
+    that kept it could change the values under the face gradient and w
+    the field keeps.
     """
     values.setflags(write=False)
     field = object.__new__(RadialField)
@@ -281,17 +287,8 @@ def sup_norm(field: RadialField) -> float:
 
 
 def face_means(field: RadialField) -> np.ndarray:
-    """Arithmetic mean of the two neighbouring cells at each interior face.
-
-    Kept on the field, read-only.
-    """
-    means = field.__dict__.get("_face_means")
-    if means is None:
-        f = field.values
-        means = 0.5 * (f[:-1] + f[1:])
-        means.setflags(write=False)
-        field.__dict__["_face_means"] = means
-    return means
+    """Arithmetic mean of the two neighbouring cells at each interior face."""
+    return 0.5 * (field.values[:-1] + field.values[1:])
 
 
 def gradient_faces(field: RadialField) -> np.ndarray:
@@ -335,12 +332,8 @@ def laplacian(field: RadialField) -> RadialField:
 
     (Lf)_i = [A_{i+1/2} g_{i+1/2} - A_{i-1/2} g_{i-1/2}] / V_i with g the
     face gradients.  Annihilates constants and has zero discrete mean for
-    every field (fluxes telescope).  Kept on the field.
+    every field (fluxes telescope).
     """
-    lap = field.__dict__.get("_laplacian")
-    if lap is None:
-        grid = field.grid
-        div = _add_flux_divergence(np.zeros(grid.N), field.values, grid.coupling)
-        div /= grid.volumes
-        lap = field.__dict__["_laplacian"] = _adopt(div, grid)
-    return lap
+    grid = field.grid
+    div = _add_flux_divergence(np.zeros(grid.N), field.values, grid.coupling)
+    return _adopt(np.divide(div, grid.volumes, out=div), grid)

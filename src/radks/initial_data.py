@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +93,6 @@ def _profile(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def mollifier_normalization(n: int) -> float:
     """c_n with omega_n int_0^1 c_n exp(-1/(1-r^2)) r^{n-1} dr = 1: the
     factor that makes the radially nonincreasing bump on the unit ball of

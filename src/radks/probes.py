@@ -144,8 +144,8 @@ def probe_pointwise_v(
 ) -> ProbeResult:
     """Implied constant of r^beta (v/r^2 + |v_r|/r) <= C (m + |v0|_{W^{2,2}}).
 
-    v_r and the face mean of v are the ones v keeps: a stepped state's v
-    already holds v_r from its step.
+    v_r is the one v keeps: a stepped state's v already holds it from
+    its step.
     """
     grid = v.grid
     r = grid.faces[1:-1]
@@ -320,8 +320,7 @@ def probe_local_inequalities(
     basis and reported through the implied constant.  report is
     compute_energy(u, v, solver); its w, f and g and its whole-ball
     integrals of |grad f|^2 and g^2 are read, not recomputed, and so are
-    L v and the face gradients of v and f that compute_energy left on
-    them.
+    the face gradients of v and f that compute_energy left on them.
     """
     grid = u.grid
     if not (grid.same_as(v.grid) and grid.same_as(report.w.grid)):

@@ -26,7 +26,7 @@ from .grid import make_grid, constant_field, integrate, RadialField, field_from_
 from .helmholtz import build_solver, solve
 from .dynamics import SimStatus, Sink, default_stepper_config, run
 from .initial_data import family_energy_scan, family_scales, w22_distance, l1_distance
-from .probes import probe_entropy_floor
+from .probes import probe_entropy_floor, probe_mass_identities
 
 __all__ = ["CheckResult", "FAMILY_H_MIN", "run_checks", "scorecard"]
 
@@ -95,11 +95,10 @@ def check_conservation(N: int, steps: int) -> tuple[bool, str]:
     u0, v0 = _smooth_pair(g)
     cfg = default_stepper_config(g, t_end=1e9, dt_max=2e-3, output_every=max(1, steps // 100))
     _, _, trajectory = run(u0, v0, cfg, solver=s, max_steps=steps)
-    mass = trajectory["mass"]
-    m0 = float(mass[0])
-    # np.max is NaN when any sample's is, so a NaN mass fails the row
-    drift = float(np.max(np.abs(mass - m0))) / m0
-    wgap = float(np.max(np.abs(trajectory["int_w"] - mass))) / m0
+    # the probe's mass_u_drift and mass_w_equals_u rows, held to this row's
+    # bounds; each is NaN when any sample's is, so a NaN mass fails the row
+    rows = {p.name: p.lhs for p in probe_mass_identities(trajectory)}
+    drift, wgap = rows["mass_u_drift"], rows["mass_w_equals_u"]
     ok = drift <= 1e-9 and wgap <= 1e-12
     return ok, f"mass drift {drift:.2e} (<=1e-9), w-u gap {wgap:.2e} (<=1e-12) over {steps} steps"
 

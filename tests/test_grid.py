@@ -104,6 +104,29 @@ def test_make_grid_rejects_bad_parameters(n, R, N):
         make_grid(n, R, N)
 
 
+@pytest.mark.parametrize(
+    "n,R,N,h_min,key",
+    [
+        (5, 1.0, 64, 1e-100, "h_min"),  # innermost volumes round to zero
+        (5, 1.0, 64, 1e-310, "h_min"),  # a subnormal h_min: faces collapse
+        (8, 1e-40, 64, None, "R"),      # uniform, volumes round to zero
+        (5, 1e-62, 4, None, "R"),       # uniform, subnormal volumes
+    ],
+)
+def test_make_grid_rejects_cells_below_the_smallest_normal_volume(n, R, N, h_min, key):
+    # rejected before any arithmetic that could warn (tier-1 fails on a
+    # RuntimeWarning), keyed by the parameter that sets the innermost width
+    with pytest.raises(ConfigurationError) as excinfo:
+        make_grid(n, R, N, h_min=h_min)
+    assert set(excinfo.value.problems) == {key}
+
+
+def test_the_suites_finest_graded_mesh_has_normal_volumes():
+    g = make_grid(8, 1.0, 64, h_min=1e-12)
+    assert np.min(g.volumes) == g.volumes[0]
+    assert g.volumes[0] == pytest.approx(4.0587e-96, rel=1e-4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=12),
@@ -292,20 +315,29 @@ def _cells(derived):
 )
 def test_derived_fields_are_kept_on_their_field(n, N, h_min_exp, adopted, seed):
     # uniform and graded meshes down to h_min 1e-12, fields built by the
-    # constructor and by _adopt: each derived field is computed once, equals
+    # constructor and by _adopt: the face gradient is computed once, equals
     # a fresh copy's bit for bit, is read-only, and stays with the field
-    # through dataclasses.replace of a State that holds it
+    # through dataclasses.replace of a State that holds it; the face means
+    # and L f are computed anew on every call, bit for bit the same, and
+    # the field stores neither
     g = make_grid(n, 1.0, N, h_min=None if h_min_exp is None else 10.0**h_min_exp)
     values = np.random.default_rng(seed).uniform(-1e3, 1e3, N)
     field = _adopt(values.copy(), g) if adopted else RadialField(values, g)
     state = State(0.0, 0, field, field, 1e-3)
-    for op in (face_means, gradient_faces, laplacian):
-        kept = op(field)
-        assert op(field) is kept
+    kept = gradient_faces(field)
+    assert gradient_faces(field) is kept
+    fresh = gradient_faces(RadialField(field.values, g))
+    assert fresh is not kept
+    assert kept.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        kept[0] = 1.0
+    moved = replace(state, dt=2e-3)
+    assert gradient_faces(moved.u) is kept and gradient_faces(moved.v) is kept
+    for op in (face_means, laplacian):
+        first = op(field)
+        again = op(field)
+        assert again is not first
+        assert _cells(again).tobytes() == _cells(first).tobytes()
         fresh = op(RadialField(field.values, g))
-        assert fresh is not kept
-        assert _cells(kept).tobytes() == _cells(fresh).tobytes()
-        with pytest.raises(ValueError):
-            _cells(kept)[0] = 1.0
-        moved = replace(state, dt=2e-3)
-        assert op(moved.u) is kept and op(moved.v) is kept
+        assert _cells(fresh).tobytes() == _cells(first).tobytes()
+    assert "_face_means" not in field.__dict__ and "_laplacian" not in field.__dict__

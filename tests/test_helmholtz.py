@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import os
 import subprocess
 import sys
@@ -430,12 +431,16 @@ def test_shifted_solve_rejects_indefinite_operator(alpha, beta):
 
 
 def test_build_solver_rejects_a_grid_whose_inner_cells_underflow():
-    # at n = 40, on a mesh graded to 1e-12, the volumes and couplings of the
-    # innermost cells underflow to zero, and I - L is singular
-    g = make_grid(40, 1.0, 64, h_min=1e-12)
-    assert g.volumes[0] == g.coupling[0] == 0.0
+    # at n = 40, on a mesh graded to 1e-12, the volume of the innermost cell
+    # would underflow, so make_grid rejects the mesh; on a grid built past
+    # that check, whose first volume and coupling are zero, I - L is singular
+    with pytest.raises(ConfigurationError):
+        make_grid(40, 1.0, 64, h_min=1e-12)
+    g = make_grid(5, 1.0, 64)
+    volumes, coupling = g.volumes.copy(), g.coupling.copy()
+    volumes[0] = coupling[0] = 0.0
     with pytest.raises(ConfigurationError, match="zero pivot"):
-        build_solver(g)
+        build_solver(replace(g, volumes=volumes, coupling=coupling))
 
 
 def random_spd_tridiagonal(N, seed):
