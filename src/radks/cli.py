@@ -49,7 +49,6 @@ from .snapshots import (
     write_summary,
     write_table,
 )
-from . import verify as verify_mod
 
 __all__ = ["main", "entry_point", "simulate_run"]
 
@@ -191,7 +190,7 @@ def cmd_probe(cfg: RunConfig, diagnostics_path: str, snapshot_dir: str) -> int:
         records.append((t, m, integrate(v), integrate(rep.w)))
 
     results.append(probe_fd_ratio(samples, pconf))
-    # without snapshots the diagnostics rows still give the drift of int u
+    # the mass records of the snapshots' states, or else of the diagnostics rows
     results.extend(probe_mass_identities(records if snaps else samples))
     odi, note = probe_odi(samples, pconf.theta)
     results.append(odi)
@@ -217,6 +216,9 @@ def cmd_sweep(config_path: str, overrides, axes: dict, outdir: Path, workers: in
 
 
 def cmd_verify(level: str) -> int:
+    # imported here, as radks.sweep is: no other verb runs the checks
+    from . import verify as verify_mod
+
     results = verify_mod.run_checks(level)
     print(verify_mod.scorecard(results))
     return 0 if all(r.passed for r in results) else 1

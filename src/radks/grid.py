@@ -61,7 +61,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Cell-centered radial mesh on (0, R], uniform or graded.
 
@@ -228,7 +228,7 @@ def make_grid(n: int, R: float, N: int, h_min: float | None = None) -> Grid:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """One scalar unknown sampled at cell centers.
 

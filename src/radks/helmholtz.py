@@ -167,7 +167,7 @@ def _solve(grid: Grid, factor, rhs: np.ndarray) -> np.ndarray:
     return dpttrs(factor[0], factor[1], grid.volumes * rhs, True)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HelmholtzSolver:
     """Reusable factorization of (I - L) on one grid.
 
@@ -179,7 +179,7 @@ class HelmholtzSolver:
 
     grid: Grid
     _factor: tuple[np.ndarray, ...]
-    _shifted: dict = field(default_factory=dict, repr=False, compare=False)
+    _shifted: dict = field(default_factory=dict, repr=False)
 
 
 def build_solver(grid: Grid) -> HelmholtzSolver:

@@ -243,23 +243,14 @@ def probe_mass_identities(samples: Trajectory) -> list[ProbeResult]:
     int v <= max(int v0, int u0), and (reported, no hard flag) the gap to
     the exact homogeneous-relaxation value of int v.  Each maximum is NaN
     when any sample's term is, so a NaN sample fails the hard checks.  No
-    samples, no rows; a trajectory without int_v and int_w columns, such
-    as the diagnostics rows, gets the drift of int u alone.
+    samples, no rows.  samples has t, mass, int_v and int_w columns: run's
+    Trajectory, the diagnostics read back, or probe's snapshot records.
     """
     if not samples:
         return []
     mass = samples["mass"]
     m0 = float(mass[0])
     drift = float(np.max(np.abs(mass - m0))) / max(abs(m0), 1e-300)
-    drift_row = ProbeResult(
-        name="mass_u_drift",
-        lhs=drift,
-        rhs_free=HARD_TOL,
-        implied_c=drift,
-        hard_pass=drift <= HARD_TOL,
-    )
-    if not {"int_v", "int_w"} <= set(samples.names):
-        return [drift_row]
     t, int_v = samples["t"], samples["int_v"]
     v0 = float(int_v[0])
     w_gap = float(np.max(np.abs(samples["int_w"] - mass))) / max(abs(m0), 1e-300)
@@ -268,7 +259,13 @@ def probe_mass_identities(samples: Trajectory) -> list[ProbeResult]:
     decay = np.array([math.exp(-x) for x in t.tolist()])
     relax_gap = float(np.max(np.abs(int_v - (v0 * decay + m0 * (1.0 - decay)))))
     return [
-        drift_row,
+        ProbeResult(
+            name="mass_u_drift",
+            lhs=drift,
+            rhs_free=HARD_TOL,
+            implied_c=drift,
+            hard_pass=drift <= HARD_TOL,
+        ),
         ProbeResult(
             name="mass_w_equals_u",
             lhs=w_gap,

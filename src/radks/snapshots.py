@@ -17,10 +17,10 @@ FINAL_SNAPSHOT_NAME, family_snapshot_name and run_snapshots.
 
 Every other file is version-1 text, floats in shortest round-trip
 decimal (Python repr): CSV, and summary.txt with one `key=value` line
-per entry of the run's record (write_summary).  Diagnostics rows are
-flushed as written; a killed run leaves a parseable prefix.
-read_diagnostics reads them back as a Trajectory of those seven columns,
-bit-equal to the run's.
+per entry of the run's record (write_summary).  diagnostics.csv holds
+a column per TrajectorySample field and a row per sample, flushed as
+written; a killed run leaves a parseable prefix.  read_diagnostics
+returns the run's Trajectory, bit for bit, and rejects any other header.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, TrajectorySample
 from .errors import SnapshotFormatError
 from .grid import Grid, RadialField
 
@@ -49,7 +49,6 @@ __all__ = [
     "family_snapshot_name",
     "run_snapshots",
     "DiagnosticsWriter",
-    "DIAGNOSTICS_COLUMNS",
     "read_diagnostics",
     "write_probe_rows",
     "PROBE_COLUMNS",
@@ -65,7 +64,6 @@ _SNAPSHOT_COLUMN_LINE = (",".join(SNAPSHOT_COLUMNS) + "\n").encode()
 _SNAPSHOT_DTYPE = np.dtype("<f8")
 _SNAPSHOT_SUFFIX = ".snap"
 FINAL_SNAPSHOT_NAME = "snapshot_final" + _SNAPSHOT_SUFFIX
-DIAGNOSTICS_COLUMNS = ["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]
 PROBE_COLUMNS = ["probe", "param", "sample", "lhs", "rhs_free", "implied_C", "hard_pass"]
 
 
@@ -85,7 +83,7 @@ def _check_version(first_line: str, path) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
     path: Path
     r: np.ndarray
@@ -209,17 +207,17 @@ def read_snapshot(path) -> Snapshot:
 
 
 class DiagnosticsWriter:
-    """Row-flushed writer for the trajectory diagnostics CSV."""
+    """Row-flushed writer of diagnostics.csv, a TrajectorySample per row."""
 
     def __init__(self, path):
         self._handle = Path(path).open("w", newline="")
         self._handle.write(_version_line())
         self._writer = csv.writer(self._handle)
-        self._writer.writerow(DIAGNOSTICS_COLUMNS)
+        self._writer.writerow(TrajectorySample._fields)
         self._handle.flush()
 
-    def write(self, sample) -> None:
-        self._writer.writerow([format_float(getattr(sample, c)) for c in DIAGNOSTICS_COLUMNS])
+    def write(self, sample: TrajectorySample) -> None:
+        self._writer.writerow([format_float(x) for x in sample])
         self._handle.flush()
 
     def close(self) -> None:
@@ -234,12 +232,14 @@ class DiagnosticsWriter:
 
 
 def read_diagnostics(path) -> Trajectory:
-    """The diagnostics rows as a Trajectory over DIAGNOSTICS_COLUMNS,
-    parsed through read_table."""
+    """The diagnostics rows as a Trajectory over TrajectorySample's fields,
+    parsed through read_table.  Any other header, such as the seven
+    columns written before int_v, int_w and min_u, is rejected."""
     header, rows = read_table(path)
-    if header != DIAGNOSTICS_COLUMNS:
-        raise SnapshotFormatError(f"{path}: expected header {DIAGNOSTICS_COLUMNS}, got {header}")
-    out = Trajectory(DIAGNOSTICS_COLUMNS)
+    columns = list(TrajectorySample._fields)
+    if header != columns:
+        raise SnapshotFormatError(f"{path}: expected header {columns}, got {header}")
+    out = Trajectory()
     for row in rows:
         try:  # a non-number fails float, a ragged row fails append
             out.append([float(x) for x in row])

@@ -12,7 +12,7 @@ import pytest
 import radks.cli
 from radks.cli import main
 from radks.config import load_config
-from radks.dynamics import run
+from radks.dynamics import TrajectorySample, run
 from radks.grid import integrate, laplacian, make_grid
 from radks.helmholtz import build_solver, solve
 from radks.initial_data import (
@@ -24,7 +24,6 @@ from radks.initial_data import (
     w22_norm,
 )
 from radks.snapshots import (
-    DIAGNOSTICS_COLUMNS,
     read_diagnostics,
     read_snapshot,
     read_table,
@@ -355,20 +354,24 @@ def test_probe_writes_fd_ratio_and_nan_tail_when_tail_not_reached(
     # too few samples to fit: the tail row reads nan with the reason on
     # stdout; c5 is the fd_ratio row's, written once, with no odi_c5 copy
     diag = tmp_path / "diagnostics.csv"
-    lines = ["# format_version=1", "t,dt,mass,sup_u,F,D,identity_residual"]
+    lines = ["# format_version=1", ",".join(TrajectorySample._fields)]
     for k in range(rows):
         F = -5062.0 - 765.0 * k / (rows - 1)
         D = 1.8e7 * 27.0 ** (k / (rows - 1))
-        lines.append(f"{1e-5 * k!r},1e-05,1.0,1.0,{F!r},{D!r},0.0")
+        lines.append(f"{1e-5 * k!r},1e-05,1.0,1.0,{F!r},{D!r},0.0,1.0,1.0,1.0")
     diag.write_text("\n".join(lines) + "\n")
     assert main(["-c", str(config_path), "probe", str(diag)]) == 0
     out = capsys.readouterr().out
     assert "odi_tail_slope is nan: " in out and note in out
     header, report = read_table(tmp_path / "out" / "probe_report.csv")
-    assert [row[0] for row in report] == ["fd_ratio", "mass_u_drift", "odi_tail_slope"]
+    assert [row[0] for row in report] == [
+        "fd_ratio", "mass_u_drift", "mass_w_equals_u", "v_mass_bound", "v_mass_relaxation_gap",
+        "odi_tail_slope",
+    ]
     by_name = {row[0]: dict(zip(header, row)) for row in report}
     assert float(by_name["fd_ratio"]["implied_C"]) > 0.0
-    assert by_name["mass_u_drift"]["hard_pass"] == "true"
+    for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
+        assert by_name[name]["hard_pass"] == "true", name
     assert by_name["odi_tail_slope"]["implied_C"] == "nan"
 
 
@@ -396,13 +399,15 @@ def test_probe_pointwise_v_uses_initial_signal_norm(config_path, tmp_path):
 
 
 def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
-    # the diagnostics' mass column (1.0 here) belongs to no snapshot; every
-    # mass record pairs int u, int v and int w of one snapshot's own state
+    # the diagnostics' mass, int_v and int_w columns belong to no snapshot
+    # and break both identities (int w = 3 int u, int v grows past its
+    # bound); every mass record pairs int u, int v and int w of one
+    # snapshot's own state
     assert main(["-c", str(config_path), "simulate"]) == 0
     out = tmp_path / "out"
     diag = tmp_path / "diagnostics.csv"
-    lines = ["# format_version=1", "t,dt,mass,sup_u,F,D,identity_residual"]
-    lines += [f"{0.01 * k!r},0.01,1.0,1.0,-1.0,1.0,0.0" for k in range(11)]
+    lines = ["# format_version=1", ",".join(TrajectorySample._fields)]
+    lines += [f"{0.01 * k!r},0.01,1.0,1.0,-1.0,1.0,0.0,{1.0 + k!r},3.0,1.0" for k in range(11)]
     diag.write_text("\n".join(lines) + "\n")
     assert main(["-c", str(config_path), "probe", str(diag), str(out)]) == 0
     for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
@@ -412,8 +417,8 @@ def test_probe_mass_records_come_from_the_snapshots(config_path, tmp_path):
 
 def test_probe_without_snapshots_checks_the_mass_of_every_diagnostics_row(tmp_path):
     # the README example's `probe out/diagnostics.csv`: the diagnostics hold
-    # the mass of every sample, so the report has the drift row, and one
-    # NaN or tampered mass among them fails it
+    # int u, int v and int w of every sample, so the report has every mass
+    # row, and one NaN or tampered mass among them fails the drift row
     path = tmp_path / "run.ini"
     path.write_text(BUMP.format(N=400, width=0.06, v_mode="relaxed", max_steps=5_000_000,
                                 outdir=tmp_path / "out"))
@@ -421,9 +426,9 @@ def test_probe_without_snapshots_checks_the_mass_of_every_diagnostics_row(tmp_pa
     diag = tmp_path / "out" / "diagnostics.csv"
     report = tmp_path / "out" / "probe_report.csv"
     assert main(["-c", str(path), "probe", str(diag)]) == 0
-    (row,) = _probe_rows(report, "mass_u_drift")
-    assert row["hard_pass"] == "true"
-    assert not _probe_rows(report, "mass_w_equals_u")
+    for name in ("mass_u_drift", "mass_w_equals_u", "v_mass_bound"):
+        (row,) = _probe_rows(report, name)
+        assert row["hard_pass"] == "true", name
     lines = diag.read_text().splitlines()
     mass_col = lines[1].split(",").index("mass")
     cells = lines[5].split(",")
@@ -466,7 +471,7 @@ def test_probe_reads_no_snapshot_of_an_earlier_run(config_path, tmp_path):
 
 def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path, monkeypatch):
     # both read probe_fd_ratio over the same samples: the diagnostics rows
-    # read back give the columns of the run's own Trajectory, bit for bit
+    # read back give every column of the run's own Trajectory, bit for bit
     runs = []
 
     def recording_run(*args, **kwargs):
@@ -479,7 +484,8 @@ def test_probe_fd_ratio_matches_simulate_max_c_fd(config_path, tmp_path, monkeyp
     ((_, _, trajectory),) = runs
     read = read_diagnostics(out / "diagnostics.csv")
     assert len(read) == len(trajectory) > 2
-    for name in DIAGNOSTICS_COLUMNS:
+    assert read.names == trajectory.names == TrajectorySample._fields
+    for name in TrajectorySample._fields:
         assert read[name].tobytes() == trajectory[name].tobytes(), name
     assert main(["-c", str(config_path), "probe", str(out / "diagnostics.csv")]) == 0
     (row,) = _probe_rows(out / "probe_report.csv", "fd_ratio")
@@ -499,6 +505,19 @@ def test_import_leaves_the_sweep_pool_unimported():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_verify_unimported():
+    # only the verify verb loads radks.verify and its checks
+    src = str(Path(radks.cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, radks.cli; print('radks.verify' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_single_point_matches_simulate(config_path, tmp_path):
@@ -735,7 +754,7 @@ def test_probe_rejects_missing_snapshot_dir(config_path, tmp_path, capsys):
 def test_probe_rejects_diagnostics_without_rows(config_path, tmp_path, capsys):
     # a header and no row, as a run killed before its first sample leaves it
     diag = tmp_path / "diagnostics.csv"
-    diag.write_text("# format_version=1\n" + ",".join(DIAGNOSTICS_COLUMNS) + "\n")
+    diag.write_text("# format_version=1\n" + ",".join(TrajectorySample._fields) + "\n")
     assert main(["-c", str(config_path), "probe", str(diag)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{diag} has no rows" in err

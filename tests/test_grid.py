@@ -95,6 +95,21 @@ def test_same_as_separates_graded_from_uniform():
     assert not graded.same_as(make_grid(5, 1.0, 64, h_min=1e-6))
 
 
+def test_grids_and_fields_compare_and_hash_by_identity():
+    # two builds from the same inputs are two objects, one mesh: same_as
+    # tells the mesh, == and hash the object, and neither reads an array
+    a, b = make_grid(5, 1.0, 64), make_grid(5, 1.0, 64)
+    assert a == a and a != b and a.same_as(b)
+    assert len({a, b, a}) == 2
+    u, u2 = RadialField(a.centers, a), RadialField(a.centers, a)
+    assert u == u and u != u2 and u.grid.same_as(u2.grid)
+    assert len({u, u2, u}) == 2
+    # a State compares and hashes field by field, its fields by identity
+    s = State(0.0, 0, u, u, 1e-3)
+    assert s == State(0.0, 0, u, u, 1e-3) and s != State(0.0, 0, u2, u, 1e-3)
+    assert hash(s) == hash(State(0.0, 0, u, u, 1e-3))
+
+
 @pytest.mark.parametrize(
     "n,R,N",
     [(1, 1.0, 10), (5, 1.0, 3), (5, 0.0, 10), (5, -1.0, 10), (5, math.nan, 10)],

@@ -39,6 +39,13 @@ def solver(grid):
 GRADED_H_MIN = 1e-9
 
 
+def test_solver_compares_and_hashes_by_identity(grid, solver):
+    # a second factorization of the same grid is another solver
+    other = build_solver(grid)
+    assert solver == solver and solver != other and solver.grid.same_as(other.grid)
+    assert len({solver, other, solver}) == 2
+
+
 @pytest.fixture(scope="module")
 def graded():
     return make_grid(5, 1.0, 100, h_min=GRADED_H_MIN)

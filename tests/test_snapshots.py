@@ -9,7 +9,6 @@ from radks.grid import RadialField, make_grid
 from radks.initial_data import base_data
 from radks.probes import ProbeResult
 from radks.snapshots import (
-    DIAGNOSTICS_COLUMNS,
     DiagnosticsWriter,
     format_float,
     read_diagnostics,
@@ -217,9 +216,9 @@ def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
         writer.write(_sample(0.1))
     rows = read_diagnostics(path)
     assert len(rows) == 2
-    assert list(rows.names) == DIAGNOSTICS_COLUMNS
-    assert rows["t"][1] == 0.1
-    assert rows["mass"][0] == 5.2637890139143245
+    assert rows.names == TrajectorySample._fields
+    for name, x in zip(rows.names, _sample(0.1)):
+        assert rows[name][1] == x, name
 
     # a truncated file (killed run) still parses up to the cut
     text = path.read_text().splitlines()
@@ -227,17 +226,17 @@ def test_diagnostics_writer_roundtrip_and_prefix(tmp_path):
     assert len(read_diagnostics(tmp_path / "cut.csv")) == 1
 
 
-DIAG_HEADER = "t,dt,mass,sup_u,F,D,identity_residual\n"
+DIAG_HEADER = "t,dt,mass,sup_u,F,D,identity_residual,int_v,int_w,min_u\n"
 
 
 @pytest.mark.parametrize(
     "text",
-    ["", DIAG_HEADER + "0,0,1,1,0,0,0\n", "# format_version=2\n" + DIAG_HEADER,
+    ["", DIAG_HEADER + "0,0,1,1,0,0,0,1,1,1\n", "# format_version=2\n" + DIAG_HEADER,
      "# format_version=1\n", "# format_version=1\nt,dt,mass,sup_u,F,D\n",
-     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0\n",
-     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0,0,9\n",
-     "# format_version=1\n" + DIAG_HEADER + "0,0,one,1,0,0,0\n",
-     "# format_version=1\n" + DIAG_HEADER + "0,0,,1,0,0,0\n"],
+     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0,0,1,1\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,1,1,0,0,0,1,1,1,9\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,one,1,0,0,0,1,1,1\n",
+     "# format_version=1\n" + DIAG_HEADER + "0,0,,1,0,0,0,1,1,1\n"],
     ids=["empty", "no-version", "wrong-version", "no-header", "bad-header",
          "short-row", "long-row", "non-numeric", "empty-cell"],
 )
@@ -246,6 +245,27 @@ def test_diagnostics_rejects_malformed_files(tmp_path, text):
     path.write_text(text)
     with pytest.raises(SnapshotFormatError):
         read_diagnostics(path)
+
+
+def test_diagnostics_rejects_the_seven_column_file(tmp_path):
+    # the file written before int_v, int_w and min_u reached disk: its
+    # header row is the schema check, and the error names both headers
+    path = tmp_path / "diag.csv"
+    path.write_text("# format_version=1\nt,dt,mass,sup_u,F,D,identity_residual\n0,0,1,1,0,0,0\n")
+    with pytest.raises(SnapshotFormatError) as info:
+        read_diagnostics(path)
+    message = str(info.value)
+    assert str(list(TrajectorySample._fields)) in message
+    assert str(["t", "dt", "mass", "sup_u", "F", "D", "identity_residual"]) in message
+
+
+def test_snapshot_compares_and_hashes_by_identity(tmp_path):
+    g = make_grid(5, 1.0, 64)
+    u = RadialField(np.linspace(1.0, 2.0, 64), g)
+    write_snapshot(tmp_path / "s.snap", g, u, u, t=0.5)
+    a, b = read_snapshot(tmp_path / "s.snap"), read_snapshot(tmp_path / "s.snap")
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_write_table_cells(tmp_path):

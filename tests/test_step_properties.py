@@ -12,7 +12,7 @@ is >= 0 and keeps int w = int u.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radks.dynamics import SimStatus, State, adapt_dt, default_stepper_config, step
 from radks.grid import RadialField, make_grid
@@ -78,3 +78,29 @@ def test_step_conserves_mass_and_the_signal_balance(case):
         math.fsum(V * v) + dt * math.fsum(V * w)
     )
     assert abs(signal_gap) <= 1e-14 * signal_scale, signal_gap / signal_scale
+
+
+@settings(PROFILE, max_examples=36)
+@given(
+    N=st.sampled_from((64, 128, 256, 512)),
+    log_h=st.one_of(st.none(), st.floats(min_value=-9.0, max_value=-3.1)),
+    width=st.floats(min_value=0.02, max_value=0.2),
+    log_amplitude=st.floats(min_value=2.0, max_value=math.log10(2e7)),
+)
+# a coarse mesh graded to 1e-9 under a wide, tall bump: a downwind flux
+# there empties the core cells many times over
+@example(N=64, log_h=-9.0, width=0.18, log_amplitude=6.7)
+def test_step_at_the_cfl_dt_keeps_a_concentrated_bump_nonnegative(N, log_h, width, log_amplitude):
+    # a relaxed bump, uniform or graded mesh, one step at exactly adapt_dt's
+    # dt: steep enough that the upwind cell and the CFL bound are what keep
+    # u+ >= 0
+    g = make_grid(5, 1.0, N, h_min=None if log_h is None else 10.0**log_h)
+    s = build_solver(g)
+    u, v = base_data(
+        "bump", g, s, baseline=1.0, amplitude=10.0**log_amplitude, width=width, v_mode="relaxed"
+    )
+    cfg = default_stepper_config(g, t_end=1.0)
+    state = State(0.0, 0, u, v, adapt_dt(State(0.0, 0, u, v, cfg.dt_init), cfg))
+    new = step(state, cfg, s)
+    assert new.status is SimStatus.RUNNING
+    assert np.min(new.u.values) >= 0.0, np.min(new.u.values)
